@@ -30,7 +30,7 @@ def main():
 
     low = continue_branch(2.0, 8.0, 25, spec, MeshPolicy(n=512))
     print(f"\nfold flags on the [2, 8] window: {low.fold_flags}")
-    lo, hi = find_fold_pair(low, MeshPolicy(n=512))
+    lo, hi = find_fold_pair(low)
     print(f"paired at rho = {hi.rho:.10f}: lambda {lo.lam:.4f} and {hi.lam:.4f}")
     diff = hi.u_tilde - lo.u_tilde
     b0 = b0_projection(diff / np.max(np.abs(diff)), hi)

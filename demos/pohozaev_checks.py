@@ -28,7 +28,7 @@ BETA = 1.0 + ALPHA
 def main():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
     low = continue_branch(2.0, 8.0, 25, spec, MeshPolicy(n=512))
-    lo, hi = find_fold_pair(low, MeshPolicy(n=512))
+    lo, hi = find_fold_pair(low)
     print("pairwise identity across the fold:")
     for r in (0.5, 0.25, 0.125):
         print(f"  cut r = {r:5.3f}: residual {pohozaev_residual(lo, hi, r):+.3e}")

@@ -3,7 +3,8 @@
 Four subcommands over one JSON config format: `branch` writes the
 continuation table plus per-point profile snapshots, `spectrum` the
 per-mode eigenvalue scan, `pohozaev` the identity residuals, and `verify`
-a diagnostics report checked against configurable thresholds.  Outputs
+the diagnostics report of `diagnostics.build_report` checked against
+configurable thresholds.  Outputs
 are deterministic: files carry the config hash, floats are written with
 17 significant digits, and writes are atomic.
 
@@ -21,37 +22,11 @@ import sys
 import numpy as np
 
 from . import serialize
-from .diagnostics import (
-    local_rate_law_fit,
-    matching_residual,
-    outer_profile_residual,
-    pohozaev_residual,
-    pohozaev_residual_linearized,
-    rate_law_fit,
-    uniqueness_probe,
-)
+from .diagnostics import build_report, log_linear_fit, pohozaev_rows
 from .errors import ConfigError, MfelabError, ParameterDomainError, SolverError, WeightSpecError
-from .linearization import b0_projection, kernel_candidate, nondegeneracy_scan
-from .radial_solver import continue_branch, find_fold_pair
+from .linearization import nondegeneracy_scan
+from .radial_solver import continue_branch
 from .serialize import RunConfig
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _apply_thread_limit() -> None:
-    """Propagate MFELAB_THREADS to the BLAS/OpenMP pools.
-
-    Pools initialize lazily at the first large factorization, so setting
-    the standard variables here is effective for a fresh process; an
-    already-warm embedder should export them before import instead.
-    """
-    val = os.environ.get("MFELAB_THREADS")
-    if not val:
-        return
-    if not val.isdigit() or int(val) < 1:
-        raise ConfigError("MFELAB_THREADS must be a positive integer", ["MFELAB_THREADS"])
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, val)
 
 
 def _emit(obj: dict) -> None:
@@ -105,71 +80,29 @@ def cmd_spectrum(config: RunConfig) -> int:
     return 0
 
 
-def _pohozaev_rows(config: RunConfig, branch):
-    r = config.r0
-    rows = []
-    if branch.fold_flags:
-        policy = config.mesh_policy()
-        for which in range(len(branch.fold_flags)):
-            lo, hi = find_fold_pair(branch, policy, which=which)
-            rows.append((hi.lam, "pair", r, pohozaev_residual(lo, hi, r)))
-    else:
-        for pt in branch.points:
-            xi = kernel_candidate(pt)
-            rows.append((pt.lam, "eigenfield", r, pohozaev_residual_linearized(pt, xi, r)))
-    return rows
-
-
 def cmd_pohozaev(config: RunConfig) -> int:
     branch = _run_branch(config)
     h = config.config_hash()
     if branch.failure is not None:
         _emit({"error": {"code": 3, "kind": "solver", "detail": branch.failure, "config_hash": h}})
         return 3
+    kind, rows, _ = pohozaev_rows(branch, config.r0)
+    rows = [(lam, kind, config.r0, res) for lam, res in rows]
     path = os.path.join(config.out, "pohozaev.csv")
-    serialize.atomic_write(path, serialize.pohozaev_csv(_pohozaev_rows(config, branch), h))
+    serialize.atomic_write(path, serialize.pohozaev_csv(rows, h))
     _emit({"status": "ok", "config_hash": h, "outputs": [path]})
     return 0
 
 
-def _decay_exponent(branch, values, window):
-    lams = branch.lambdas
-    lo, hi = window
-    keep = (lams >= lo - 1e-6) & (lams <= hi + 1e-6)
-    keep &= np.asarray(values) != 0.0
-    if int(keep.sum()) < 5:
-        raise ParameterDomainError(
-            f"only {int(keep.sum())} usable points in the window [{lo}, {hi}]; "
-            "a fit needs at least 5"
-        )
-    x = lams[keep]
-    y = np.log(np.abs(np.asarray(values)[keep]))
-    slope, _ = np.polyfit(x, y, 1)
-    return float(-slope)
-
-
-def _verify_document(config: RunConfig, branch):
-    """Assemble the report and the list of failed assertions."""
+def _verify_failures(config: RunConfig, branch, report) -> list:
+    """The threshold gates on top of the report, as a list of failures."""
+    if not config.diagnostics:
+        return []
+    thr = config.thresholds
+    window = config.fit_window
     beta = 1.0 + config.alpha
     sigma_rate = 1.0 / (2.0 * beta)
-    thr = config.thresholds
-    toggles = set(config.diagnostics)
-    window = config.fit_window
     failures = []
-
-    doc: dict = {
-        "branch": _branch_meta(branch),
-        "rate_fit": None,
-        "local_rate_fit": None,
-        "matching": None,
-        "outer": None,
-        "pohozaev": None,
-        "b0": None,
-        "window": list(window),
-        "config_hash": config.config_hash(),
-    }
-    if not toggles:
-        return doc, failures
 
     # branch-level control: the continuation must be mesh-converged
     fine = continue_branch(
@@ -187,9 +120,8 @@ def _verify_document(config: RunConfig, branch):
                           f"(threshold {thr['mesh_rtol']:.1e}); refine mesh.nodes",
             })
 
-    if "rate" in toggles:
-        fit = rate_law_fit(branch, window)
-        doc["rate_fit"] = fit.to_dict()
+    fit = report.rate_fit
+    if fit is not None:
         target = -1.0 / beta
         if abs(fit.slope - target) > thr["rate_slope_rtol"] * abs(target):
             failures.append({"check": "rate-slope",
@@ -197,58 +129,27 @@ def _verify_document(config: RunConfig, branch):
         if fit.r_squared < thr["r2_floor"]:
             failures.append({"check": "rate-fit-quality",
                              "detail": f"r^2 = {fit.r_squared:.4f}"})
-    if "local_rate" in toggles:
-        fit = local_rate_law_fit(branch, config.r0, window)
-        d = fit.to_dict()
-        d["r0"] = config.r0
-        doc["local_rate_fit"] = d
-    if "matching" in toggles:
-        vals = [matching_residual(pt) for pt in branch.points]
-        doc["matching"] = [float(v) for v in vals]
-        exponent = _decay_exponent(branch, vals, window)
+    decays = []
+    if report.matching is not None:
+        decays.append(("matching-decay", report.matching))
+    if report.outer is not None:
+        decays += [("outer-decay", report.outer), ("outer-gradient-decay", report.outer_gradient)]
+    for label, series in decays:
+        exponent = -log_linear_fit(branch.lambdas, series, window).slope
         if exponent < thr["decay_margin"] * sigma_rate:
-            failures.append({"check": "matching-decay",
+            failures.append({"check": label,
                              "detail": f"exponent {exponent:.4f} vs {sigma_rate:.4f}"})
-    if "outer" in toggles:
-        vals = [outer_profile_residual(pt, config.outer_radius) for pt in branch.points]
-        doc["outer"] = [float(v) for v in vals]
-        for gradient, label in ((False, "outer-decay"), (True, "outer-gradient-decay")):
-            series = vals if not gradient else [
-                outer_profile_residual(pt, config.outer_radius, gradient=True)
-                for pt in branch.points
-            ]
-            exponent = _decay_exponent(branch, series, window)
-            if exponent < thr["decay_margin"] * sigma_rate:
-                failures.append({"check": label,
-                                 "detail": f"exponent {exponent:.4f} vs {sigma_rate:.4f}"})
-    if "pohozaev" in toggles:
-        rows = _pohozaev_rows(config, branch)
-        doc["pohozaev"] = {
-            "kind": rows[0][1] if rows else "eigenfield",
-            "radius": config.r0,
-            "values": [float(r[3]) for r in rows],
-        }
-        worst = max((abs(r[3]) for r in rows), default=0.0)
+    if report.pohozaev is not None:
+        worst = max((abs(v) for v in report.pohozaev), default=0.0)
         if worst > thr["pohozaev_tol"]:
             failures.append({"check": "pohozaev-residual",
                              "detail": f"max |residual| {worst:.3e}"})
-        if branch.fold_flags:
-            policy = config.mesh_policy()
-            b0s = []
-            for which in range(len(branch.fold_flags)):
-                lo, hi = find_fold_pair(branch, policy, which=which)
-                diff = hi.u_tilde - lo.u_tilde
-                b0s.append(float(b0_projection(diff / np.max(np.abs(diff)), hi)))
-            doc["b0"] = b0s
-        else:
-            doc["b0"] = []
-    if "uniqueness" in toggles:
-        verdict = uniqueness_probe(branch, window)
-        if not verdict.ok:
-            failures.append({"check": "uniqueness-monotonicity",
-                             "detail": f"sign {verdict.sign} vs {verdict.expected_sign}, "
-                                       f"monotone {verdict.monotone}"})
-    return doc, failures
+    verdict = report.uniqueness
+    if verdict is not None and not verdict.ok:
+        failures.append({"check": "uniqueness-monotonicity",
+                         "detail": f"sign {verdict.sign} vs {verdict.expected_sign}, "
+                                   f"monotone {verdict.monotone}"})
+    return failures
 
 
 def cmd_verify(config: RunConfig) -> int:
@@ -257,7 +158,11 @@ def cmd_verify(config: RunConfig) -> int:
     if branch.failure is not None:
         _emit({"error": {"code": 3, "kind": "solver", "detail": branch.failure, "config_hash": h}})
         return 3
-    doc, failures = _verify_document(config, branch)
+    report = build_report(
+        branch, config.fit_window, config.r0, config.outer_radius, h, config.diagnostics
+    )
+    failures = _verify_failures(config, branch, report)
+    doc = {"branch": _branch_meta(branch), **report.to_dict()}
     path = os.path.join(config.out, "report.json")
     serialize.atomic_write(path, serialize.report_json(doc))
     outputs = [path]
@@ -307,7 +212,6 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        _apply_thread_limit()
         config = RunConfig.load(args.config)
         if args.out or args.window:
             raw = config.to_dict()

@@ -23,12 +23,11 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import ParameterDomainError
-from .greens import ell_coefficient, green_disk, regular_part
+from .greens import TWO_PI, ell_coefficient, regular_part
 from .linearization import b0_projection, kernel_candidate
 from .radial_solver import (
     EIGHT_PI,
     Branch,
-    MeshPolicy,
     SolutionPoint,
     find_fold_pair,
 )
@@ -37,6 +36,7 @@ __all__ = [
     "FitResult",
     "MonotonicityVerdict",
     "DiagnosticsReport",
+    "log_linear_fit",
     "rate_law_fit",
     "local_rate_law_fit",
     "two_term_fit",
@@ -44,12 +44,15 @@ __all__ = [
     "outer_profile_residual",
     "pohozaev_residual",
     "pohozaev_residual_linearized",
+    "pohozaev_rows",
     "psi1_gradient_check",
     "uniqueness_probe",
     "build_report",
 ]
 
 R2_FLOOR = 0.99
+#: the entries build_report can compute; a run config enables a subset
+DIAGNOSTIC_NAMES = ("rate", "local_rate", "matching", "outer", "pohozaev", "uniqueness")
 _WINDOW_SLACK = 1e-6  # branch targets land on window edges up to solver tol
 
 
@@ -109,7 +112,12 @@ def _r_squared(y, model) -> float:
     return 1.0 if ss_tot == 0.0 else 1.0 - float(resid @ resid) / ss_tot
 
 
-def _log_linear_fit(lams, values, window) -> FitResult:
+def log_linear_fit(lams, values, window) -> FitResult:
+    """Least-squares line through log|values| against lambda over the window.
+
+    Zero values are skipped; fewer than 5 usable points raise
+    ParameterDomainError.
+    """
     x, v, lo, hi = _window_points(lams, values, window)
     y = np.log(np.abs(v))
     slope, intercept = np.polyfit(x, y, 1)
@@ -125,7 +133,7 @@ def rate_law_fit(branch: Branch, window=(8.0, 14.0)) -> FitResult:
     over and the slope steepens to -1.
     """
     beta = 1.0 + branch.spec.alpha
-    return _log_linear_fit(branch.lambdas, branch.rhos - EIGHT_PI * beta, window)
+    return log_linear_fit(branch.lambdas, branch.rhos - EIGHT_PI * beta, window)
 
 
 def local_rate_law_fit(branch: Branch, r0: float, window=(8.0, 14.0)) -> FitResult:
@@ -137,7 +145,7 @@ def local_rate_law_fit(branch: Branch, r0: float, window=(8.0, 14.0)) -> FitResu
     """
     vals = [pt.local_mass(r0) for pt in branch.points]
     beta = 1.0 + branch.spec.alpha
-    return _log_linear_fit(branch.lambdas, np.asarray(vals) - EIGHT_PI * beta, window)
+    return log_linear_fit(branch.lambdas, np.asarray(vals) - EIGHT_PI * beta, window)
 
 
 def two_term_fit(lams, values, correction: float, window=(8.0, 14.0)) -> FitResult:
@@ -185,21 +193,14 @@ def two_term_fit(lams, values, correction: float, window=(8.0, 14.0)) -> FitResu
 def matching_residual(point: SolutionPoint) -> float:
     """Peak-height matching: lambda - log mass + 2 log gamma + 8 pi beta R(p, p).
 
-    log mass is read off the boundary value of the normalized profile
-    (u - log mass vanishes at r = 1 only in the Dirichlet gauge), which
-    makes the residual invariant under u -> u + const.  On the exact disk
+    R(p, p) = R(0, 0) = 0 on the disk, so that term is omitted.  log mass
+    is read off the boundary value of the normalized profile (u - log mass
+    vanishes at r = 1 only in the Dirichlet gauge), which makes the
+    residual invariant under u -> u + const.  On the exact disk
     family the residual equals 2 log(m / (1 + m)) identically; along
     generic branches it decays at least like sigma.
     """
-    spec = point.spec
-    beta = 1.0 + spec.alpha
-    r_pp = regular_part((0.0, 0.0), (0.0, 0.0))
-    return float(
-        point.lam
-        + point.u_tilde[-1]
-        + 2.0 * np.log(point.gamma)
-        + EIGHT_PI * beta * r_pp
-    )
+    return float(point.lam + point.u_tilde[-1] + 2.0 * np.log(point.gamma))
 
 
 def _du_dr(point: SolutionPoint):
@@ -218,7 +219,8 @@ def outer_profile_residual(point: SolutionPoint, r0: float, gradient: bool = Fal
 
     The comparison field is the full-mass multiple of the Green function,
     which shares the Dirichlet boundary values, so the residual vanishes
-    at r = 1 and measures how fast the bubble's influence dies off.
+    at r = 1 and measures how fast the bubble's influence dies off.  On the
+    disk G(x, 0) = -log(r)/(2 pi), with radial derivative -1/(2 pi r).
     """
     if not 0.0 < r0 < 1.0:
         raise ParameterDomainError(f"r0 = {r0} must lie in (0, 1)")
@@ -230,37 +232,11 @@ def outer_profile_residual(point: SolutionPoint, r0: float, gradient: bool = Fal
         raise ParameterDomainError(f"no mesh nodes at radius >= {r0}")
     rk = r[keep]
     if not gradient:
-        vals = []
-        for ri, ui in zip(rk, point.u[keep]):
-            g = green_disk((ri, 0.0), (0.0, 0.0)) + regular_part((ri, 0.0), (0.0, 0.0))
-            vals.append(ui - point.rho * g)
-        return float(np.max(np.abs(vals)))
+        g = -np.log(rk) / TWO_PI
+        return float(np.max(np.abs(point.u[keep] - point.rho * g)))
     _, dur = _du_dr(point)
-    durk = dur[keep]
-    h = 1e-6
-    vals = []
-    for ri, di in zip(rk, durk):
-        # one-sided clamp keeps the stencil inside the closed disk
-        rp = min(ri + h, 1.0)
-        rm = rp - 2.0 * h
-        dr_reg = (regular_part((rp, 0.0), (0.0, 0.0)) - regular_part((rm, 0.0), (0.0, 0.0))) / (2.0 * h)
-        dg = -1.0 / (2.0 * np.pi * ri) + dr_reg
-        vals.append(di - point.rho * dg)
-    return float(np.max(np.abs(vals)))
-
-
-def _phi_field(point: SolutionPoint):
-    """rho (R(x, p) - R(p, p)) sampled on the mesh; identically 0 on the disk.
-
-    Kept as an explicit field so the identity code reads like the general
-    pairwise form rather than a disk-only simplification.
-    """
-    mesh = point.mesh
-    beta = 1.0 + point.spec.alpha
-    r = mesh.t ** (1.0 / beta)
-    r00 = regular_part((0.0, 0.0), (0.0, 0.0))
-    vals = np.array([regular_part((ri, 0.0), (0.0, 0.0)) - r00 for ri in r])
-    return point.rho * vals
+    dg = -1.0 / (2.0 * np.pi * rk)
+    return float(np.max(np.abs(dur[keep] - point.rho * dg)))
 
 
 def _identity_residual(point: SolutionPoint, w, xi, f, r: float) -> float:
@@ -280,8 +256,7 @@ def _identity_residual(point: SolutionPoint, w, xi, f, r: float) -> float:
     lhs = -np.pi * beta**2 * tr**2 * float(rows[1] @ w) * float(rows[1] @ xi)
     bnd = 2.0 * np.pi * rho * spec.hstar(r) * tr**2 * float(rows[0] @ f)
     rp = mesh.t ** (1.0 / beta)
-    phi = _phi_field(point)
-    fac = 2.0 + 2.0 * spec.alpha + rp * spec.dlog_hstar(rp) + beta * mesh.t * (mesh.D1 @ phi)
+    fac = 2.0 + 2.0 * spec.alpha + rp * spec.dlog_hstar(rp)
     hs = spec.hstar(rp)
     bulk = -(2.0 * np.pi / beta) * float(mesh.quad_to(tr) @ (rho * hs * f * fac * mesh.t))
     return lhs - (bnd + bulk)
@@ -290,8 +265,7 @@ def _identity_residual(point: SolutionPoint, w, xi, f, r: float) -> float:
 def pohozaev_residual(point_a: SolutionPoint, point_b: SolutionPoint, r: float) -> float:
     """Boundary-bulk identity defect for two solutions at the same rho.
 
-    The two profiles are normalized, shifted by the regular-part field and
-    differenced; the difference quotient is scaled by its sup norm, which
+    The two profiles are normalized and differenced; the difference quotient is scaled by its sup norm, which
     is how the identity is applied to fold pairs.  For actual solutions
     the residual sits at quadrature round-off; fields that merely differ
     by a constant are not solutions of the same problem and produce an
@@ -309,15 +283,14 @@ def pohozaev_residual(point_a: SolutionPoint, point_b: SolutionPoint, r: float) 
             f"rho mismatch {point_a.rho - point_b.rho:.3e}; the identity needs a "
             "matched pair (rho equal to 1e-10)"
         )
-    phi = _phi_field(point_a)
-    v1 = point_a.u_tilde - phi
-    v2 = point_b.u_tilde - phi
+    v1 = point_a.u_tilde
+    v2 = point_b.u_tilde
     diff = v1 - v2
     nrm = float(np.max(np.abs(diff)))
     if nrm == 0.0:
         raise ParameterDomainError("the two profiles coincide; nothing to compare")
     xi = diff / nrm
-    f = (np.exp(v1 + phi) - np.exp(v2 + phi)) / nrm
+    f = (np.exp(v1) - np.exp(v2)) / nrm
     w = v1 + v2
     return _identity_residual(point_a, w, xi, f, r)
 
@@ -340,10 +313,28 @@ def pohozaev_residual_linearized(point: SolutionPoint, xi, r: float) -> float:
         )
     if not np.all(np.isfinite(xi)):
         raise ParameterDomainError("xi carries non-finite entries")
-    phi = _phi_field(point)
-    v = point.u_tilde - phi
-    f = np.exp(v + phi) * xi
-    return _identity_residual(point, 2.0 * v, xi, f, r)
+    v = point.u_tilde
+    return _identity_residual(point, 2.0 * v, xi, np.exp(v) * xi, r)
+
+
+def pohozaev_rows(branch: Branch, r: float):
+    """The branch's boundary-bulk identity residuals at radius r.
+
+    Returns (kind, rows, pairs) with rows of (lambda, residual).  A
+    fold-flagged branch gets kind "pair": each fold pair is solved once,
+    on the branch's mesh policy, and gives one row at its upper lambda;
+    pairs holds the (lower, upper) points for reuse.  A branch without
+    folds gets kind "eigenfield": the linearized identity on the local
+    kernel candidate at every point, with no pairs.
+    """
+    if branch.fold_flags:
+        pairs = [find_fold_pair(branch, which) for which in range(len(branch.fold_flags))]
+        return "pair", [(hi.lam, pohozaev_residual(lo, hi, r)) for lo, hi in pairs], pairs
+    rows = [
+        (pt.lam, pohozaev_residual_linearized(pt, kernel_candidate(pt), r))
+        for pt in branch.points
+    ]
+    return "eigenfield", rows, []
 
 
 def psi1_gradient_check(point: SolutionPoint, at=(0.0, 0.0), step: float = 1e-5) -> float:
@@ -441,34 +432,41 @@ def uniqueness_probe(branch: Branch, window=(8.0, 14.0)) -> MonotonicityVerdict:
 
 @dataclass(frozen=True)
 class DiagnosticsReport:
-    """Bundle of branch diagnostics with a stable JSON shape."""
+    """Bundle of branch diagnostics with a stable JSON shape.
 
-    rate_fit: FitResult
-    local_rate_fit: FitResult
-    matching: tuple
-    outer: tuple
-    pohozaev: tuple
-    pohozaev_kind: str
-    pohozaev_radius: float
-    b0: tuple
+    A diagnostic that was not enabled is None and serializes as null.
+    ``outer_gradient`` and ``uniqueness`` feed the verify gates and are not
+    part of the JSON shape.
+    """
+
+    rate_fit: FitResult | None
+    local_rate_fit: FitResult | None
+    matching: tuple | None
+    outer: tuple | None
+    outer_gradient: tuple | None
+    pohozaev: tuple | None
+    pohozaev_kind: str | None
+    b0: tuple | None
+    uniqueness: MonotonicityVerdict | None
     window: tuple
     r0: float
     config_hash: str
 
     def to_dict(self) -> dict:
-        local = self.local_rate_fit.to_dict()
-        local["r0"] = self.r0
+        local = None
+        if self.local_rate_fit is not None:
+            local = self.local_rate_fit.to_dict()
+            local["r0"] = self.r0
+        poh = None
+        if self.pohozaev is not None:
+            poh = {"kind": self.pohozaev_kind, "radius": self.r0, "values": list(self.pohozaev)}
         return {
-            "rate_fit": self.rate_fit.to_dict(),
+            "rate_fit": None if self.rate_fit is None else self.rate_fit.to_dict(),
             "local_rate_fit": local,
-            "matching": list(self.matching),
-            "outer": list(self.outer),
-            "pohozaev": {
-                "kind": self.pohozaev_kind,
-                "radius": self.pohozaev_radius,
-                "values": list(self.pohozaev),
-            },
-            "b0": list(self.b0),
+            "matching": None if self.matching is None else list(self.matching),
+            "outer": None if self.outer is None else list(self.outer),
+            "pohozaev": poh,
+            "b0": None if self.b0 is None else list(self.b0),
             "window": list(self.window),
             "config_hash": self.config_hash,
         }
@@ -479,46 +477,49 @@ def build_report(
     window=(8.0, 14.0),
     r0: float = 0.25,
     outer_radius: float = 0.5,
-    pohozaev_radius: float = 0.25,
     config_hash: str = "",
+    diagnostics=DIAGNOSTIC_NAMES,
 ) -> DiagnosticsReport:
-    """Run the full diagnostic battery on one branch.
+    """Run the enabled diagnostics on one branch.
 
-    Fold-flagged branches get pairwise identity residuals and b0 estimates
-    from the fold differences; branches without folds get the linearized
-    identity on the local kernel candidate at every point.
+    ``diagnostics`` lists the enabled entries of DIAGNOSTIC_NAMES; the
+    others stay None.  r0 is both the local-mass radius and the identity
+    radius.  The identity block comes from pohozaev_rows; on a fold-flagged
+    branch the b0 estimates are projections of the same fold pairs'
+    normalized differences, and a branch without folds gets no b0 values.
     """
-    rate = rate_law_fit(branch, window)
-    local = local_rate_law_fit(branch, r0, window)
-    matching = tuple(matching_residual(pt) for pt in branch.points)
-    outer = tuple(outer_profile_residual(pt, outer_radius) for pt in branch.points)
-    if branch.fold_flags:
-        policy = MeshPolicy(n=branch.points[0].mesh.t.size)
-        poh = []
-        b0s = []
-        for which in range(len(branch.fold_flags)):
-            lo_pt, hi_pt = find_fold_pair(branch, policy, which=which)
-            poh.append(pohozaev_residual(lo_pt, hi_pt, pohozaev_radius))
+    on = set(diagnostics)
+    pts = branch.points
+    rate = rate_law_fit(branch, window) if "rate" in on else None
+    local = local_rate_law_fit(branch, r0, window) if "local_rate" in on else None
+    matching = outer = outer_gradient = poh = kind = b0 = verdict = None
+    if "matching" in on:
+        matching = tuple(matching_residual(pt) for pt in pts)
+    if "outer" in on:
+        outer = tuple(outer_profile_residual(pt, outer_radius) for pt in pts)
+        outer_gradient = tuple(
+            outer_profile_residual(pt, outer_radius, gradient=True) for pt in pts
+        )
+    if "pohozaev" in on:
+        kind, rows, pairs = pohozaev_rows(branch, r0)
+        poh = tuple(res for _, res in rows)
+        b0 = []
+        for lo_pt, hi_pt in pairs:
             diff = hi_pt.u_tilde - lo_pt.u_tilde
-            b0s.append(b0_projection(diff / np.max(np.abs(diff)), hi_pt))
-        kind = "pair"
-        b0 = tuple(b0s)
-    else:
-        poh = [
-            pohozaev_residual_linearized(pt, kernel_candidate(pt), pohozaev_radius)
-            for pt in branch.points
-        ]
-        kind = "eigenfield"
-        b0 = ()
+            b0.append(b0_projection(diff / np.max(np.abs(diff)), hi_pt))
+        b0 = tuple(b0)
+    if "uniqueness" in on:
+        verdict = uniqueness_probe(branch, window)
     return DiagnosticsReport(
         rate_fit=rate,
         local_rate_fit=local,
         matching=matching,
         outer=outer,
-        pohozaev=tuple(float(v) for v in poh),
+        outer_gradient=outer_gradient,
+        pohozaev=poh,
         pohozaev_kind=kind,
-        pohozaev_radius=float(pohozaev_radius),
         b0=b0,
+        uniqueness=verdict,
         window=(float(window[0]), float(window[1])),
         r0=float(r0),
         config_hash=config_hash,

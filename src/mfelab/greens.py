@@ -50,6 +50,9 @@ def regular_part(x, y) -> float:
     The log singularities cancel analytically, so the diagonal is evaluated
     directly: R(x, y) = (1/2 pi) log(|y| |x - y*|), R(y, y) =
     (1/2 pi) log(1 - |y|^2), and R(x, 0) = 0 identically on the disk.
+    The singular point is fixed at the center, so the formulas that would
+    add R(x, 0) (the Hamiltonian, the matching identity, the outer profile
+    and the Pohozaev identities) omit that term.
     """
     xp, yp = _point(x), _point(y)
     ax, ay = np.hypot(*xp), np.hypot(*yp)
@@ -179,16 +182,14 @@ class WeightSpec:
     def hamiltonian_Hp(self, x) -> float:
         """8 pi (1+alpha)(R(x,0) - R(0,0)) + log hbar1(x) - log hbar1(0).
 
-        Both regular-part terms vanish on the disk with the singularity at
-        the center; they are still evaluated so the formula stays general.
+        The R-term is omitted because R(x, 0) = 0 identically on the disk
+        with the singularity at the center, which leaves log hbar1(x) -
+        log hbar1(0).
         """
-        p = _point(x)
-        if np.hypot(*p) >= 1.0:
+        r = float(np.hypot(*_point(x)))
+        if r >= 1.0:
             raise ParameterDomainError("Hamiltonian is defined for interior points")
-        r_terms = regular_part(p, (0.0, 0.0)) - regular_part((0.0, 0.0), (0.0, 0.0))
-        return 8.0 * np.pi * (1.0 + self.alpha) * r_terms + float(
-            self.log_hstar_centered(float(np.hypot(*p)))
-        )
+        return float(self.log_hstar_centered(r))
 
 
 def ell_coefficient(alpha: float, hbar1_at_p: float, lap_log_hstar_at_p: float) -> float:

@@ -27,7 +27,7 @@ from scipy.interpolate import make_interp_spline
 
 from .errors import NotApplicableError, ParameterDomainError, SpectrumError
 from .meshing import RadialMesh
-from .radial_solver import MeshPolicy, SolutionPoint, find_fold_pair
+from .radial_solver import SolutionPoint
 
 __all__ = [
     "ModeOperator",
@@ -361,9 +361,7 @@ class NondegeneracyScan:
 
     ``eig_min`` and ``eig_min_next`` have one row per branch point and one
     column per mode 0..k_max.  ``kernel_flags`` marks entries whose
-    magnitude falls below the kernel-suspicion threshold.  ``fold_b0`` is
-    the projection coefficient of the normalized difference of a matched
-    fold pair when the branch has one, else None.
+    magnitude falls below the kernel-suspicion threshold.
     """
 
     lambdas: np.ndarray
@@ -371,7 +369,6 @@ class NondegeneracyScan:
     eig_min: np.ndarray
     eig_min_next: np.ndarray
     kernel_flags: np.ndarray
-    fold_b0: float | None = None
 
     @property
     def min_magnitudes(self) -> np.ndarray:
@@ -395,9 +392,7 @@ def nondegeneracy_scan(branch, k_max: int = 8, seed: int | None = None) -> Nonde
     """Scan the branch for near-kernel directions in modes 0..k_max.
 
     Flags any (point, mode) whose smallest eigenvalue magnitude drops
-    below 1e-8.  When the branch contains a fold, the matched pair's
-    normalized difference is projected onto the inner kernel shape and the
-    coefficient recorded.
+    below 1e-8.
     """
     if k_max < 0:
         raise ParameterDomainError("k_max must be non-negative")
@@ -413,20 +408,12 @@ def nondegeneracy_scan(branch, k_max: int = 8, seed: int | None = None) -> Nonde
             eig_min[i, k] = spec_k.eigenvalues[0]
             eig_next[i, k] = spec_k.eigenvalues[1]
     flags = np.abs(eig_min) < KERNEL_FLAG_TOL
-    fold_b0 = None
-    if np.any(branch.fold_flags):
-        policy = MeshPolicy(n=points[0].mesh.t.size)
-        lo, hi = find_fold_pair(branch, policy)
-        diff = hi.u_tilde - lo.u_tilde
-        diff = diff / np.max(np.abs(diff))
-        fold_b0 = b0_projection(diff, hi)
     return NondegeneracyScan(
         lambdas=np.array([pt.lam for pt in points]),
         k_max=int(k_max),
         eig_min=eig_min,
         eig_min_next=eig_next,
         kernel_flags=flags,
-        fold_b0=fold_b0,
     )
 
 

@@ -143,12 +143,17 @@ def normalize(point: SolutionPoint):
 
 @dataclass(frozen=True)
 class Branch:
-    """Ordered lambda-increasing family of solutions of one configuration."""
+    """Ordered lambda-increasing family of solutions of one configuration.
+
+    ``policy`` is the mesh policy the points were solved on; fold pairs are
+    solved on it too.
+    """
 
     spec: WeightSpec
     points: tuple[SolutionPoint, ...]
     fold_flags: tuple[int, ...] = ()
     failure: dict | None = None
+    policy: MeshPolicy = MeshPolicy()
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -456,7 +461,7 @@ def continue_branch(
     rhos = np.array([p.rho for p in points])
     signs = np.sign(np.diff(rhos))
     flips = [i for i in range(1, len(signs)) if signs[i] != 0 and signs[i - 1] != 0 and signs[i] != signs[i - 1]]
-    return Branch(spec, tuple(points), tuple(flips), failure)
+    return Branch(spec, tuple(points), tuple(flips), failure, mesh_policy)
 
 
 def _advance(state, target, spec, policy, beta) -> SolutionPoint:
@@ -480,16 +485,13 @@ def _advance(state, target, spec, policy, beta) -> SolutionPoint:
     return current
 
 
-def find_fold_pair(
-    branch: Branch,
-    mesh_policy: MeshPolicy = MeshPolicy(),
-    which: int = 0,
-):
+def find_fold_pair(branch: Branch, which: int = 0):
     """Two solutions sharing one rho across a fold, on a common mesh.
 
     Root-finds rho(lambda) = rho_target on both sides of the flagged fold;
     the returned pair matches in rho to ~1e-12 relative, which is what the
-    pairwise boundary-bulk identity checks require.
+    pairwise boundary-bulk identity checks require.  The mesh comes from
+    the branch's own policy.
     """
     if not branch.fold_flags:
         raise NotApplicableError("branch carries no fold flags")
@@ -500,7 +502,7 @@ def find_fold_pair(
     if not 0 < k < len(lams) - 1:
         raise NotApplicableError("fold flag sits at the branch edge")
     # one shared mesh, resolved for the larger lambda side
-    mesh = mesh_policy.build(beta, float(lams[k + 1]))
+    mesh = branch.policy.build(beta, float(lams[k + 1]))
     rho_target = 0.5 * (float(rhos[k]) + max(float(rhos[k - 1]), float(rhos[k + 1])))
 
     cache: dict[float, SolutionPoint] = {}

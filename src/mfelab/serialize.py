@@ -15,13 +15,12 @@ import os
 import tempfile
 from dataclasses import dataclass
 
+from .diagnostics import DIAGNOSTIC_NAMES
 from .errors import ConfigError
 from .greens import WeightSpec
 from .radial_solver import MeshPolicy
 
 SCHEMA = "mfelab/1"
-
-DIAGNOSTIC_NAMES = ("rate", "local_rate", "matching", "outer", "pohozaev", "uniqueness")
 
 DEFAULTS = {
     "mesh": {"nodes": 512, "grading": "auto", "strength": 6.0, "offset": 2.0},

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from mfelab import cli, diagnostics, linearization, radial_solver
 from mfelab.cli import main
 from mfelab.errors import ConfigError
 from mfelab.serialize import RunConfig, atomic_write, fmt
@@ -176,13 +177,6 @@ class TestBranchCommand:
         code, msg = run(["branch", "--config", path, "--window", "6;10"], capsys)
         assert code == 2
 
-    def test_bad_thread_env(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MFELAB_THREADS", "lots")
-        path = write_config(tmp_path, "c.json", base_config(tmp_path / "o"))
-        code, msg = run(["branch", "--config", path], capsys)
-        assert code == 2
-        assert "MFELAB_THREADS" in msg["error"]["message"]
-
 
 @pytest.fixture(scope="module")
 def verify_run(tmp_path_factory):
@@ -253,6 +247,34 @@ class TestVerifyCommand:
         assert report["pohozaev"]["kind"] == "pair"
         assert abs(report["pohozaev"]["values"][0]) <= 1e-8
         assert abs(report["b0"][0] - 1.01358) <= 1e-4
+
+    def test_fold_pair_solved_once(self, tmp_path, capsys, monkeypatch):
+        calls = []
+        real = radial_solver.find_fold_pair
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for mod in (cli, diagnostics, linearization, radial_solver):
+            if hasattr(mod, "find_fold_pair"):
+                monkeypatch.setattr(mod, "find_fold_pair", counting)
+        cfg = base_config(
+            tmp_path / "out",
+            window={"start": 2.0, "end": 8.0, "steps": 25},
+            diagnostics=["pohozaev"],
+        )
+        path = write_config(tmp_path, "fold.json", cfg)
+        code, _ = run(["verify", "--config", path], capsys)
+        assert code == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert len(report["branch"]["fold_flags"]) == 1
+        assert len(calls) == 1
+        code, _ = run(["pohozaev", "--config", path], capsys)
+        assert code == 0
+        lines = (tmp_path / "out" / "pohozaev.csv").read_text().splitlines()
+        assert len(lines) == 3
+        assert float(lines[2].split(",")[3]) == report["pohozaev"]["values"][0]
 
 
 class TestSpectrumCommand:

@@ -65,7 +65,7 @@ def fold_branch():
 
 @pytest.fixture(scope="module")
 def fold_pair(fold_branch):
-    return find_fold_pair(fold_branch, MeshPolicy(n=512))
+    return find_fold_pair(fold_branch)
 
 
 def window_fit(lams, vals, lo=8.0, hi=14.0):

@@ -268,7 +268,6 @@ def test_scan_no_flags_on_gaussian_branch(short_branch):
     assert scan.eig_min.shape == (5, 5)
     assert not scan.kernel_flags.any()
     assert np.all(scan.min_magnitudes >= 1e-6)
-    assert scan.fold_b0 is None
     rows = list(scan.rows())
     assert len(rows) == 25
     lam, k, emin, enext, flag = rows[0]
@@ -292,10 +291,3 @@ def test_scan_single_point_branch():
     assert scan.eig_min.shape == (1, 4)
     assert len(list(scan.rows())) == 4
 
-
-def test_scan_fold_pair_projection_recorded():
-    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    branch = continue_branch(2.0, 8.0, 25, spec, MeshPolicy(n=512))
-    scan = nondegeneracy_scan(branch, k_max=0)
-    assert scan.fold_b0 is not None
-    assert np.isfinite(scan.fold_b0)

@@ -276,6 +276,23 @@ def test_fold_pair_shares_rho(gauss_branch):
         find_fold_pair(no_fold)
 
 
+def test_fold_pair_on_branch_mesh_policy():
+    # a non-default policy: the pair must sit on the branch's own meshes,
+    # not on the default grading at the same node count
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    policy = MeshPolicy(offset=3.0)
+    branch = continue_branch(2.0, 8.0, 25, spec, policy)
+    assert branch.failure is None
+    assert branch.policy == policy
+    lam_hi = float(branch.lambdas[branch.fold_flags[0] + 1])
+    want = policy.build(BETA, lam_hi).t
+    assert not np.array_equal(want, MeshPolicy().build(BETA, lam_hi).t)
+    pa, pb = find_fold_pair(branch)
+    assert np.array_equal(pa.mesh.t, want)
+    assert np.array_equal(pb.mesh.t, want)
+    assert abs(pa.rho - pb.rho) <= 1e-10 * pa.rho
+
+
 def test_mesh_policy_validation():
     with pytest.raises(ParameterDomainError):
         MeshPolicy(n=32)
