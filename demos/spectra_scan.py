@@ -6,8 +6,6 @@ rescaling.  No magnitude dips below the kernel threshold on this window,
 which is the numerical face of non-degeneracy.
 """
 
-import numpy as np
-
 from mfelab import MeshPolicy, WeightSpec, continue_branch, nondegeneracy_scan
 
 ALPHA = 0.5

@@ -50,17 +50,19 @@ class ModeOperator:
     """Discrete mode-k operator in folded form, with its eigenvalue weight.
 
     ``band`` is the interior part of the local operator (banded plus the
-    potential on the diagonal); ``rank_one`` holds an optional (u, v) pair
-    so that the full interior matrix is band + outer(u, v).  For the disk
-    operator the pair carries the k = 0 nonlocal projection; for truncated
-    far-field operators it carries the boundary-condition elimination.
-    ``weight`` is the interior sample of V for the weighted eigenproblem.
+    potential on the diagonal) as a CSC matrix; a dense array passed in is
+    converted.  ``rank_one`` holds an optional (u, v) pair so that the full
+    interior matrix is band + outer(u, v).  For the disk operator the pair
+    carries the k = 0 nonlocal projection; for truncated far-field
+    operators it carries the boundary-condition elimination.
+    ``weight`` is the interior sample of V for the weighted eigenproblem;
+    ``_lap`` holds the full-mesh operator rows as a mesh row band.
     """
 
     k: int
     kappa: float
     mesh: RadialMesh
-    band: np.ndarray
+    band: sp.csc_matrix
     weight: np.ndarray
     boundary: str
     rank_one: tuple[np.ndarray, np.ndarray] | None = None
@@ -69,13 +71,17 @@ class ModeOperator:
     _v_full: np.ndarray | None = field(default=None, repr=False)
     _nu: np.ndarray | None = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if not sp.issparse(self.band):
+            object.__setattr__(self, "band", sp.csc_matrix(self.band))
+
     @property
     def matrix(self) -> np.ndarray:
         """Dense interior matrix including any rank-one part."""
         if self.rank_one is None:
-            return self.band.copy()
+            return self.band.toarray()
         u, v = self.rank_one
-        return self.band + np.outer(u, v)
+        return self.band.toarray() + np.outer(u, v)
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Differential action on a full-mesh field, interior rows only.
@@ -88,7 +94,7 @@ class ModeOperator:
             raise NotApplicableError("operator was built without full-mesh rows")
         if phi.shape != (self._lap.shape[0],):
             raise ParameterDomainError("field length does not match the mesh")
-        out = self._lap @ phi + self._v_full * phi
+        out = self.mesh.dense(self._lap) @ phi + self._v_full * phi
         if self._nu is not None:
             out = out - self._v_full * float(self._nu @ phi)
         return out[:-1]
@@ -111,7 +117,28 @@ class ModeSpectrum:
 
 
 def _folded_lap(mesh: RadialMesh, kappa: float) -> np.ndarray:
-    return mesh.lap_rows(2.0 * kappa + 1.0)
+    return mesh.lap_band(2.0 * kappa + 1.0)
+
+
+def _interior_block(mesh: RadialMesh, lap: np.ndarray, V: np.ndarray):
+    """The operator rows without the boundary unknown, from the band ``lap``.
+
+    Returns lap[:-1, :-1] + diag(V[:-1]) as a CSC matrix, with explicit
+    zeros eliminated and sorted indices, so it is structurally identical to
+    ``csc_matrix`` of the dense block, and the coupling column lap[:-1, -1].
+    """
+    n = mesh.n
+    band = lap.copy()
+    band[:, mesh.bandwidth] += V
+    rows, cols, vals = mesh.band_triplets(band)
+    inner = (rows < n - 1) & (cols < n - 1)
+    block = sp.csc_matrix((vals[inner], (rows[inner], cols[inner])), shape=(n - 1, n - 1))
+    block.eliminate_zeros()
+    block.sort_indices()
+    edge = (rows < n - 1) & (cols == n - 1)
+    coupling = np.zeros(n - 1)
+    coupling[rows[edge]] = vals[edge]
+    return block, coupling
 
 
 def _potential(point: SolutionPoint) -> np.ndarray:
@@ -135,9 +162,7 @@ def build_mode_operator(point: SolutionPoint, k: int) -> ModeOperator:
     mesh = point.mesh
     V = _potential(point)
     lap = _folded_lap(mesh, kappa)
-    band = lap[:-1, :-1].copy()
-    idx = np.arange(band.shape[0])
-    band[idx, idx] += V[:-1]
+    band, _ = _interior_block(mesh, lap, V)
     rank_one = None
     nu = None
     if k == 0:
@@ -165,14 +190,14 @@ def _truncated_operator(
     # k >= 1 (the decaying mode of the folded equation); eliminating the
     # boundary unknown leaves a rank-one update on the interior block
     S = mesh.t[-1]
-    bc = mesh.D1[-1].copy()
+    bw = mesh.bandwidth
+    bc = np.zeros(mesh.n)
+    bc[-bw - 1 :] = mesh.d1_band[-1, : bw + 1]
     if k >= 1:
         bc[-1] += 2.0 * kappa / S
     elim = -bc[:-1] / bc[-1]
     lap = _folded_lap(mesh, kappa)
-    band = lap[:-1, :-1].copy()
-    idx = np.arange(band.shape[0])
-    band[idx, idx] += V[:-1]
+    band, coupling = _interior_block(mesh, lap, V)
     return ModeOperator(
         k=int(k),
         kappa=kappa,
@@ -180,7 +205,7 @@ def _truncated_operator(
         band=band,
         weight=V[:-1],
         boundary="neumann" if k == 0 else "robin",
-        rank_one=(lap[:-1, -1].copy(), elim),
+        rank_one=(coupling, elim),
         bc_elim=elim,
         _lap=lap,
         _v_full=V,
@@ -263,7 +288,7 @@ def _dense_spectrum(op: ModeOperator, count: int):
 def _shift_invert_spectrum(op: ModeOperator, count: int, v0, maxiter):
     band = op.band
     n = band.shape[0]
-    lu = spl.splu(sp.csc_matrix(band))
+    lu = spl.splu(band)
     if op.rank_one is None:
         solve = lu.solve
 
@@ -427,8 +452,7 @@ def kernel_candidate(point: SolutionPoint) -> np.ndarray:
     """
     mesh = point.mesh
     V = _potential(point)
-    lap = _folded_lap(mesh, 0.0)
-    A = lap.copy()
+    A = mesh.lap_rows(1.0)
     idx = np.arange(A.shape[0])
     A[idx, idx] += V
     xi_int = np.linalg.solve(A[:-1, :-1], -A[:-1, -1])

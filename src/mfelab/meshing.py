@@ -4,6 +4,16 @@ All radial operators in this package are assembled in the compressed
 variable t = r**beta.  Profiles of interest are even in t, so derivative
 stencils near the origin see the even extension through t = 0 and the
 resulting matrices are valid only when applied to even profiles.
+
+Derivative operators are stored as row bands: row i of an (n, 2*bw + 1)
+band holds the entries of columns i - bw .. i + bw, where bw is the mesh
+bandwidth.  Dense matrices are built from the bands on demand and carry the
+same entries.  The stencil weights of all rows come from one pass of
+Fornberg's recursion whose scalar operations run elementwise over the rows,
+so every row is bit-for-bit the one-row result.  The recursion is
+vectorised rather than replaced: a batched Vandermonde solve lands a few
+ulps off it, and Newton, the fold-pair root finding and the shift-invert
+spectra amplify that well past their reference tolerances.
 """
 
 from __future__ import annotations
@@ -11,6 +21,41 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import MfelabError
+
+#: nodes per quadrature cell stencil (design order 6)
+QUAD_POINTS = 6
+
+
+def _fornberg(z: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
+    """Fornberg's recursion for many stencils at once.
+
+    ``z`` has shape (rows,) and ``x`` shape (rows, p); returns weights of
+    shape (m + 1, p, rows).  Each operation is the scalar recursion's,
+    applied elementwise over the rows.
+    """
+    x = x.T
+    p = x.shape[0]
+    c = np.zeros((m + 1, p, z.size))
+    c1 = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, p):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 = c2 * c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
+                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+            for k in range(mn, 0, -1):
+                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
+            c[0, j] = c4 * c[0, j] / c3
+        c1 = c2
+    return c
 
 
 def fd_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
@@ -26,45 +71,63 @@ def fd_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
         raise MfelabError("fd_weights needs at least one node")
     if m < 0 or m >= n:
         raise MfelabError(f"cannot form derivative {m} from {n} nodes")
-    c = np.zeros((m + 1, n))
-    c1 = 1.0
-    c4 = x[0] - z
-    c[0, 0] = 1.0
-    for i in range(1, n):
-        mn = min(i, m)
-        c2 = 1.0
-        c5 = c4
-        c4 = x[i] - z
-        for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
-            if j == i - 1:
-                for k in range(mn, 0, -1):
-                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
-                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
-            for k in range(mn, 0, -1):
-                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
-            c[0, j] = c4 * c[0, j] / c3
-        c1 = c2
-    return c
+    return _fornberg(np.array([z], dtype=float), x[None, :], m)[:, :, 0]
 
 
-def _interval_weights(nodes: np.ndarray, a: float, b: float) -> np.ndarray:
+def _interval_weights(nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Weights integrating the interpolating polynomial over [a, b].
 
-    Monomial moments about the interval midpoint keep the small Vandermonde
-    solve well conditioned on graded meshes.
+    One interval per row: ``nodes`` has shape (intervals, p), ``a`` and
+    ``b`` shape (intervals,).  Monomial moments about each interval
+    midpoint keep the small Vandermonde solves well conditioned on graded
+    meshes; all of them go to LAPACK in one batched call.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    p = nodes.size
+    p = nodes.shape[1]
     c = 0.5 * (a + b)
     powers = np.arange(p)
-    V = (nodes - c)[None, :] ** powers[:, None]
-    mom = ((b - c) ** (powers + 1) - (a - c) ** (powers + 1)) / (powers + 1)
-    return np.linalg.solve(V, mom)
+    V = (nodes - c[:, None])[:, None, :] ** powers[:, None]
+    mom = ((b - c)[:, None] ** (powers + 1) - (a - c)[:, None] ** (powers + 1)) / (powers + 1)
+    return np.linalg.solve(V, mom[:, :, None])[:, :, 0]
 
 
-def quad_weights(t: np.ndarray, t_end: float | None = None, points: int = 6) -> np.ndarray:
+def _interval_starts(n: int, points: int) -> np.ndarray:
+    """First stencil node of each interval: the lead cell [0, t[0]], then
+    the cells [t[j], t[j+1]]."""
+    back = (points - 2) // 2
+    return np.clip(np.arange(n) - 1 - back, 0, n - points)
+
+
+def _interval_table(t: np.ndarray, points: int) -> np.ndarray:
+    """Weights of every interval of the full rule over [0, t[-1]], shape (n, points)."""
+    stencils = t[_interval_starts(t.size, points)[:, None] + np.arange(points)]
+    return _interval_weights(stencils, np.concatenate([[0.0], t[:-1]]), t)
+
+
+def _check_end(t: np.ndarray, t_end: float) -> float:
+    if not 0.0 < t_end <= t[-1] * (1.0 + 1e-12):
+        raise MfelabError(f"t_end={t_end!r} outside (0, {t[-1]!r}]")
+    return min(t_end, float(t[-1]))
+
+
+def _sum_intervals(t: np.ndarray, t_end: float, table: np.ndarray) -> np.ndarray:
+    """Composite weights over [0, t_end]: the full intervals of ``table``
+    below t_end plus the one that t_end cuts, summed in interval order."""
+    n, points = table.shape
+    last = int(np.searchsorted(t, t_end))
+    starts = _interval_starts(n, points)[: last + 1]
+    weights = table[: last + 1]
+    if t_end < t[last]:
+        lo = np.array([t[last - 1] if last else 0.0])
+        cut = _interval_weights(t[None, starts[-1] : starts[-1] + points], lo, np.array([t_end]))
+        weights = np.concatenate([weights[:-1], cut])
+    q = np.zeros(n)
+    np.add.at(q, (starts[:, None] + np.arange(points)).ravel(), weights.ravel())
+    return q
+
+
+def quad_weights(
+    t: np.ndarray, t_end: float | None = None, points: int = QUAD_POINTS
+) -> np.ndarray:
     """Composite interpolatory weights for integrals over [0, t_end].
 
     ``t`` must be strictly increasing with t[0] > 0.  Each cell between
@@ -82,48 +145,26 @@ def quad_weights(t: np.ndarray, t_end: float | None = None, points: int = 6) -> 
         raise MfelabError(f"quadrature needs at least {points} nodes")
     if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
         raise MfelabError("nodes must be strictly increasing and positive")
-    if t_end is None:
-        t_end = float(t[-1])
-    if not 0.0 < t_end <= t[-1] * (1.0 + 1e-12):
-        raise MfelabError(f"t_end={t_end!r} outside (0, {t[-1]!r}]")
-    t_end = min(t_end, float(t[-1]))
-
-    q = np.zeros(n)
-    back = (points - 2) // 2
-    lead = min(t_end, float(t[0]))
-    q[:points] += _interval_weights(t[:points], 0.0, lead)
-    if t_end <= t[0]:
-        return q
-    for j in range(n - 1):
-        if t[j] >= t_end:
-            break
-        hi = min(float(t[j + 1]), t_end)
-        k0 = min(max(j - back, 0), n - points)
-        q[k0 : k0 + points] += _interval_weights(t[k0 : k0 + points], float(t[j]), hi)
-    return q
-
-
-def to_banded(A: np.ndarray, lower: int, upper: int) -> np.ndarray:
-    """Pack a banded dense matrix into LAPACK diagonal-ordered form."""
-    n = A.shape[0]
-    ab = np.zeros((lower + upper + 1, n))
-    for k in range(-lower, upper + 1):
-        d = np.diagonal(A, offset=k)
-        if k >= 0:
-            ab[upper - k, k:] = d
-        else:
-            ab[upper - k, : n + k] = d
-    return ab
+    t_end = _check_end(t, float(t[-1]) if t_end is None else t_end)
+    return _sum_intervals(t, t_end, _interval_table(t, points))
 
 
 class RadialMesh:
-    """Nodes, derivative matrices and quadrature on (0, t_max].
+    """Nodes, banded derivative operators and quadrature on (0, t_max].
 
     The origin is not a node.  Stencils whose window would cross t = 0 are
     folded back onto the positive axis (even extension), and the last rows
-    use left-shifted windows, so both derivative matrices have bandwidth at
-    most ``2 * halfwidth``.  The final node carries a stencil row like any
-    other; boundary conditions are imposed by whoever assembles the system.
+    use left-shifted windows, so both derivative operators have bandwidth
+    at most ``2 * halfwidth``.  They are stored as the row bands
+    ``d1_band`` and ``d2_band`` of shape (n, 2 * bandwidth + 1), so a mesh
+    holds O(n) floats; ``D1``, ``D2`` and ``lap_rows`` build dense matrices
+    from the bands on demand.  The bands come from Fornberg's recursion run
+    over all rows at once, which keeps every entry bit-identical to the
+    scalar recursion (a Vandermonde solve would not; see the module
+    docstring).  The per-cell quadrature weights are kept too, so
+    ``quad_to`` only solves for the one cell that t_end cuts.  The final
+    node carries a stencil row like any other; boundary conditions are
+    imposed by whoever assembles the system.
     """
 
     def __init__(self, t: np.ndarray, beta: float, halfwidth: int = 3):
@@ -140,9 +181,10 @@ class RadialMesh:
         self.n = t.size
         self.halfwidth = int(halfwidth)
         self.bandwidth = 2 * self.halfwidth
-        self.D1, self.D2 = self._derivative_matrices()
-        self.quad = quad_weights(t)
-        for arr in (self.t, self.r, self.D1, self.D2, self.quad):
+        self.d1_band, self.d2_band = self._derivative_bands()
+        self._intervals = _interval_table(t, QUAD_POINTS)
+        self.quad = _sum_intervals(t, float(t[-1]), self._intervals)
+        for arr in (self.t, self.r, self.d1_band, self.d2_band, self._intervals, self.quad):
             arr.setflags(write=False)
 
     @classmethod
@@ -168,32 +210,70 @@ class RadialMesh:
             t = t_max * np.sinh(strength * i / n) / np.sinh(strength)
         return cls(t, beta, halfwidth)
 
-    def _window(self, i: int):
-        """Stencil columns and (possibly reflected) node abscissae for row i."""
+    def _windows(self, rows: np.ndarray):
+        """Stencil columns and (possibly reflected) node abscissae, one row each.
+
+        A window that would start left of the first node reaches into t < 0;
+        its virtual column -k - 1 stands for node k reflected to -t[k].
+        """
         w = self.halfwidth
-        n = self.n
-        if i < w:
-            neg = np.arange(w - i - 1, -1, -1)
-            cols = np.concatenate([neg, np.arange(0, i + w + 1)])
-            nodes = np.concatenate([-self.t[neg], self.t[: i + w + 1]])
-        elif i >= n - w:
-            cols = np.arange(n - 2 * w - 1, n)
-            nodes = self.t[cols]
-        else:
-            cols = np.arange(i - w, i + w + 1)
-            nodes = self.t[cols]
+        start = np.minimum(rows - w, self.n - 2 * w - 1)
+        virtual = start[:, None] + np.arange(2 * w + 1)
+        cols = np.where(virtual < 0, -virtual - 1, virtual)
+        nodes = np.where(virtual < 0, -self.t[cols], self.t[cols])
         return cols, nodes
 
-    def _derivative_matrices(self):
-        n = self.n
-        D1 = np.zeros((n, n))
-        D2 = np.zeros((n, n))
-        for i in range(n):
-            cols, nodes = self._window(i)
-            c = fd_weights(float(self.t[i]), nodes, 2)
-            np.add.at(D1[i], cols, c[1])
-            np.add.at(D2[i], cols, c[2])
-        return D1, D2
+    def _derivative_bands(self):
+        """Both derivative bands from one vectorised Fornberg pass.
+
+        Reflected rows hit some columns twice; ``np.add.at`` sums those
+        duplicates in stencil order, row by row.
+        """
+        n, bw = self.n, self.bandwidth
+        rows = np.arange(n)
+        cols, nodes = self._windows(rows)
+        c = _fornberg(self.t, nodes, 2)
+        where = (np.repeat(rows, cols.shape[1]), (cols - rows[:, None] + bw).ravel())
+        bands = []
+        for d in (1, 2):
+            band = np.zeros((n, 2 * bw + 1))
+            np.add.at(band, where, c[d].T.ravel())
+            bands.append(band)
+        return bands
+
+    def band_triplets(self, band: np.ndarray):
+        """(rows, cols, values) of the in-range entries of a row band, row by row."""
+        bw = self.bandwidth
+        rows = np.repeat(np.arange(self.n), 2 * bw + 1)
+        cols = rows + np.tile(np.arange(-bw, bw + 1), self.n)
+        inside = (cols >= 0) & (cols < self.n)
+        return rows[inside], cols[inside], band.ravel()[inside]
+
+    def dense(self, band: np.ndarray) -> np.ndarray:
+        """Dense n x n matrix of a row band."""
+        rows, cols, vals = self.band_triplets(band)
+        out = np.zeros((self.n, self.n))
+        out[rows, cols] = vals
+        return out
+
+    def diagonal_ordered(self, band: np.ndarray) -> np.ndarray:
+        """A row band in LAPACK diagonal-ordered form, for ``solve_banded``
+        with ``(bandwidth, bandwidth)``."""
+        bw = self.bandwidth
+        rows, cols, vals = self.band_triplets(band)
+        ab = np.zeros((2 * bw + 1, self.n))
+        ab[bw + rows - cols, cols] = vals
+        return ab
+
+    @property
+    def D1(self) -> np.ndarray:
+        """Dense first-derivative matrix, built from ``d1_band``."""
+        return self.dense(self.d1_band)
+
+    @property
+    def D2(self) -> np.ndarray:
+        """Dense second-derivative matrix, built from ``d2_band``."""
+        return self.dense(self.d2_band)
 
     def point_rows(self, t_star: float, m: int = 0) -> np.ndarray:
         """Rows evaluating derivatives 0..m at an arbitrary point.
@@ -204,18 +284,22 @@ class RadialMesh:
         if not 0.0 <= t_star <= self.t[-1] * (1.0 + 1e-12):
             raise MfelabError(f"point {t_star!r} outside [0, {self.t[-1]!r}]")
         i = int(np.argmin(np.abs(self.t - t_star)))
-        cols, nodes = self._window(i)
-        c = fd_weights(float(t_star), nodes, m)
+        cols, nodes = self._windows(np.array([i]))
+        c = fd_weights(float(t_star), nodes[0], m)
         rows = np.zeros((m + 1, self.n))
         for d in range(m + 1):
-            np.add.at(rows[d], cols, c[d])
+            np.add.at(rows[d], cols[0], c[d])
         return rows
 
     def quad_to(self, t_end: float) -> np.ndarray:
         """Weights for the partial integral over [0, t_end]."""
-        return quad_weights(self.t, t_end)
+        return _sum_intervals(self.t, _check_end(self.t, t_end), self._intervals)
+
+    def lap_band(self, coef: np.ndarray | float) -> np.ndarray:
+        """Row band of g -> g'' + (coef / t) g' on the even extension."""
+        c = np.broadcast_to(np.asarray(coef, dtype=float), (self.n,))
+        return self.d2_band + (c / self.t)[:, None] * self.d1_band
 
     def lap_rows(self, coef: np.ndarray | float) -> np.ndarray:
         """Dense rows of g -> g'' + (coef / t) g' on the even extension."""
-        c = np.broadcast_to(np.asarray(coef, dtype=float), (self.n,))
-        return self.D2 + (c / self.t)[:, None] * self.D1
+        return self.dense(self.lap_band(coef))

@@ -23,13 +23,12 @@ import scipy.linalg
 from scipy.optimize import brentq
 
 from .errors import (
-    MfelabError,
     NotApplicableError,
     ParameterDomainError,
     SolverError,
 )
 from .greens import WeightSpec
-from .meshing import RadialMesh, to_banded
+from .meshing import RadialMesh
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -167,13 +166,17 @@ class Branch:
 # assembly ----------------------------------------------------------------
 
 
-def _scaled_parts(u, rho, spec, mesh, lap, hstar):
-    """Residual of the t-form equation, its row scales, and Jacobian data."""
+def _scaled_parts(u, rho, spec, mesh, lap, abs_lap, hstar):
+    """Residual of the t-form equation, its row scales, and Jacobian data.
+
+    ``lap`` and ``abs_lap`` are the dense Laplacian rows and their absolute
+    values; both products are dense BLAS matvecs.
+    """
     beta = 1.0 + spec.alpha
     log_mass, _ = mass_integral(u, spec, mesh)
     d = (rho / beta**2) * hstar * np.exp(u - log_mass)
     G = lap @ u + d
-    scale = np.abs(lap) @ np.abs(u) + np.abs(d) + 1e-30
+    scale = abs_lap @ np.abs(u) + np.abs(d) + 1e-30
     # mass-derivative weights: dM/du_j scaled by 1/M; they sum to 1
     mw = mesh.quad * np.exp(
         np.log(2.0 * np.pi / beta * mesh.t * hstar) + u - log_mass
@@ -193,18 +196,12 @@ def residual(u, rho, spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
     if rho == 0.0:
         return (beta**2 * mesh.t ** (2.0 - 2.0 / beta)) * (lap @ u)
     hstar = np.asarray(spec.hstar(mesh.r))
-    G, _, _, _, _ = _scaled_parts(u, rho, spec, mesh, lap, hstar)
+    G, _, _, _, _ = _scaled_parts(u, rho, spec, mesh, lap, np.abs(lap), hstar)
     return (beta**2 * mesh.t ** (2.0 - 2.0 / beta)) * G
 
 
 def _norm_rows(G, scale, u_last):
     return max(float(np.max(np.abs(G[:-1]) / scale[:-1])), abs(float(u_last)))
-
-
-def _banded_solve(A, rhs_cols, bw):
-    s = np.max(np.abs(A), axis=1)
-    ab = to_banded(A / s[:, None], bw, bw)
-    return scipy.linalg.solve_banded((bw, bw), ab, rhs_cols / s[:, None])
 
 
 def newton_solve(
@@ -230,12 +227,20 @@ def newton_solve(
         raise ParameterDomainError("fix exactly one of rho or lam")
     beta = 1.0 + spec.alpha
     hstar = np.asarray(spec.hstar(mesh.r))
-    lap = mesh.lap_rows(1.0)
     bw = mesh.bandwidth
     n = mesh.n
 
     if rho is not None and rho == 0.0:
         return SolutionPoint(spec, mesh, np.zeros(n), 0.0, 0.0, 0)
+
+    # the Newton matrix is assembled and factored as a band; the residual
+    # and its row scales stay dense BLAS matvecs on rows that live only for
+    # this solve, because a band matvec sums in another order and the fold
+    # root finding amplifies that to ~1e-9 in lambda
+    lap_band = mesh.lap_band(1.0)
+    lap = mesh.dense(lap_band)
+    abs_lap = np.abs(lap)
+    on_diag = np.arange(2 * bw + 1) == bw
 
     if initial is None:
         if lam is not None:
@@ -252,7 +257,7 @@ def newton_solve(
     e0 = mesh.point_rows(0.0, 0)[0] if lam is not None else None
 
     def full_residual(u_, rho_):
-        G, d, mw, scale, log_mass = _scaled_parts(u_, rho_, spec, mesh, lap, hstar)
+        G, d, mw, scale, log_mass = _scaled_parts(u_, rho_, spec, mesh, lap, abs_lap, hstar)
         rn = _norm_rows(G, scale, u_[-1])
         if lam is not None:
             C = float(e0 @ u_) - log_mass - lam
@@ -272,15 +277,25 @@ def newton_solve(
     for _ in range(max_iter):
         if rn <= tol and step_norm <= np.sqrt(tol) * (1.0 + np.max(np.abs(u))):
             break
-        A = lap + np.diag(d)
+        # rows of lap + diag(d) with a Dirichlet last row, each scaled by
+        # its largest entry
+        A = lap_band + np.where(on_diag, d[:, None], 0.0)
         A[-1] = 0.0
-        A[-1, -1] = 1.0
+        A[-1, bw] = 1.0
+        s = np.max(np.abs(A), axis=1)
+        ab = mesh.diagonal_ordered(A / s[:, None])
         dcol = d.copy()
         dcol[-1] = 0.0
         rhs = -G
         rhs[-1] = -u[-1]
         if lam is None:
-            sol = _banded_solve(A, np.column_stack([rhs, dcol]), bw)
+            cols = [rhs, dcol]
+        else:
+            b = d / rho_cur
+            b[-1] = 0.0
+            cols = [rhs, b, dcol]
+        sol = scipy.linalg.solve_banded((bw, bw), ab, np.column_stack(cols) / s[:, None])
+        if lam is None:
             x, y = sol[:, 0], sol[:, 1]
             denom = 1.0 - float(mw @ y)
             if abs(denom) < 1e-12 or not np.all(np.isfinite(sol)):
@@ -292,9 +307,6 @@ def newton_solve(
             du = x + y * (float(mw @ x) / denom)
             drho = 0.0
         else:
-            b = d / rho_cur
-            b[-1] = 0.0
-            sol = _banded_solve(A, np.column_stack([rhs, b, dcol]), bw)
             xg, xb, y = sol[:, 0], sol[:, 1], sol[:, 2]
             denom = 1.0 - float(mw @ y)
             if abs(denom) < 1e-12 or not np.all(np.isfinite(sol)):
@@ -371,7 +383,7 @@ def exact_disk_family(
     rho = EIGHT_PI * beta * m / (1.0 + m)
     lap = mesh.lap_rows(1.0)
     hstar = np.asarray(spec.hstar(mesh.r))
-    G, _, _, scale, _ = _scaled_parts(u, rho, spec, mesh, lap, hstar)
+    G, _, _, scale, _ = _scaled_parts(u, rho, spec, mesh, lap, np.abs(lap), hstar)
     return SolutionPoint(spec, mesh, u, rho, _norm_rows(G, scale, u[-1]), 0)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mfelab.errors import ParameterDomainError, SpectrumError
 from mfelab.linearization import (
@@ -63,7 +64,21 @@ def test_mode_operator_rejects_bad_k(family100):
 def test_matrix_property_includes_rank_one(family100):
     op = build_mode_operator(family100, 0)
     u, v = op.rank_one
-    assert np.allclose(op.matrix, op.band + np.outer(u, v))
+    assert np.allclose(op.matrix, op.band.toarray() + np.outer(u, v))
+
+
+def test_band_csc_matches_dense_block(family100):
+    mesh = family100.mesh
+    for k in (0, 3):
+        op = build_mode_operator(family100, k)
+        V = family100.rho * np.exp(family100.u_tilde) / BETA**2
+        dense = mesh.lap_rows(2.0 * k / BETA + 1.0)[:-1, :-1]
+        idx = np.arange(mesh.n - 1)
+        dense[idx, idx] += V[:-1]
+        ref = sp.csc_matrix(dense)
+        assert np.array_equal(op.band.indptr, ref.indptr)
+        assert np.array_equal(op.band.indices, ref.indices)
+        assert np.array_equal(op.band.data, ref.data)
 
 
 def test_exact_family_mode0_eigenvalue(family100, family1e4):

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 from mfelab.errors import MfelabError
-from mfelab.meshing import RadialMesh, fd_weights, quad_weights, to_banded
+from mfelab.meshing import RadialMesh, fd_weights, quad_weights
 
 
 def test_fd_weights_exact_on_monomials():
@@ -148,7 +148,14 @@ def test_banded_solve_matches_dense():
     L[-1, -1] = 1.0  # Dirichlet row
     rhs = rng.standard_normal(mesh.n)
     w = mesh.bandwidth
-    ab = to_banded(L, w, w)
+    # pack the dense rows into LAPACK diagonal-ordered form
+    ab = np.zeros((2 * w + 1, mesh.n))
+    for k in range(-w, w + 1):
+        d = np.diagonal(L, offset=k)
+        if k >= 0:
+            ab[w - k, k:] = d
+        else:
+            ab[w - k, : mesh.n + k] = d
     x_banded = scipy.linalg.solve_banded((w, w), ab, rhs)
     x_dense = np.linalg.solve(L, rhs)
     assert np.max(np.abs(x_banded - x_dense)) < 1e-8 * max(1.0, np.max(np.abs(x_dense)))
@@ -168,3 +175,109 @@ def test_graded_mesh_shapes():
         RadialMesh.graded(4, 1.5, 3.0)
     with pytest.raises(MfelabError):
         RadialMesh.graded(64, 1.5, -1.0)
+
+
+def _scalar_fornberg(z, x, m):
+    # the scalar recursion, kept as the reference the vectorised pass must match
+    n = x.size
+    c = np.zeros((m + 1, n))
+    c1 = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[k, i] = c1 * (k * c[k - 1, i - 1] - c5 * c[k, i - 1]) / c2
+                c[0, i] = -c1 * c5 * c[0, i - 1] / c2
+            for k in range(mn, 0, -1):
+                c[k, j] = (c4 * c[k, j] - k * c[k - 1, j]) / c3
+            c[0, j] = c4 * c[0, j] / c3
+        c1 = c2
+    return c
+
+
+def _reference_rows(mesh, i):
+    # dense rows i of D1 and D2 from the scalar recursion on row i's window:
+    # reflected nodes near t = 0, left-shifted windows in the tail
+    w, n, t = mesh.halfwidth, mesh.n, mesh.t
+    if i < w:
+        neg = np.arange(w - i - 1, -1, -1)
+        cols = np.concatenate([neg, np.arange(0, i + w + 1)])
+        nodes = np.concatenate([-t[neg], t[: i + w + 1]])
+    elif i >= n - w:
+        cols = np.arange(n - 2 * w - 1, n)
+        nodes = t[cols]
+    else:
+        cols = np.arange(i - w, i + w + 1)
+        nodes = t[cols]
+    c = _scalar_fornberg(float(t[i]), nodes, 2)
+    d1, d2 = np.zeros(n), np.zeros(n)
+    np.add.at(d1, cols, c[1])
+    np.add.at(d2, cols, c[2])
+    return d1, d2
+
+
+@pytest.mark.parametrize("n", [16, 96, 1024])
+@pytest.mark.parametrize("strength", [0.0, 3.0, 9.0])
+@pytest.mark.parametrize("halfwidth", [2, 3])
+def test_derivative_rows_bit_identical_to_scalar_recursion(n, strength, halfwidth):
+    mesh = RadialMesh.graded(n, 1.5, strength, halfwidth=halfwidth)
+    D1, D2 = mesh.D1, mesh.D2
+    for i in range(n):
+        d1, d2 = _reference_rows(mesh, i)
+        assert np.array_equal(D1[i], d1), i
+        assert np.array_equal(D2[i], d2), i
+
+
+def test_fd_weights_is_the_scalar_recursion():
+    rng = np.random.default_rng(3)
+    x = np.sort(rng.uniform(-1.0, 1.0, 7))
+    for m in (0, 1, 2, 6):
+        assert np.array_equal(fd_weights(0.3, x, m), _scalar_fornberg(0.3, x, m))
+
+
+def _reference_quad(t, t_end, points=6):
+    # the per-cell loop: one small Vandermonde solve per cell, summed in order
+    def cell(nodes, a, b):
+        c = 0.5 * (a + b)
+        powers = np.arange(points)
+        V = (nodes - c)[None, :] ** powers[:, None]
+        mom = ((b - c) ** (powers + 1) - (a - c) ** (powers + 1)) / (powers + 1)
+        return np.linalg.solve(V, mom)
+
+    n = t.size
+    q = np.zeros(n)
+    back = (points - 2) // 2
+    q[:points] += cell(t[:points], 0.0, min(t_end, float(t[0])))
+    if t_end <= t[0]:
+        return q
+    for j in range(n - 1):
+        if t[j] >= t_end:
+            break
+        k0 = min(max(j - back, 0), n - points)
+        q[k0 : k0 + points] += cell(t[k0 : k0 + points], float(t[j]), min(float(t[j + 1]), t_end))
+    return q
+
+
+def test_quad_to_bit_identical_to_quad_weights():
+    mesh = RadialMesh.graded(256, 1.5, 6.0)
+    t = mesh.t
+    for t_end in (0.4 * t[0], float(t[0]), float(t[40]), 0.5 * (t[100] + t[101]), float(t[-1])):
+        q = mesh.quad_to(t_end)
+        assert np.array_equal(q, quad_weights(t, t_end))
+        assert np.array_equal(q, _reference_quad(t, t_end))
+    assert np.array_equal(mesh.quad, quad_weights(t))
+
+
+def test_mesh_holds_no_dense_operators():
+    n = 1024
+    mesh = RadialMesh.graded(n, 1.5, 6.0)
+    floats = sum(v.size for v in vars(mesh).values() if isinstance(v, np.ndarray))
+    assert floats < 64 * n
