@@ -2,9 +2,6 @@
 equation on the unit disk."""
 
 from .diagnostics import (
-    DiagnosticsReport,
-    FitResult,
-    MonotonicityVerdict,
     build_report,
     local_rate_law_fit,
     matching_residual,
@@ -16,30 +13,11 @@ from .diagnostics import (
     two_term_fit,
     uniqueness_probe,
 )
-from .errors import (
-    ConfigError,
-    MfelabError,
-    NotApplicableError,
-    ParameterDomainError,
-    SolverError,
-    SpectrumError,
-    WeightSpecError,
-)
-from .greens import (
-    WeightSpec,
-    ell_coefficient,
-    epsilon0,
-    green_disk,
-    regular_part,
-)
+from .errors import ParameterDomainError
+from .greens import WeightSpec, ell_coefficient
 from .linearization import (
-    ModeOperator,
-    ModeSpectrum,
-    NondegeneracyScan,
     b0_projection,
-    build_mode_operator,
     entire_mode_operator,
-    inner_mode_operator,
     kernel_candidate,
     mode_spectrum,
     nondegeneracy_scan,
@@ -50,63 +28,37 @@ from .liouville import (
     entire_linearized_apply,
     kernel_Y0,
 )
-from .meshing import RadialMesh, fd_weights, quad_weights
 from .radial_solver import (
     Branch,
     MeshPolicy,
     SolutionPoint,
-    approximate_profile,
     blowup_initial_guess,
     continue_branch,
     exact_disk_family,
     find_fold_pair,
-    mass_integral,
     newton_solve,
-    residual,
 )
-from .serialize import RunConfig
 
 __all__ = [
     "Branch",
-    "ConfigError",
-    "DiagnosticsReport",
-    "FitResult",
     "MeshPolicy",
-    "MfelabError",
-    "MonotonicityVerdict",
-    "ModeOperator",
-    "ModeSpectrum",
-    "NondegeneracyScan",
-    "NotApplicableError",
     "ParameterDomainError",
-    "RadialMesh",
-    "RunConfig",
     "SolutionPoint",
-    "SolverError",
-    "SpectrumError",
     "WeightSpec",
-    "WeightSpecError",
-    "approximate_profile",
     "b0_projection",
     "blowup_initial_guess",
     "bubble_mass",
     "bubble_profile",
-    "build_mode_operator",
     "build_report",
     "continue_branch",
     "ell_coefficient",
     "entire_linearized_apply",
     "entire_mode_operator",
-    "epsilon0",
     "exact_disk_family",
-    "fd_weights",
     "find_fold_pair",
-    "green_disk",
-    "inner_mode_operator",
     "kernel_Y0",
     "kernel_candidate",
     "local_rate_law_fit",
-    "mass_integral",
     "matching_residual",
     "mode_spectrum",
     "newton_solve",
@@ -115,10 +67,7 @@ __all__ = [
     "pohozaev_residual",
     "pohozaev_residual_linearized",
     "psi1_gradient_check",
-    "quad_weights",
     "rate_law_fit",
-    "regular_part",
-    "residual",
     "two_term_fit",
     "uniqueness_probe",
 ]

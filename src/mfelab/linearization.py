@@ -12,6 +12,13 @@ coupling vanishes for k >= 1).  Reported eigenvalues are those of the
 weighted problem R_k g = eps V g, which is invariant under rescaling of t
 and therefore directly comparable between the disk, the inner blow-up
 region and the entire-space limit operator.
+
+The spectra are computed in standard shift-invert form: ARPACK iterates
+with OP = (B + u v^T)^-1 W, where B is the sparse local block, u v^T the
+rank-one part and W = diag(V), so each Arnoldi step is one multiply by the
+weight and one sparse LU solve (with a Sherman-Morrison correction).
+ARPACK's generalized mode would orthogonalise in the W inner product and
+spend extra weight products on every step for the same eigenvalues.
 """
 
 from __future__ import annotations
@@ -287,12 +294,13 @@ def _dense_spectrum(op: ModeOperator, count: int):
 
 def _shift_invert_spectrum(op: ModeOperator, count: int, v0, maxiter):
     band = op.band
+    weight = op.weight
     n = band.shape[0]
     lu = spl.splu(band)
     if op.rank_one is None:
         solve = lu.solve
 
-        def matvec(x):
+        def apply(x):
             return band @ x
 
     else:
@@ -304,21 +312,15 @@ def _shift_invert_spectrum(op: ModeOperator, count: int, v0, maxiter):
             y = lu.solve(x)
             return y - Binv_u * (v @ y) / denom
 
-        def matvec(x):
+        def apply(x):
             return band @ x + u * (v @ x)
 
-    A = spl.LinearOperator((n, n), matvec=matvec)
-    OPinv = spl.LinearOperator((n, n), matvec=solve)
-    w, X = spl.eigs(
-        A,
-        k=count,
-        M=sp.diags(op.weight),
-        sigma=0.0,
-        OPinv=OPinv,
-        which="LM",
-        v0=v0,
-        maxiter=maxiter,
-    )
+    # standard form of (B + u v^T) x = eps W x: A = W^-1 (B + u v^T) and
+    # OP = A^-1 = (B + u v^T)^-1 W; ARPACK calls only OP in shift-invert
+    # mode, so A's division by the weight never runs
+    A = spl.LinearOperator((n, n), matvec=lambda x: apply(x) / weight, dtype=float)
+    OPinv = spl.LinearOperator((n, n), matvec=lambda x: solve(weight * x), dtype=float)
+    w, X = spl.eigs(A, k=count, sigma=0.0, OPinv=OPinv, which="LM", v0=v0, maxiter=maxiter)
     idx = np.argsort(np.abs(w))
     return w[idx], X[:, idx]
 
@@ -334,8 +336,13 @@ def mode_spectrum(
     Shift-invert at zero through the banded factorization (plus a
     Sherman-Morrison correction for the rank-one part), which resolves
     near-kernel eigenvalues far below the reach of a dense solve on these
-    ill-scaled matrices.  The start vector is deterministic; pass ``seed``
-    to draw it from a seeded generator instead.
+    ill-scaled matrices.  The weighted problem (B + u v^T) x = eps W x is
+    handed to ARPACK in standard form, as the eigenvalues 1/eps of
+    OP = (B + u v^T)^-1 W: no weight matrix is passed, so the Arnoldi
+    basis is orthogonalised in the plain inner product and each step costs
+    one weight multiply and one LU solve.  The start vector is
+    deterministic; pass ``seed`` to draw it from a seeded generator
+    instead.
     """
     n = op.band.shape[0]
     if count < 1:
@@ -347,9 +354,7 @@ def mode_spectrum(
     dense = count >= n - 1
     if not dense:
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", sp.SparseEfficiencyWarning)
-                w, X = _shift_invert_spectrum(op, count, v0, maxiter)
+            w, X = _shift_invert_spectrum(op, count, v0, maxiter)
         except spl.ArpackNoConvergence as exc:
             got = np.asarray(exc.eigenvalues)
             raise SpectrumError(
@@ -451,11 +456,8 @@ def kernel_candidate(point: SolutionPoint) -> np.ndarray:
     to sup-norm 1 with positive peak.
     """
     mesh = point.mesh
-    V = _potential(point)
-    A = mesh.lap_rows(1.0)
-    idx = np.arange(A.shape[0])
-    A[idx, idx] += V
-    xi_int = np.linalg.solve(A[:-1, :-1], -A[:-1, -1])
+    block, coupling = _interior_block(mesh, _folded_lap(mesh, 0.0), _potential(point))
+    xi_int = spl.splu(block).solve(-coupling)
     xi = np.concatenate([xi_int, [1.0]])
     peak = int(np.argmax(np.abs(xi)))
     return xi / xi[peak]

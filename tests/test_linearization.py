@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spl
 
 from mfelab.errors import ParameterDomainError, SpectrumError
 from mfelab.linearization import (
@@ -35,6 +36,40 @@ def family100():
 @pytest.fixture(scope="module")
 def family1e4():
     return exact_disk_family(ALPHA, 1e4)
+
+
+@pytest.fixture(scope="module")
+def gauss12():
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    mesh = MeshPolicy(n=512).build(BETA, 12.0)
+    return newton_solve(spec, mesh, lam=12.0)
+
+
+def _generalized_spectrum(op, count):
+    """Reference: ARPACK's generalized shift-invert mode with M = diag(weight)."""
+    band = op.band
+    n = band.shape[0]
+    lu = spl.splu(band)
+    u, v = op.rank_one if op.rank_one is not None else (np.zeros(n), np.zeros(n))
+    Binv_u = lu.solve(u)
+    denom = 1.0 + v @ Binv_u
+
+    def solve(x):
+        y = lu.solve(x)
+        return y - Binv_u * (v @ y) / denom
+
+    A = spl.LinearOperator((n, n), matvec=lambda x: band @ x + u * (v @ x))
+    OPinv = spl.LinearOperator((n, n), matvec=solve)
+    w, _ = spl.eigs(
+        A,
+        k=count,
+        M=sp.diags(op.weight),
+        sigma=0.0,
+        OPinv=OPinv,
+        which="LM",
+        v0=np.sin(1.0 + np.arange(n)),
+    )
+    return w[np.argsort(np.abs(w))].real
 
 
 def test_constants_annihilated_by_nonlocal_part(family100):
@@ -89,6 +124,31 @@ def test_exact_family_mode0_eigenvalue(family100, family1e4):
     assert abs(w1e4.eigenvalues[0] * 1e4 + 0.75) < 1e-3
     assert w100.imag_noise <= 1e-9
     assert w1e4.imag_noise <= 1e-9
+
+
+@pytest.mark.parametrize("k", [0, 1, 8])
+@pytest.mark.parametrize("which", ["family100", "gauss12"])
+def test_standard_form_matches_generalized_arpack(which, k, request):
+    op = build_mode_operator(request.getfixturevalue(which), k)
+    got = mode_spectrum(op, count=4).eigenvalues
+    ref = _generalized_spectrum(op, 4)
+    assert np.all(np.abs(got - ref) <= 1e-9 * np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "which, k",
+    # gauss12 at k = 0 is left out: there eps is 3.8e-5, and round-off in
+    # the matvec alone is 1e-7 of |eps| |W x|, for any eigensolver
+    [("family100", 0), ("family100", 1), ("family100", 8), ("gauss12", 1), ("gauss12", 8)],
+)
+def test_eigenpair_residual(which, k, request):
+    op = build_mode_operator(request.getfixturevalue(which), k)
+    s = mode_spectrum(op, count=2)
+    x = s.eigenvector_0[:-1]
+    eps = s.eigenvalues[0]
+    wx = op.weight * x
+    res = op.matrix @ x - eps * wx
+    assert np.linalg.norm(res) <= 1e-8 * abs(eps) * np.linalg.norm(wx)
 
 
 def test_spectrum_deterministic(family100):
@@ -191,11 +251,8 @@ def test_inner_operator_matches_entire_on_family(family100, family1e4):
     assert abs(w1e4.eigenvalues[0] - we.eigenvalues[0]) < 1e-9
 
 
-def test_inner_operator_gaussian_approaches_entire():
-    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    mesh = MeshPolicy(n=512).build(BETA, 12.0)
-    pt = newton_solve(spec, mesh, lam=12.0)
-    wi = mode_spectrum(inner_mode_operator(pt, 0, radius=8.0), count=2)
+def test_inner_operator_gaussian_approaches_entire(gauss12):
+    wi = mode_spectrum(inner_mode_operator(gauss12, 0, radius=8.0), count=2)
     we = mode_spectrum(entire_mode_operator(ALPHA, 0, radius=8.0), count=2)
     assert abs(wi.eigenvalues[0] - we.eigenvalues[0]) < 5e-4
 
@@ -226,6 +283,20 @@ def test_kernel_candidate_solves_local_equation(family100):
     rows = lap @ xi + V * xi
     assert np.max(np.abs(rows[:-1])) <= 1e-8 * np.max(V)
     assert abs(b0_projection(xi, family100)) >= 0.5
+
+
+@pytest.mark.parametrize("which", ["family100", "gauss12"])
+def test_kernel_candidate_matches_dense_solve(which, request):
+    point = request.getfixturevalue(which)
+    mesh = point.mesh
+    beta = 1.0 + point.spec.alpha
+    V = point.rho * point.spec.hstar(mesh.r) * np.exp(point.u_tilde) / beta**2
+    A = mesh.lap_rows(1.0)
+    idx = np.arange(mesh.n)
+    A[idx, idx] += V
+    xi = np.concatenate([np.linalg.solve(A[:-1, :-1], -A[:-1, -1]), [1.0]])
+    xi = xi / xi[np.argmax(np.abs(xi))]
+    assert np.max(np.abs(kernel_candidate(point) - xi)) <= 1e-10
 
 
 def test_b0_projects_reference_shape_to_one(family100):
