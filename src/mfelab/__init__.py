@@ -1,5 +1,15 @@
 """Numerical laboratory for bubbling branches of the singular mean field
-equation on the unit disk."""
+equation on the unit disk.
+
+Import rule: the only scipy modules imported at module level are
+``scipy.linalg``, ``scipy.sparse`` and ``scipy.sparse.linalg``, which the
+solver and the mode spectra use.  Every CLI process pays for its imports
+before it reads its config, so a function off the CLI paths imports what
+else it needs (``scipy.optimize``, ``scipy.interpolate``,
+``scipy.special``) in its own body, and the fold-pair root finder is a
+port of scipy's Brent step (``radial_solver._brentq``) rather than a call
+into ``scipy.optimize``.
+"""
 
 from .diagnostics import (
     build_report,

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ParameterDomainError
 from .greens import TWO_PI, ell_coefficient, regular_part
@@ -159,6 +158,8 @@ def two_term_fit(lams, values, correction: float, window=(8.0, 14.0)) -> FitResu
     two-term model, so the leading law reads off as in the one-term fit
     once the named correction is taken out.
     """
+    from scipy.optimize import minimize_scalar
+
     q = float(correction)
     if not q > 0.0:
         raise ParameterDomainError(f"correction rate {q} must be positive")

@@ -30,7 +30,6 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
-from scipy.interpolate import make_interp_spline
 
 from .errors import NotApplicableError, ParameterDomainError, SpectrumError
 from .meshing import RadialMesh
@@ -275,6 +274,8 @@ def inner_mode_operator(
         )
     zmesh = RadialMesh.graded(n, beta, strength, t_max=S)
     t_eval = zmesh.t * sig_t
+    from scipy.interpolate import make_interp_spline
+
     # u is even-analytic in t, so interpolate in t^2; the window sits in
     # the well-resolved core of the source mesh
     u_spline = make_interp_spline(point.mesh.t**2, point.u_tilde, k=5)

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ParameterDomainError
 from .meshing import RadialMesh
@@ -70,6 +69,8 @@ def bubble_mass(alpha: float, mu: float, R) -> float:
         raise ParameterDomainError("cutoff radius must be positive")
     if np.isinf(R):
         return 8.0 * np.pi * beta
+    from scipy.special import expit
+
     x = mu + 2.0 * beta * np.log(R)
     return 8.0 * np.pi * beta * float(expit(x))
 

@@ -15,12 +15,12 @@ folds in rho.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 import scipy.linalg
-from scipy.optimize import brentq
 
 from .errors import (
     NotApplicableError,
@@ -34,6 +34,10 @@ EIGHT_PI = 8.0 * np.pi
 
 #: continuation sub-step floor; below this a failing step aborts the branch
 MIN_STEP = 1e-3
+
+#: Brent root finder: relative tolerance and iteration cap of scipy's brentq
+BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -524,8 +528,8 @@ def find_fold_pair(branch: Branch, which: int = 0):
         cache[lam] = pt
         return pt.rho - rho_target
 
-    la = brentq(rho_at, float(lams[k - 1]), float(lams[k]), xtol=1e-13)
-    lb = brentq(rho_at, float(lams[k]), float(lams[k + 1]), xtol=1e-13)
+    la = _brentq(rho_at, float(lams[k - 1]), float(lams[k]), xtol=1e-13)
+    lb = _brentq(rho_at, float(lams[k]), float(lams[k + 1]), xtol=1e-13)
     pa = cache.get(la) or newton_solve(spec, mesh, lam=la)
     pb = cache.get(lb) or newton_solve(spec, mesh, lam=lb)
     if abs(pa.rho - pb.rho) > 1e-9 * abs(rho_target):
@@ -533,3 +537,69 @@ def find_fold_pair(branch: Branch, which: int = 0):
             f"fold pair rho mismatch {abs(pa.rho - pb.rho):.3e}"
         )
     return pa, pb
+
+
+def _brentq(f, xa: float, xb: float, xtol: float) -> float:
+    """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy's ``brentq.c`` with its defaults
+    (rtol = 4 eps, 100 iterations), so it evaluates f at the same points
+    and returns the same float.  A bracket without a sign change, a NaN
+    value or an exhausted iteration budget raises SolverError.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise SolverError(f"root finder met NaN at x = {x!r}")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise SolverError(
+            f"no sign change on [{xpre!r}, {xcur!r}]: f = {fpre!r}, {fcur!r}"
+        )
+    for _ in range(BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                # C divides to an inf or NaN here, which the test below bisects
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise SolverError(f"no root within {BRENT_MAXITER} Brent iterations; last x = {xcur!r}")

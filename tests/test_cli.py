@@ -1,7 +1,10 @@
 """Config validation, deterministic output files, and the four subcommands."""
 
+import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -311,3 +314,41 @@ class TestPohozaevCommand:
         assert len(rows) == 3
         assert all(r[1] == "eigenfield" for r in rows)
         assert all(abs(float(r[3])) <= 1e-6 for r in rows)
+
+    def test_fold_without_sign_change_exits_3(self, tmp_path, capsys, monkeypatch):
+        # a fold flag forced onto a monotone branch leaves a bracket with
+        # no sign change: a structured solver failure, not a traceback
+        real = radial_solver.continue_branch
+
+        def forced_flag(*args):
+            return dataclasses.replace(real(*args), fold_flags=(3,))
+
+        monkeypatch.setattr(cli, "continue_branch", forced_flag)
+        cfg = base_config(
+            tmp_path / "out",
+            window={"start": 9.0, "end": 12.0, "steps": 7},
+            mesh={"nodes": 128},
+        )
+        path = write_config(tmp_path, "forced.json", cfg)
+        code, msg = run(["pohozaev", "--config", path], capsys)
+        assert code == 3
+        assert msg["error"]["kind"] == "SolverError"
+        assert "no sign change" in msg["error"]["message"]
+
+
+def test_cli_import_leaves_out_optional_scipy_modules():
+    # only scipy.linalg and scipy.sparse(.linalg) are module-level imports;
+    # the rest load inside the few functions that use them
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    probe = "import json, sys, mfelab.cli; print(json.dumps(sorted(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    loaded = set(json.loads(proc.stdout))
+    assert "scipy.linalg" in loaded
+    assert loaded.isdisjoint({"scipy.optimize", "scipy.interpolate", "scipy.special"})

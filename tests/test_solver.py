@@ -1,15 +1,20 @@
 """Solver tests: the closed-form disk family is the oracle throughout."""
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
-from mfelab.errors import NotApplicableError, ParameterDomainError
+from mfelab.errors import NotApplicableError, ParameterDomainError, SolverError
 from mfelab.greens import WeightSpec, ell_coefficient
 from mfelab.meshing import RadialMesh
 from mfelab.radial_solver import (
     EIGHT_PI,
     Branch,
     MeshPolicy,
+    _brentq,
     approximate_profile,
     continue_branch,
     exact_disk_family,
@@ -291,6 +296,76 @@ def test_fold_pair_on_branch_mesh_policy():
     assert np.array_equal(pa.mesh.t, want)
     assert np.array_equal(pb.mesh.t, want)
     assert abs(pa.rho - pb.rho) <= 1e-10 * pa.rho
+
+
+def test_fold_pair_without_sign_change_is_solver_error():
+    # a forced flag on a monotone branch: one bracket cannot straddle rho*
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    branch = continue_branch(9.0, 12.0, 7, spec, MeshPolicy(n=128))
+    assert branch.failure is None
+    assert branch.fold_flags == ()
+    with pytest.raises(SolverError, match="no sign change"):
+        find_fold_pair(dataclasses.replace(branch, fold_flags=(3,)))
+
+
+# Brent root finder ------------------------------------------------------------
+
+
+def _recorded(f):
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g, xs
+
+
+BRENT_CASES = {
+    "smooth": (lambda x: math.cos(x) - x, (0.0, 1.0)),
+    "cubic": (lambda x: x**3 - 2.0 * x - 5.0, (3.0, 2.0)),
+    "skewed": (lambda x: x**20 - 0.5, (0.0, 1.5)),
+    "steep": (lambda x: math.tanh(1e4 * (x - 0.3137)), (-1.0, 2.0)),
+    "noisy": (lambda x: x - 0.41 + 1e-6 * math.sin(1e8 * x), (0.0, 1.0)),
+}
+
+
+@pytest.mark.parametrize("xtol", [1e-13, 2e-12, 1e-6])
+@pytest.mark.parametrize("name", sorted(BRENT_CASES))
+def test_brentq_matches_scipy_bit_for_bit(name, xtol):
+    f, (a, b) = BRENT_CASES[name]
+    g_ref, xs_ref = _recorded(f)
+    g, xs = _recorded(f)
+    root = _brentq(g, a, b, xtol)
+    assert root == brentq(g_ref, a, b, xtol=xtol)
+    assert type(root) is float
+    assert xs == xs_ref
+
+
+def test_brentq_failures_match_scipy_evaluations():
+    # saturated tanh on a huge bracket bisects and exhausts 100 iterations
+    f = lambda x: math.tanh(x - 0.3)  # noqa: E731
+    g_ref, xs_ref = _recorded(f)
+    g, xs = _recorded(f)
+    with pytest.raises(RuntimeError):
+        brentq(g_ref, -1e200, 1e200, xtol=1e-13)
+    with pytest.raises(SolverError, match="100 Brent iterations"):
+        _brentq(g, -1e200, 1e200, 1e-13)
+    assert len(xs_ref) == 102
+    assert xs == xs_ref
+    # no sign change: scipy's ValueError becomes a SolverError
+    g_ref, xs_ref = _recorded(f)
+    g, xs = _recorded(f)
+    with pytest.raises(ValueError):
+        brentq(g_ref, 1.0, 2.0)
+    with pytest.raises(SolverError, match="no sign change"):
+        _brentq(g, 1.0, 2.0, 2e-12)
+    assert xs == xs_ref == [1.0, 2.0]
+    # a NaN value stops both
+    with pytest.raises(ValueError, match="NaN"):
+        brentq(lambda x: math.nan if x > 1.0 else -1.0, 0.0, 2.0)
+    with pytest.raises(SolverError, match="NaN"):
+        _brentq(lambda x: math.nan if x > 1.0 else -1.0, 0.0, 2.0, 2e-12)
 
 
 def test_mesh_policy_validation():
