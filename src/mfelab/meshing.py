@@ -7,8 +7,10 @@ resulting matrices are valid only when applied to even profiles.
 
 Derivative operators are stored as row bands: row i of an (n, 2*bw + 1)
 band holds the entries of columns i - bw .. i + bw, where bw is the mesh
-bandwidth.  Dense matrices are built from the bands on demand and carry the
-same entries.  The stencil weights of all rows come from one pass of
+bandwidth.  ``band_matvec`` multiplies a row band into a vector in
+O(n * (2*bw + 1)), and ``RadialMesh.diagonal_ordered`` packs one into LAPACK
+``gbsv`` storage.  Dense matrices are built from the bands on demand and
+carry the same entries.  The stencil weights of all rows come from one pass of
 Fornberg's recursion whose scalar operations run elementwise over the rows,
 so every row is bit-for-bit the one-row result.  The recursion is
 vectorised rather than replaced: a batched Vandermonde solve lands a few
@@ -72,6 +74,20 @@ def fd_weights(z: float, x: np.ndarray, m: int) -> np.ndarray:
     if m < 0 or m >= n:
         raise MfelabError(f"cannot form derivative {m} from {n} nodes")
     return _fornberg(np.array([z], dtype=float), x[None, :], m)[:, :, 0]
+
+
+def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Product of an (n, 2*bw + 1) row band with a vector of length n.
+
+    Row i meets x[i - bw .. i + bw] as one window of x zero-padded by bw on
+    both sides, so the slots of the first and last rows that fall outside
+    the matrix multiply zeros.  The sums run in another order than a dense
+    BLAS matvec, so results agree with ``dense(band) @ x`` to round-off.
+    """
+    bw = band.shape[1] // 2
+    padded = np.concatenate([np.zeros(bw), x, np.zeros(bw)])
+    windows = np.lib.stride_tricks.sliding_window_view(padded, band.shape[1])
+    return np.einsum("ij,ij->i", band, windows)
 
 
 def _interval_weights(nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -157,8 +173,9 @@ class RadialMesh:
     use left-shifted windows, so both derivative operators have bandwidth
     at most ``2 * halfwidth``.  They are stored as the row bands
     ``d1_band`` and ``d2_band`` of shape (n, 2 * bandwidth + 1), so a mesh
-    holds O(n) floats; ``D1``, ``D2`` and ``lap_rows`` build dense matrices
-    from the bands on demand.  The bands come from Fornberg's recursion run
+    holds O(n) floats; ``diagonal_ordered`` packs a band for LAPACK's band
+    solver, and ``D1``, ``D2`` and ``lap_rows`` build dense matrices from
+    the bands on demand.  The bands come from Fornberg's recursion run
     over all rows at once, which keeps every entry bit-identical to the
     scalar recursion (a Vandermonde solve would not; see the module
     docstring).  The per-cell quadrature weights are kept too, so
@@ -257,12 +274,20 @@ class RadialMesh:
         return out
 
     def diagonal_ordered(self, band: np.ndarray) -> np.ndarray:
-        """A row band in LAPACK diagonal-ordered form, for ``solve_banded``
-        with ``(bandwidth, bandwidth)``."""
-        bw = self.bandwidth
-        rows, cols, vals = self.band_triplets(band)
-        ab = np.zeros((2 * bw + 1, self.n))
-        ab[bw + rows - cols, cols] = vals
+        """A row band in LAPACK ``gbsv`` storage with kl = ku = bandwidth.
+
+        Shape (3 * bandwidth + 1, n): matrix entry (i, j) sits at
+        [2 * bandwidth + i - j, j], and the top ``bandwidth`` rows are zero
+        room for the fill-in of the LU factors (LAPACK Users' Guide,
+        3rd ed., sec. 5.3.3).  Each diagonal is one slice copy of a band
+        column.
+        """
+        n, bw = self.n, self.bandwidth
+        ab = np.zeros((3 * bw + 1, n), order="F")
+        for k in range(2 * bw + 1):
+            # band column k holds the entries (i, i + k - bw)
+            lo, hi = max(0, bw - k), min(n, n + bw - k)
+            ab[3 * bw - k, lo + k - bw : hi + k - bw] = band[lo:hi, k]
         return ab
 
     @property

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     NotApplicableError,
@@ -28,7 +28,7 @@ from .errors import (
     SolverError,
 )
 from .greens import WeightSpec
-from .meshing import RadialMesh
+from .meshing import RadialMesh, band_matvec
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -170,17 +170,18 @@ class Branch:
 # assembly ----------------------------------------------------------------
 
 
-def _scaled_parts(u, rho, spec, mesh, lap, abs_lap, hstar):
+def _scaled_parts(u, rho, spec, mesh, lap, abs_band, hstar):
     """Residual of the t-form equation, its row scales, and Jacobian data.
 
-    ``lap`` and ``abs_lap`` are the dense Laplacian rows and their absolute
-    values; both products are dense BLAS matvecs.
+    ``lap`` holds the dense Laplacian rows, whose product with u is a dense
+    BLAS matvec; ``abs_band`` is the absolute value of their row band, and
+    the row scales |lap| |u| + |d| come from a band matvec.
     """
     beta = 1.0 + spec.alpha
     log_mass, _ = mass_integral(u, spec, mesh)
     d = (rho / beta**2) * hstar * np.exp(u - log_mass)
     G = lap @ u + d
-    scale = abs_lap @ np.abs(u) + np.abs(d) + 1e-30
+    scale = band_matvec(abs_band, np.abs(u)) + np.abs(d) + 1e-30
     # mass-derivative weights: dM/du_j scaled by 1/M; they sum to 1
     mw = mesh.quad * np.exp(
         np.log(2.0 * np.pi / beta * mesh.t * hstar) + u - log_mass
@@ -196,11 +197,12 @@ def residual(u, rho, spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
     if abs(float(u[-1])) > 1e-9:
         raise ParameterDomainError("field must vanish at r = 1")
     beta = 1.0 + spec.alpha
-    lap = mesh.lap_rows(1.0)
+    lap_band = mesh.lap_band(1.0)
+    lap = mesh.dense(lap_band)
     if rho == 0.0:
         return (beta**2 * mesh.t ** (2.0 - 2.0 / beta)) * (lap @ u)
     hstar = np.asarray(spec.hstar(mesh.r))
-    G, _, _, _, _ = _scaled_parts(u, rho, spec, mesh, lap, np.abs(lap), hstar)
+    G, _, _, _, _ = _scaled_parts(u, rho, spec, mesh, lap, np.abs(lap_band), hstar)
     return (beta**2 * mesh.t ** (2.0 - 2.0 / beta)) * G
 
 
@@ -229,6 +231,9 @@ def newton_solve(
     """
     if (rho is None) == (lam is None):
         raise ParameterDomainError("fix exactly one of rho or lam")
+    for name, value in (("rho", rho), ("lam", lam)):
+        if value is not None and not math.isfinite(value):
+            raise ParameterDomainError(f"{name} must be finite, got {value!r}")
     beta = 1.0 + spec.alpha
     hstar = np.asarray(spec.hstar(mesh.r))
     bw = mesh.bandwidth
@@ -237,13 +242,14 @@ def newton_solve(
     if rho is not None and rho == 0.0:
         return SolutionPoint(spec, mesh, np.zeros(n), 0.0, 0.0, 0)
 
-    # the Newton matrix is assembled and factored as a band; the residual
-    # and its row scales stay dense BLAS matvecs on rows that live only for
-    # this solve, because a band matvec sums in another order and the fold
-    # root finding amplifies that to ~1e-9 in lambda
+    # the Newton matrix is assembled as a band and factored by LAPACK's band
+    # solver, and the row scales come from a band matvec; only the residual
+    # G = lap @ u stays a dense BLAS matvec on rows that live for this solve,
+    # because a band matvec sums in another order and the fold root finding
+    # amplifies that to ~1e-9 in lambda
     lap_band = mesh.lap_band(1.0)
     lap = mesh.dense(lap_band)
-    abs_lap = np.abs(lap)
+    abs_band = np.abs(lap_band)
     on_diag = np.arange(2 * bw + 1) == bw
 
     if initial is None:
@@ -261,7 +267,7 @@ def newton_solve(
     e0 = mesh.point_rows(0.0, 0)[0] if lam is not None else None
 
     def full_residual(u_, rho_):
-        G, d, mw, scale, log_mass = _scaled_parts(u_, rho_, spec, mesh, lap, abs_lap, hstar)
+        G, d, mw, scale, log_mass = _scaled_parts(u_, rho_, spec, mesh, lap, abs_band, hstar)
         rn = _norm_rows(G, scale, u_[-1])
         if lam is not None:
             C = float(e0 @ u_) - log_mass - lam
@@ -298,7 +304,12 @@ def newton_solve(
             b = d / rho_cur
             b[-1] = 0.0
             cols = [rhs, b, dcol]
-        sol = scipy.linalg.solve_banded((bw, bw), ab, np.column_stack(cols) / s[:, None])
+        B = np.column_stack(cols) / s[:, None]
+        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(B))):
+            raise SolverError("Newton system is not finite", trace)
+        _, _, sol, info = dgbsv(bw, bw, ab, B, overwrite_ab=1, overwrite_b=1)
+        if info != 0:
+            raise SolverError(f"band LU of the Newton matrix failed (dgbsv info {info})", trace)
         if lam is None:
             x, y = sol[:, 0], sol[:, 1]
             denom = 1.0 - float(mw @ y)
@@ -385,9 +396,11 @@ def exact_disk_family(
         mesh = MeshPolicy().build(beta, lam)
     u = 2.0 * (np.log1p(m) - np.log1p(m * mesh.t**2))
     rho = EIGHT_PI * beta * m / (1.0 + m)
-    lap = mesh.lap_rows(1.0)
+    lap_band = mesh.lap_band(1.0)
     hstar = np.asarray(spec.hstar(mesh.r))
-    G, _, _, scale, _ = _scaled_parts(u, rho, spec, mesh, lap, np.abs(lap), hstar)
+    G, _, _, scale, _ = _scaled_parts(
+        u, rho, spec, mesh, mesh.dense(lap_band), np.abs(lap_band), hstar
+    )
     return SolutionPoint(spec, mesh, u, rho, _norm_rows(G, scale, u[-1]), 0)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
 from dataclasses import dataclass
@@ -43,9 +44,21 @@ DEFAULTS = {
 }
 
 
+def _is_finite_number(value) -> bool:
+    """A JSON number that is a finite float.  Python's json accepts NaN and
+    +-Infinity, which would slip past every bound check (comparisons with
+    NaN are false), and integers too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _require_number(out, errors, section, key, value, lo=None, hi=None):
     name = f"{section}.{key}" if section else key
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+    if not _is_finite_number(value):
         errors.append(name)
         return
     value = float(value)
@@ -110,8 +123,8 @@ class RunConfig:
             )
 
         alpha = raw["alpha"]
-        if not isinstance(alpha, (int, float)) or isinstance(alpha, bool):
-            raise ConfigError("alpha must be a number", ["alpha"])
+        if not _is_finite_number(alpha):
+            raise ConfigError("alpha must be a finite number", ["alpha"])
         alpha = float(alpha)
         if alpha.is_integer():
             raise ConfigError("alpha must be non-integer", ["alpha"])
@@ -126,17 +139,15 @@ class RunConfig:
         if kind == "poly":
             coeffs = hraw.get("coeffs")
             extra = set(hraw) - {"kind", "coeffs"}
-            ok = isinstance(coeffs, list) and coeffs and all(
-                isinstance(c, (int, float)) and not isinstance(c, bool) for c in coeffs
-            )
+            ok = isinstance(coeffs, list) and coeffs and all(_is_finite_number(c) for c in coeffs)
             if extra or not ok:
-                raise ConfigError("hstar.coeffs must be a number list", ["hstar.coeffs"])
+                raise ConfigError("hstar.coeffs must be a finite number list", ["hstar.coeffs"])
             hstar["coeffs"] = [float(c) for c in coeffs]
         elif kind in ("constant", "gaussian"):
             extra = set(hraw) - {"kind", "coef"}
             coef = hraw.get("coef", 1.0)
-            if extra or isinstance(coef, bool) or not isinstance(coef, (int, float)):
-                raise ConfigError("hstar.coef must be a number", ["hstar.coef"])
+            if extra or not _is_finite_number(coef):
+                raise ConfigError("hstar.coef must be a finite number", ["hstar.coef"])
             hstar["coef"] = float(coef)
         else:
             raise ConfigError(f"unknown hstar kind {kind!r}", ["hstar.kind"])
@@ -173,7 +184,7 @@ class RunConfig:
         if (
             isinstance(fit_raw, list)
             and len(fit_raw) == 2
-            and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in fit_raw)
+            and all(_is_finite_number(v) for v in fit_raw)
             and float(fit_raw[0]) < float(fit_raw[1])
         ):
             fit_window = (float(fit_raw[0]), float(fit_raw[1]))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -334,6 +335,36 @@ class TestPohozaevCommand:
         assert code == 3
         assert msg["error"]["kind"] == "SolverError"
         assert "no sign change" in msg["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "overrides, fields",
+    [
+        (
+            {"thresholds": {"mesh_rtol": math.nan, "pohozaev_tol": math.nan, "r2_floor": math.nan}},
+            ["thresholds.mesh_rtol", "thresholds.pohozaev_tol", "thresholds.r2_floor"],
+        ),
+        ({"window": {"end": math.inf}}, ["window.end"]),
+        ({"hstar": {"kind": "gaussian", "coef": math.nan}}, ["hstar.coef"]),
+        ({"hstar": {"kind": "poly", "coeffs": [1.0, -math.inf]}}, ["hstar.coeffs"]),
+        ({"alpha": math.inf}, ["alpha"]),
+        ({"mesh": {"nodes": 128, "strength": math.nan, "offset": math.inf}},
+         ["mesh.offset", "mesh.strength"]),
+        ({"fit_window": [8.0, math.inf], "r0": math.nan, "outer_radius": -math.inf},
+         ["fit_window", "outer_radius", "r0"]),
+    ],
+)
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, overrides, fields):
+    # json writes and reads NaN and Infinity; each must name its field
+    # instead of turning a gate off or failing later in the numerics
+    cfg = base_config(tmp_path / "out", mesh={"nodes": 128})
+    cfg.update(overrides)
+    path = write_config(tmp_path, "nonfinite.json", cfg)
+    code, msg = run(["verify", "--config", path], capsys)
+    assert code == 2
+    assert msg["error"]["kind"] == "ConfigError"
+    assert msg["error"]["fields"] == fields
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_import_leaves_out_optional_scipy_modules():

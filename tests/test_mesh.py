@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import dgbsv
 
 from mfelab.errors import MfelabError
-from mfelab.meshing import RadialMesh, fd_weights, quad_weights
+from mfelab.meshing import RadialMesh, band_matvec, fd_weights, quad_weights
 
 
 def test_fd_weights_exact_on_monomials():
@@ -159,6 +160,52 @@ def test_banded_solve_matches_dense():
     x_banded = scipy.linalg.solve_banded((w, w), ab, rhs)
     x_dense = np.linalg.solve(L, rhs)
     assert np.max(np.abs(x_banded - x_dense)) < 1e-8 * max(1.0, np.max(np.abs(x_dense)))
+
+
+def _solve_banded_layout(mesh, band):
+    """The (2 bw + 1, n) diagonal-ordered packing that fed ``solve_banded``
+    before bands went straight into gbsv storage."""
+    bw = mesh.bandwidth
+    rows, cols, vals = mesh.band_triplets(band)
+    ab = np.zeros((2 * bw + 1, mesh.n))
+    ab[bw + rows - cols, cols] = vals
+    return ab
+
+
+def test_band_matvec_matches_dense():
+    rng = np.random.default_rng(2)
+    mesh = RadialMesh.graded(96, 1.5, 3.0)
+    x = rng.standard_normal(mesh.n)
+    # every row is checked: the Laplacian band has reflected windows in its
+    # first rows and left-shifted windows in its last ones, and a random band
+    # also fills the slots that fall outside the matrix, which must meet zeros
+    noise = rng.standard_normal(mesh.d1_band.shape)
+    for band in (mesh.lap_band(1.0), noise):
+        y = band_matvec(band, x)
+        exact = mesh.dense(band) @ x
+        bound = 1e-14 * (mesh.dense(np.abs(band)) @ np.abs(x))
+        assert np.all(np.abs(y - exact) <= bound)
+
+
+def test_gbsv_layout_solve_equals_solve_banded():
+    rng = np.random.default_rng(3)
+    mesh = RadialMesh.graded(96, 1.5, 3.0)
+    bw, n = mesh.bandwidth, mesh.n
+    band = mesh.lap_band(1.0)
+    band[:, bw] += 1.0 + mesh.t
+    band[-1] = 0.0
+    band[-1, bw] = 1.0  # Dirichlet row
+    band /= np.max(np.abs(band), axis=1)[:, None]
+    ab = mesh.diagonal_ordered(band)
+    assert ab.shape == (3 * bw + 1, n)
+    assert np.all(ab[:bw] == 0.0)
+    dense = mesh.dense(band)
+    i, j = np.nonzero(np.abs(np.subtract.outer(np.arange(n), np.arange(n))) <= bw)
+    assert np.array_equal(ab[2 * bw + i - j, j], dense[i, j])
+    B = rng.standard_normal((n, 3))
+    _, _, x, info = dgbsv(bw, bw, ab, B)
+    assert info == 0
+    assert np.array_equal(x, scipy.linalg.solve_banded((bw, bw), _solve_banded_layout(mesh, band), B))
 
 
 def test_graded_mesh_shapes():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,47 @@ def test_newton_parameter_validation():
         newton_solve(CONST, mesh, rho=1.0, lam=1.0)
     with pytest.raises(ParameterDomainError):
         newton_solve(CONST, mesh, rho=1.0, initial=np.full(64, np.nan))
+
+
+@pytest.mark.parametrize(
+    "fixed", [{"rho": math.inf}, {"rho": math.nan}, {"lam": math.nan}, {"lam": -math.inf}]
+)
+def test_newton_rejects_non_finite_parameter(fixed):
+    mesh = RadialMesh.graded(64, BETA, 2.0)
+    with pytest.raises(ParameterDomainError, match="must be finite"):
+        newton_solve(CONST, mesh, **fixed)
+
+
+@pytest.mark.parametrize(
+    "fill, message", [(0.0, "dgbsv info 11"), (math.nan, "Newton system is not finite")]
+)
+def test_newton_bad_band_is_solver_error(monkeypatch, fill, message):
+    mesh = RadialMesh.graded(64, BETA, 2.0)
+    pack = mesh.diagonal_ordered
+
+    def broken(band):
+        ab = pack(band)
+        ab[:, 10] = fill  # column 10 of the Newton matrix
+        return ab
+
+    monkeypatch.setattr(mesh, "diagonal_ordered", broken)
+    with pytest.raises(SolverError, match=message) as err:
+        newton_solve(CONST, mesh, rho=1.0)
+    assert len(err.value.trace) == 1
+
+
+def test_newton_holds_one_dense_array():
+    # the dense Laplacian rows behind G = lap @ u are the only n x n array
+    n = 1024
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    mesh = MeshPolicy(n=n).build(BETA, 8.0)
+    tracemalloc.start()
+    try:
+        newton_solve(spec, mesh, lam=8.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * n * n
 
 
 def test_newton_zero_rho_shortcut():
