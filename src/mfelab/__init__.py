@@ -2,10 +2,11 @@
 equation on the unit disk.
 
 Import rule: the only scipy modules imported at module level are
-``scipy.linalg``, ``scipy.sparse`` and ``scipy.sparse.linalg``, which the
-solver and the mode spectra use.  Every CLI process pays for its imports
-before it reads its config, so a function off the CLI paths imports what
-else it needs (``scipy.optimize``, ``scipy.interpolate``,
+``scipy.linalg`` (the LAPACK band solves of Newton and the mode spectra)
+and ``scipy.sparse.linalg`` (ARPACK); ``scipy.sparse`` is loaded only
+because ``scipy.sparse.linalg`` imports it.  Every CLI process pays for
+its imports before it reads its config, so a function off the CLI paths
+imports what else it needs (``scipy.optimize``, ``scipy.interpolate``,
 ``scipy.special``) in its own body, and the fold-pair root finder is a
 port of scipy's Brent step (``radial_solver._brentq``) rather than a call
 into ``scipy.optimize``.

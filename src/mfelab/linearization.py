@@ -13,12 +13,17 @@ weighted problem R_k g = eps V g, which is invariant under rescaling of t
 and therefore directly comparable between the disk, the inner blow-up
 region and the entire-space limit operator.
 
-The spectra are computed in standard shift-invert form: ARPACK iterates
-with OP = (B + u v^T)^-1 W, where B is the sparse local block, u v^T the
-rank-one part and W = diag(V), so each Arnoldi step is one multiply by the
-weight and one sparse LU solve (with a Sherman-Morrison correction).
+The local block B is kept as the interior row band of the mesh (see
+``meshing``) and factored once per spectrum by LAPACK's band LU
+(``dgbtrf``).  The spectra are computed in standard shift-invert form:
+ARPACK iterates with OP = (B + u v^T)^-1 W, where u v^T is the rank-one
+part and W = diag(V), so each Arnoldi step is one multiply by the weight
+and one band LU solve (``dgbtrs``, with a Sherman-Morrison correction).
 ARPACK's generalized mode would orthogonalise in the W inner product and
-spend extra weight products on every step for the same eigenvalues.
+spend extra weight products on every step for the same eigenvalues.  A
+scan over modes starts each mode's Arnoldi run from the previous mode's
+eigenvector at the same point, which lies close to the wanted
+eigenvectors and saves restarts.
 """
 
 from __future__ import annotations
@@ -28,11 +33,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg as spl
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import NotApplicableError, ParameterDomainError, SpectrumError
-from .meshing import RadialMesh
+from .meshing import RadialMesh, band_matvec
 from .radial_solver import SolutionPoint
 
 __all__ = [
@@ -55,12 +60,14 @@ KERNEL_FLAG_TOL = 1e-8
 class ModeOperator:
     """Discrete mode-k operator in folded form, with its eigenvalue weight.
 
-    ``band`` is the interior part of the local operator (banded plus the
-    potential on the diagonal) as a CSC matrix; a dense array passed in is
-    converted.  ``rank_one`` holds an optional (u, v) pair so that the full
-    interior matrix is band + outer(u, v).  For the disk operator the pair
-    carries the k = 0 nonlocal projection; for truncated far-field
-    operators it carries the boundary-condition elimination.
+    ``band`` is the interior part of the local operator (derivative rows
+    plus the potential on the diagonal) as an (n - 1, 2 * bandwidth + 1)
+    row band of ``mesh``: the rows and columns of the boundary unknown are
+    left out, so ``mesh.dense(band)`` is the (n - 1) x (n - 1) interior
+    block.  ``rank_one`` holds an optional (u, v) pair so that the full
+    interior matrix is dense(band) + outer(u, v).  For the disk operator
+    the pair carries the k = 0 nonlocal projection; for truncated
+    far-field operators it carries the boundary-condition elimination.
     ``weight`` is the interior sample of V for the weighted eigenproblem;
     ``_lap`` holds the full-mesh operator rows as a mesh row band.
     """
@@ -68,7 +75,7 @@ class ModeOperator:
     k: int
     kappa: float
     mesh: RadialMesh
-    band: sp.csc_matrix
+    band: np.ndarray
     weight: np.ndarray
     boundary: str
     rank_one: tuple[np.ndarray, np.ndarray] | None = None
@@ -77,17 +84,14 @@ class ModeOperator:
     _v_full: np.ndarray | None = field(default=None, repr=False)
     _nu: np.ndarray | None = field(default=None, repr=False)
 
-    def __post_init__(self):
-        if not sp.issparse(self.band):
-            object.__setattr__(self, "band", sp.csc_matrix(self.band))
-
     @property
     def matrix(self) -> np.ndarray:
         """Dense interior matrix including any rank-one part."""
+        block = self.mesh.dense(self.band)
         if self.rank_one is None:
-            return self.band.toarray()
+            return block
         u, v = self.rank_one
-        return self.band.toarray() + np.outer(u, v)
+        return block + np.outer(u, v)
 
     def apply(self, phi: np.ndarray) -> np.ndarray:
         """Differential action on a full-mesh field, interior rows only.
@@ -129,22 +133,37 @@ def _folded_lap(mesh: RadialMesh, kappa: float) -> np.ndarray:
 def _interior_block(mesh: RadialMesh, lap: np.ndarray, V: np.ndarray):
     """The operator rows without the boundary unknown, from the band ``lap``.
 
-    Returns lap[:-1, :-1] + diag(V[:-1]) as a CSC matrix, with explicit
-    zeros eliminated and sorted indices, so it is structurally identical to
-    ``csc_matrix`` of the dense block, and the coupling column lap[:-1, -1].
+    Returns the (n - 1)-row band of lap[:-1, :-1] + diag(V[:-1]) and the
+    coupling column lap[:-1, -1], whose entries are cleared from the band.
     """
-    n = mesh.n
-    band = lap.copy()
-    band[:, mesh.bandwidth] += V
-    rows, cols, vals = mesh.band_triplets(band)
-    inner = (rows < n - 1) & (cols < n - 1)
-    block = sp.csc_matrix((vals[inner], (rows[inner], cols[inner])), shape=(n - 1, n - 1))
-    block.eliminate_zeros()
-    block.sort_indices()
-    edge = (rows < n - 1) & (cols == n - 1)
+    n, bw = mesh.n, mesh.bandwidth
+    band = lap[:-1].copy()
+    band[:, bw] += V[:-1]
+    # column n - 1 sits in slot n - 1 - i + bw of the last bw rows i
+    rows = np.arange(n - 1 - bw, n - 1)
+    slots = n - 1 - rows + bw
     coupling = np.zeros(n - 1)
-    coupling[rows[edge]] = vals[edge]
-    return block, coupling
+    coupling[rows] = band[rows, slots]
+    band[rows, slots] = 0.0
+    return band, coupling
+
+
+def _band_lu(mesh: RadialMesh, band: np.ndarray):
+    """Solver for the matrix of an interior row band by LAPACK's band LU.
+
+    Factors ``band`` once with ``dgbtrf`` (partial pivoting, no scaling)
+    and returns x -> B^-1 x through ``dgbtrs``, or None when a pivot is
+    exactly zero.
+    """
+    bw = mesh.bandwidth
+    lu, piv, info = dgbtrf(mesh.diagonal_ordered(band), bw, bw, overwrite_ab=1)
+    if info != 0:
+        return None
+
+    def solve(x):
+        return dgbtrs(lu, bw, bw, x, piv)[0]
+
+    return solve
 
 
 def _potential(point: SolutionPoint) -> np.ndarray:
@@ -293,28 +312,27 @@ def _dense_spectrum(op: ModeOperator, count: int):
     return w[idx], X[:, idx]
 
 
-def _shift_invert_spectrum(op: ModeOperator, count: int, v0, maxiter):
+def _shift_invert_spectrum(op: ModeOperator, lu_solve, count: int, v0, maxiter):
     band = op.band
     weight = op.weight
     n = band.shape[0]
-    lu = spl.splu(band)
     if op.rank_one is None:
-        solve = lu.solve
+        solve = lu_solve
 
         def apply(x):
-            return band @ x
+            return band_matvec(band, x)
 
     else:
         u, v = op.rank_one
-        Binv_u = lu.solve(u)
+        Binv_u = lu_solve(u)
         denom = 1.0 + v @ Binv_u
 
         def solve(x):
-            y = lu.solve(x)
+            y = lu_solve(x)
             return y - Binv_u * (v @ y) / denom
 
         def apply(x):
-            return band @ x + u * (v @ x)
+            return band_matvec(band, x) + u * (v @ x)
 
     # standard form of (B + u v^T) x = eps W x: A = W^-1 (B + u v^T) and
     # OP = A^-1 = (B + u v^T)^-1 W; ARPACK calls only OP in shift-invert
@@ -331,41 +349,49 @@ def mode_spectrum(
     count: int = 8,
     seed: int | None = None,
     maxiter: int | None = None,
+    start: np.ndarray | None = None,
 ) -> ModeSpectrum:
     """The count smallest-magnitude eigenvalues of the weighted problem.
 
-    Shift-invert at zero through the banded factorization (plus a
+    Shift-invert at zero through one LAPACK band LU of ``op.band`` (plus a
     Sherman-Morrison correction for the rank-one part), which resolves
     near-kernel eigenvalues far below the reach of a dense solve on these
     ill-scaled matrices.  The weighted problem (B + u v^T) x = eps W x is
     handed to ARPACK in standard form, as the eigenvalues 1/eps of
     OP = (B + u v^T)^-1 W: no weight matrix is passed, so the Arnoldi
     basis is orthogonalised in the plain inner product and each step costs
-    one weight multiply and one LU solve.  The start vector is
-    deterministic; pass ``seed`` to draw it from a seeded generator
-    instead.
+    one weight multiply and one band LU solve.  An exactly singular band
+    falls back to a dense QZ solve.
+
+    ``start`` is ARPACK's start vector, one entry per interior node (e.g.
+    another mode's ``eigenvector_0[:-1]``); ``seed`` is then not used.
+    Without ``start`` the start vector is deterministic, or drawn from a
+    generator seeded with ``seed``.
     """
     n = op.band.shape[0]
     if count < 1:
         raise ParameterDomainError("count must be positive")
-    if seed is None:
+    if start is not None:
+        v0 = np.array(start, dtype=float)
+        if v0.shape != (n,):
+            raise ParameterDomainError("start must have one entry per interior node")
+    elif seed is None:
         v0 = np.sin(1.0 + np.arange(n))
     else:
         v0 = np.random.default_rng(seed).standard_normal(n)
-    dense = count >= n - 1
-    if not dense:
+    lu_solve = None if count >= n - 1 else _band_lu(op.mesh, op.band)
+    if lu_solve is not None:
         try:
-            w, X = _shift_invert_spectrum(op, count, v0, maxiter)
+            w, X = _shift_invert_spectrum(op, lu_solve, count, v0, maxiter)
         except spl.ArpackNoConvergence as exc:
             got = np.asarray(exc.eigenvalues)
             raise SpectrumError(
                 f"eigensolver converged {got.size} of {count} requested "
                 f"eigenvalues for mode k={op.k}"
             ) from exc
-        except RuntimeError:
-            # singular local block (e.g. the zero-matrix fixture)
-            dense = True
-    if dense:
+    else:
+        # too few unknowns for ARPACK, or a singular local block (e.g. the
+        # zero-matrix fixture)
         w, X = _dense_spectrum(op, count)
     imag_noise = float(np.max(np.abs(w.imag))) if w.size else 0.0
     eigenvalues = w.real.copy()
@@ -423,7 +449,10 @@ def nondegeneracy_scan(branch, k_max: int = 8, seed: int | None = None) -> Nonde
     """Scan the branch for near-kernel directions in modes 0..k_max.
 
     Flags any (point, mode) whose smallest eigenvalue magnitude drops
-    below 1e-8.
+    below 1e-8.  At each point, mode 0's ARPACK run starts from the
+    deterministic vector, or from one drawn with ``seed``; every later mode
+    starts from the previous mode's eigenvector, since neighbouring modes
+    have nearby eigenvectors and Arnoldi then converges in fewer steps.
     """
     if k_max < 0:
         raise ParameterDomainError("k_max must be non-negative")
@@ -434,8 +463,10 @@ def nondegeneracy_scan(branch, k_max: int = 8, seed: int | None = None) -> Nonde
     eig_min = np.zeros((P, k_max + 1))
     eig_next = np.zeros((P, k_max + 1))
     for i, pt in enumerate(points):
+        start = None
         for k in range(k_max + 1):
-            spec_k = mode_spectrum(build_mode_operator(pt, k), count=2, seed=seed)
+            spec_k = mode_spectrum(build_mode_operator(pt, k), count=2, seed=seed, start=start)
+            start = spec_k.eigenvector_0[:-1]
             eig_min[i, k] = spec_k.eigenvalues[0]
             eig_next[i, k] = spec_k.eigenvalues[1]
     flags = np.abs(eig_min) < KERNEL_FLAG_TOL
@@ -458,7 +489,10 @@ def kernel_candidate(point: SolutionPoint) -> np.ndarray:
     """
     mesh = point.mesh
     block, coupling = _interior_block(mesh, _folded_lap(mesh, 0.0), _potential(point))
-    xi_int = spl.splu(block).solve(-coupling)
+    lu_solve = _band_lu(mesh, block)
+    if lu_solve is None:
+        raise SpectrumError("local mode-0 block is singular")
+    xi_int = lu_solve(-coupling)
     xi = np.concatenate([xi_int, [1.0]])
     peak = int(np.argmax(np.abs(xi)))
     return xi / xi[peak]

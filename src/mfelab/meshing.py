@@ -259,30 +259,37 @@ class RadialMesh:
         return bands
 
     def band_triplets(self, band: np.ndarray):
-        """(rows, cols, values) of the in-range entries of a row band, row by row."""
+        """(rows, cols, values) of the in-range entries of a row band, row by row.
+
+        An m-row band stands for an m x m matrix, so the first m rows of a
+        mesh band give the leading m x m block; slots outside it are dropped.
+        """
         bw = self.bandwidth
-        rows = np.repeat(np.arange(self.n), 2 * bw + 1)
-        cols = rows + np.tile(np.arange(-bw, bw + 1), self.n)
-        inside = (cols >= 0) & (cols < self.n)
+        m = band.shape[0]
+        rows = np.repeat(np.arange(m), 2 * bw + 1)
+        cols = rows + np.tile(np.arange(-bw, bw + 1), m)
+        inside = (cols >= 0) & (cols < m)
         return rows[inside], cols[inside], band.ravel()[inside]
 
     def dense(self, band: np.ndarray) -> np.ndarray:
-        """Dense n x n matrix of a row band."""
+        """Dense m x m matrix of an (m, 2 * bandwidth + 1) row band."""
         rows, cols, vals = self.band_triplets(band)
-        out = np.zeros((self.n, self.n))
+        m = band.shape[0]
+        out = np.zeros((m, m))
         out[rows, cols] = vals
         return out
 
     def diagonal_ordered(self, band: np.ndarray) -> np.ndarray:
-        """A row band in LAPACK ``gbsv`` storage with kl = ku = bandwidth.
+        """A row band in LAPACK ``gbsv``/``gbtrf`` storage, kl = ku = bandwidth.
 
-        Shape (3 * bandwidth + 1, n): matrix entry (i, j) sits at
+        Shape (3 * bandwidth + 1, m) for an m-row band, which stands for
+        the m x m matrix as in ``dense``: matrix entry (i, j) sits at
         [2 * bandwidth + i - j, j], and the top ``bandwidth`` rows are zero
         room for the fill-in of the LU factors (LAPACK Users' Guide,
         3rd ed., sec. 5.3.3).  Each diagonal is one slice copy of a band
         column.
         """
-        n, bw = self.n, self.bandwidth
+        n, bw = band.shape[0], self.bandwidth
         ab = np.zeros((3 * bw + 1, n), order="F")
         for k in range(2 * bw + 1):
             # band column k holds the entries (i, i + k - bw)

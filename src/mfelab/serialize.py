@@ -86,6 +86,34 @@ def _merge_section(raw, section, errors):
     return base
 
 
+def _parse_hstar(hraw, faults) -> dict:
+    """The normalized weight section; a fault goes into ``faults`` as
+    field -> message."""
+    if not isinstance(hraw, dict) or "kind" not in hraw:
+        faults["hstar.kind"] = "hstar needs a kind"
+        return {}
+    kind = hraw["kind"]
+    hstar: dict = {"kind": kind}
+    if kind == "poly":
+        coeffs = hraw.get("coeffs")
+        extra = set(hraw) - {"kind", "coeffs"}
+        ok = isinstance(coeffs, list) and coeffs and all(_is_finite_number(c) for c in coeffs)
+        if extra or not ok:
+            faults["hstar.coeffs"] = "hstar.coeffs must be a finite number list"
+        else:
+            hstar["coeffs"] = [float(c) for c in coeffs]
+    elif kind in ("constant", "gaussian"):
+        extra = set(hraw) - {"kind", "coef"}
+        coef = hraw.get("coef", 1.0)
+        if extra or not _is_finite_number(coef):
+            faults["hstar.coef"] = "hstar.coef must be a finite number"
+        else:
+            hstar["coef"] = float(coef)
+    else:
+        faults["hstar.kind"] = f"unknown hstar kind {kind!r}"
+    return hstar
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """Normalized run description; hash-stable once constructed."""
@@ -113,46 +141,26 @@ class RunConfig:
         errors = [k for k in raw if k not in known]
         if raw.get("schema", SCHEMA) != SCHEMA:
             errors.append("schema")
+        # alpha and hstar faults carry their own message, used when one of
+        # them is the only fault; all faults are collected before raising
+        faults: dict = {}
+        alpha = raw.get("alpha")
         if "alpha" not in raw:
             errors.append("alpha")
+        elif not _is_finite_number(alpha):
+            faults["alpha"] = "alpha must be a finite number"
+        elif float(alpha).is_integer():
+            faults["alpha"] = "alpha must be non-integer"
+        elif alpha <= 0.0:
+            faults["alpha"] = "alpha must be positive"
+        else:
+            alpha = float(alpha)
         if "hstar" not in raw:
             errors.append("hstar")
-        if errors:
-            raise ConfigError(
-                "invalid config fields: " + ", ".join(sorted(errors)), sorted(errors)
-            )
-
-        alpha = raw["alpha"]
-        if not _is_finite_number(alpha):
-            raise ConfigError("alpha must be a finite number", ["alpha"])
-        alpha = float(alpha)
-        if alpha.is_integer():
-            raise ConfigError("alpha must be non-integer", ["alpha"])
-        if alpha <= 0.0:
-            raise ConfigError("alpha must be positive", ["alpha"])
-
-        hraw = raw["hstar"]
-        if not isinstance(hraw, dict) or "kind" not in hraw:
-            raise ConfigError("hstar needs a kind", ["hstar.kind"])
-        kind = hraw["kind"]
-        hstar: dict = {"kind": kind}
-        if kind == "poly":
-            coeffs = hraw.get("coeffs")
-            extra = set(hraw) - {"kind", "coeffs"}
-            ok = isinstance(coeffs, list) and coeffs and all(_is_finite_number(c) for c in coeffs)
-            if extra or not ok:
-                raise ConfigError("hstar.coeffs must be a finite number list", ["hstar.coeffs"])
-            hstar["coeffs"] = [float(c) for c in coeffs]
-        elif kind in ("constant", "gaussian"):
-            extra = set(hraw) - {"kind", "coef"}
-            coef = hraw.get("coef", 1.0)
-            if extra or not _is_finite_number(coef):
-                raise ConfigError("hstar.coef must be a finite number", ["hstar.coef"])
-            hstar["coef"] = float(coef)
         else:
-            raise ConfigError(f"unknown hstar kind {kind!r}", ["hstar.kind"])
+            hstar = _parse_hstar(raw["hstar"], faults)
+        errors.extend(faults)
 
-        errors = []
         mesh_raw = _merge_section(raw, "mesh", errors)
         mesh: dict = {}
         nodes = mesh_raw["nodes"]
@@ -216,10 +224,10 @@ class RunConfig:
             _require_number(thresholds, errors, "thresholds", key, thr_raw.get(key), lo=0.0)
 
         if errors:
-            raise ConfigError(
-                "invalid config fields: " + ", ".join(sorted(set(errors))),
-                sorted(set(errors)),
-            )
+            fields = sorted(set(errors))
+            if len(fields) == 1 and fields[0] in faults:
+                raise ConfigError(faults[fields[0]], fields)
+            raise ConfigError("invalid config fields: " + ", ".join(fields), fields)
         return cls(
             alpha=alpha,
             hstar=hstar,

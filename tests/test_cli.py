@@ -367,9 +367,28 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, overrides, fields):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "overrides, fields",
+    [
+        ({"alpha": math.nan, "thresholds": {"mesh_rtol": math.nan}}, ["alpha", "thresholds.mesh_rtol"]),
+        ({"alpha": 2.0, "hstar": {"kind": "nope"}, "window": {"steps": 0}},
+         ["alpha", "hstar.kind", "window.steps"]),
+        ({"hstar": {"kind": "gaussian", "coef": math.nan}, "mesh": {"nodes": 8}, "k_max": -1},
+         ["hstar.coef", "k_max", "mesh.nodes"]),
+    ],
+)
+def test_alpha_and_hstar_faults_listed_with_the_rest(overrides, fields):
+    # one ConfigError names every bad field, alpha and hstar included
+    with pytest.raises(ConfigError) as err:
+        RunConfig.from_dict(base_config("x", **overrides))
+    assert err.value.fields == fields
+    assert str(err.value) == "invalid config fields: " + ", ".join(fields)
+
+
 def test_cli_import_leaves_out_optional_scipy_modules():
-    # only scipy.linalg and scipy.sparse(.linalg) are module-level imports;
-    # the rest load inside the few functions that use them
+    # only scipy.linalg and scipy.sparse.linalg are module-level imports
+    # (the latter loads scipy.sparse); the rest load inside the few
+    # functions that use them
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     probe = "import json, sys, mfelab.cli; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
