@@ -14,7 +14,7 @@ ALPHA = 0.5
 def main():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
     branch = continue_branch(6.0, 14.0, 9, spec, MeshPolicy(n=512))
-    scan = nondegeneracy_scan(branch, k_max=8, seed=7)
+    scan = nondegeneracy_scan(branch, k_max=8)
 
     print("lambda   min |eig| over k <= 8   nearest mode-0 eig   flags")
     for i, lam in enumerate(scan.lambdas):

@@ -2,7 +2,8 @@
 equation on the unit disk.
 
 Import rule: the only scipy modules imported at module level are
-``scipy.linalg`` (the LAPACK band solves of Newton and the mode spectra)
+``scipy.linalg`` (dense QZ, and LAPACK's band LU, which only ``meshing``
+imports: ``RadialMesh.band_solver`` serves Newton and the mode spectra)
 and ``scipy.sparse.linalg`` (ARPACK); ``scipy.sparse`` is loaded only
 because ``scipy.sparse.linalg`` imports it.  Every CLI process pays for
 its imports before it reads its config, so a function off the CLI paths

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import serialize
 from .diagnostics import build_report, log_linear_fit, pohozaev_rows
-from .errors import ConfigError, MfelabError, ParameterDomainError, SolverError, WeightSpecError
+from .errors import ConfigError, MfelabError, ParameterDomainError, WeightSpecError
 from .linearization import nondegeneracy_scan
 from .radial_solver import continue_branch
 from .serialize import RunConfig
@@ -49,6 +49,15 @@ def _branch_meta(branch) -> dict:
     }
 
 
+def _branch_failed(branch, h: str, **extra) -> bool:
+    """Emit the exit-3 record of a branch that stopped short; True if it did."""
+    if branch.failure is None:
+        return False
+    _emit({"error": {"code": 3, "kind": "solver", "detail": branch.failure,
+                     "config_hash": h, **extra}})
+    return True
+
+
 def cmd_branch(config: RunConfig) -> int:
     branch = _run_branch(config)
     h = config.config_hash()
@@ -59,9 +68,7 @@ def cmd_branch(config: RunConfig) -> int:
         p = os.path.join(out, f"u_{i:04d}.csv")
         serialize.atomic_write(p, serialize.snapshot_csv(pt, h))
         paths.append(p)
-    if branch.failure is not None:
-        _emit({"error": {"code": 3, "kind": "solver", "detail": branch.failure,
-                         "config_hash": h, "outputs": paths}})
+    if _branch_failed(branch, h, outputs=paths):
         return 3
     _emit({"status": "ok", "config_hash": h, "outputs": paths})
     return 0
@@ -70,10 +77,9 @@ def cmd_branch(config: RunConfig) -> int:
 def cmd_spectrum(config: RunConfig) -> int:
     branch = _run_branch(config)
     h = config.config_hash()
-    if branch.failure is not None:
-        _emit({"error": {"code": 3, "kind": "solver", "detail": branch.failure, "config_hash": h}})
+    if _branch_failed(branch, h):
         return 3
-    scan = nondegeneracy_scan(branch, k_max=config.k_max, seed=config.seed())
+    scan = nondegeneracy_scan(branch, k_max=config.k_max)
     path = os.path.join(config.out, "spectrum.csv")
     serialize.atomic_write(path, serialize.spectrum_csv(scan, h))
     _emit({"status": "ok", "config_hash": h, "outputs": [path]})
@@ -83,8 +89,7 @@ def cmd_spectrum(config: RunConfig) -> int:
 def cmd_pohozaev(config: RunConfig) -> int:
     branch = _run_branch(config)
     h = config.config_hash()
-    if branch.failure is not None:
-        _emit({"error": {"code": 3, "kind": "solver", "detail": branch.failure, "config_hash": h}})
+    if _branch_failed(branch, h):
         return 3
     kind, rows, _ = pohozaev_rows(branch, config.r0)
     rows = [(lam, kind, config.r0, res) for lam, res in rows]
@@ -155,8 +160,7 @@ def _verify_failures(config: RunConfig, branch, report) -> list:
 def cmd_verify(config: RunConfig) -> int:
     branch = _run_branch(config)
     h = config.config_hash()
-    if branch.failure is not None:
-        _emit({"error": {"code": 3, "kind": "solver", "detail": branch.failure, "config_hash": h}})
+    if _branch_failed(branch, h):
         return 3
     report = build_report(
         branch, config.fit_window, config.r0, config.outer_radius, h, config.diagnostics
@@ -226,9 +230,6 @@ def main(argv=None) -> int:
         _emit({"error": {"code": 2, "kind": type(exc).__name__, "message": str(exc),
                          "fields": getattr(exc, "fields", [])}})
         return 2
-    except SolverError as exc:
-        _emit({"error": {"code": 3, "kind": "SolverError", "message": str(exc)}})
-        return 3
     except MfelabError as exc:
         _emit({"error": {"code": 3, "kind": type(exc).__name__, "message": str(exc)}})
         return 3

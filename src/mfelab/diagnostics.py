@@ -24,6 +24,7 @@ import numpy as np
 from .errors import ParameterDomainError
 from .greens import TWO_PI, ell_coefficient, regular_part
 from .linearization import b0_projection, kernel_candidate
+from .meshing import band_matvec
 from .radial_solver import (
     EIGHT_PI,
     Branch,
@@ -204,15 +205,14 @@ def matching_residual(point: SolutionPoint) -> float:
     return float(point.lam + point.u_tilde[-1] + 2.0 * np.log(point.gamma))
 
 
-def _du_dr(point: SolutionPoint):
+def _du_dr(point: SolutionPoint) -> np.ndarray:
     """du/dr at the mesh nodes; du/dr = beta t^(1 - 1/beta) du/dt."""
     mesh = point.mesh
     beta = 1.0 + point.spec.alpha
-    dudt = mesh.D1 @ point.u
-    r = mesh.t ** (1.0 / beta)
+    dudt = band_matvec(mesh.d1_band, point.u)
     with np.errstate(divide="ignore"):
         fac = beta * np.where(mesh.t > 0.0, mesh.t ** (1.0 - 1.0 / beta), 0.0)
-    return r, fac * dudt
+    return fac * dudt
 
 
 def outer_profile_residual(point: SolutionPoint, r0: float, gradient: bool = False) -> float:
@@ -235,7 +235,7 @@ def outer_profile_residual(point: SolutionPoint, r0: float, gradient: bool = Fal
     if not gradient:
         g = -np.log(rk) / TWO_PI
         return float(np.max(np.abs(point.u[keep] - point.rho * g)))
-    _, dur = _du_dr(point)
+    dur = _du_dr(point)
     dg = -1.0 / (2.0 * np.pi * rk)
     return float(np.max(np.abs(dur[keep] - point.rho * dg)))
 

@@ -13,12 +13,13 @@ weighted problem R_k g = eps V g, which is invariant under rescaling of t
 and therefore directly comparable between the disk, the inner blow-up
 region and the entire-space limit operator.
 
-The local block B is kept as the interior row band of the mesh (see
-``meshing``) and factored once per spectrum by LAPACK's band LU
-(``dgbtrf``).  The spectra are computed in standard shift-invert form:
+The local block B is kept as the interior row band of the mesh and
+factored once per spectrum by ``RadialMesh.band_solver``, which owns the
+band LU and the Sherman-Morrison step for the rank-one part (see
+``meshing``).  The spectra are computed in standard shift-invert form:
 ARPACK iterates with OP = (B + u v^T)^-1 W, where u v^T is the rank-one
 part and W = diag(V), so each Arnoldi step is one multiply by the weight
-and one band LU solve (``dgbtrs``, with a Sherman-Morrison correction).
+and one band solve.
 ARPACK's generalized mode would orthogonalise in the W inner product and
 spend extra weight products on every step for the same eigenvalues.  A
 scan over modes starts each mode's Arnoldi run from the previous mode's
@@ -34,10 +35,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spl
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import NotApplicableError, ParameterDomainError, SpectrumError
-from .meshing import RadialMesh, band_matvec
+from .meshing import RadialMesh
 from .radial_solver import SolutionPoint
 
 __all__ = [
@@ -73,11 +73,9 @@ class ModeOperator:
     """
 
     k: int
-    kappa: float
     mesh: RadialMesh
     band: np.ndarray
     weight: np.ndarray
-    boundary: str
     rank_one: tuple[np.ndarray, np.ndarray] | None = None
     bc_elim: np.ndarray | None = None
     _lap: np.ndarray | None = field(default=None, repr=False)
@@ -148,24 +146,6 @@ def _interior_block(mesh: RadialMesh, lap: np.ndarray, V: np.ndarray):
     return band, coupling
 
 
-def _band_lu(mesh: RadialMesh, band: np.ndarray):
-    """Solver for the matrix of an interior row band by LAPACK's band LU.
-
-    Factors ``band`` once with ``dgbtrf`` (partial pivoting, no scaling)
-    and returns x -> B^-1 x through ``dgbtrs``, or None when a pivot is
-    exactly zero.
-    """
-    bw = mesh.bandwidth
-    lu, piv, info = dgbtrf(mesh.diagonal_ordered(band), bw, bw, overwrite_ab=1)
-    if info != 0:
-        return None
-
-    def solve(x):
-        return dgbtrs(lu, bw, bw, x, piv)[0]
-
-    return solve
-
-
 def _potential(point: SolutionPoint) -> np.ndarray:
     beta = 1.0 + point.spec.alpha
     hstar = np.asarray(point.spec.hstar(point.mesh.r), dtype=float)
@@ -182,11 +162,9 @@ def build_mode_operator(point: SolutionPoint, k: int) -> ModeOperator:
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ParameterDomainError("mode index must be a non-negative integer")
-    beta = 1.0 + point.spec.alpha
-    kappa = k / beta
     mesh = point.mesh
     V = _potential(point)
-    lap = _folded_lap(mesh, kappa)
+    lap = _folded_lap(mesh, k / (1.0 + point.spec.alpha))
     band, _ = _interior_block(mesh, lap, V)
     rank_one = None
     nu = None
@@ -196,11 +174,9 @@ def build_mode_operator(point: SolutionPoint, k: int) -> ModeOperator:
         rank_one = (-V[:-1], nu[:-1])
     return ModeOperator(
         k=int(k),
-        kappa=kappa,
         mesh=mesh,
         band=band,
         weight=V[:-1],
-        boundary="dirichlet",
         rank_one=rank_one,
         _lap=lap,
         _v_full=V,
@@ -225,11 +201,9 @@ def _truncated_operator(
     band, coupling = _interior_block(mesh, lap, V)
     return ModeOperator(
         k=int(k),
-        kappa=kappa,
         mesh=mesh,
         band=band,
         weight=V[:-1],
-        boundary="neumann" if k == 0 else "robin",
         rank_one=(coupling, elim),
         bc_elim=elim,
         _lap=lap,
@@ -312,49 +286,16 @@ def _dense_spectrum(op: ModeOperator, count: int):
     return w[idx], X[:, idx]
 
 
-def _shift_invert_spectrum(op: ModeOperator, lu_solve, count: int, v0, maxiter):
-    band = op.band
-    weight = op.weight
-    n = band.shape[0]
-    if op.rank_one is None:
-        solve = lu_solve
-
-        def apply(x):
-            return band_matvec(band, x)
-
-    else:
-        u, v = op.rank_one
-        Binv_u = lu_solve(u)
-        denom = 1.0 + v @ Binv_u
-
-        def solve(x):
-            y = lu_solve(x)
-            return y - Binv_u * (v @ y) / denom
-
-        def apply(x):
-            return band_matvec(band, x) + u * (v @ x)
-
-    # standard form of (B + u v^T) x = eps W x: A = W^-1 (B + u v^T) and
-    # OP = A^-1 = (B + u v^T)^-1 W; ARPACK calls only OP in shift-invert
-    # mode, so A's division by the weight never runs
-    A = spl.LinearOperator((n, n), matvec=lambda x: apply(x) / weight, dtype=float)
-    OPinv = spl.LinearOperator((n, n), matvec=lambda x: solve(weight * x), dtype=float)
-    w, X = spl.eigs(A, k=count, sigma=0.0, OPinv=OPinv, which="LM", v0=v0, maxiter=maxiter)
-    idx = np.argsort(np.abs(w))
-    return w[idx], X[:, idx]
-
-
 def mode_spectrum(
     op: ModeOperator,
     count: int = 8,
-    seed: int | None = None,
     maxiter: int | None = None,
     start: np.ndarray | None = None,
 ) -> ModeSpectrum:
     """The count smallest-magnitude eigenvalues of the weighted problem.
 
-    Shift-invert at zero through one LAPACK band LU of ``op.band`` (plus a
-    Sherman-Morrison correction for the rank-one part), which resolves
+    Shift-invert at zero through one ``RadialMesh.band_solver`` of
+    ``op.band`` and ``op.rank_one``, which resolves
     near-kernel eigenvalues far below the reach of a dense solve on these
     ill-scaled matrices.  The weighted problem (B + u v^T) x = eps W x is
     handed to ARPACK in standard form, as the eigenvalues 1/eps of
@@ -364,9 +305,8 @@ def mode_spectrum(
     falls back to a dense QZ solve.
 
     ``start`` is ARPACK's start vector, one entry per interior node (e.g.
-    another mode's ``eigenvector_0[:-1]``); ``seed`` is then not used.
-    Without ``start`` the start vector is deterministic, or drawn from a
-    generator seeded with ``seed``.
+    another mode's ``eigenvector_0[:-1]``); it defaults to the
+    deterministic sin(1 + i).
     """
     n = op.band.shape[0]
     if count < 1:
@@ -375,20 +315,25 @@ def mode_spectrum(
         v0 = np.array(start, dtype=float)
         if v0.shape != (n,):
             raise ParameterDomainError("start must have one entry per interior node")
-    elif seed is None:
-        v0 = np.sin(1.0 + np.arange(n))
     else:
-        v0 = np.random.default_rng(seed).standard_normal(n)
-    lu_solve = None if count >= n - 1 else _band_lu(op.mesh, op.band)
-    if lu_solve is not None:
+        v0 = np.sin(1.0 + np.arange(n))
+    solve = None if count >= n - 1 else op.mesh.band_solver(op.band, op.rank_one)[0]
+    if solve is not None:
+        # standard form of (B + u v^T) x = eps W x: A = W^-1 (B + u v^T) and
+        # OP = A^-1 = (B + u v^T)^-1 W; ARPACK calls only OP in shift-invert
+        # mode, so A's dense matvec never runs
+        A = spl.LinearOperator((n, n), matvec=lambda x: op.matrix @ x / op.weight, dtype=float)
+        OPinv = spl.LinearOperator((n, n), matvec=lambda x: solve(op.weight * x), dtype=float)
         try:
-            w, X = _shift_invert_spectrum(op, lu_solve, count, v0, maxiter)
+            w, X = spl.eigs(A, k=count, sigma=0.0, OPinv=OPinv, which="LM", v0=v0, maxiter=maxiter)
         except spl.ArpackNoConvergence as exc:
             got = np.asarray(exc.eigenvalues)
             raise SpectrumError(
                 f"eigensolver converged {got.size} of {count} requested "
                 f"eigenvalues for mode k={op.k}"
             ) from exc
+        idx = np.argsort(np.abs(w))
+        w, X = w[idx], X[:, idx]
     else:
         # too few unknowns for ARPACK, or a singular local block (e.g. the
         # zero-matrix fixture)
@@ -445,14 +390,14 @@ class NondegeneracyScan:
                 )
 
 
-def nondegeneracy_scan(branch, k_max: int = 8, seed: int | None = None) -> NondegeneracyScan:
+def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:
     """Scan the branch for near-kernel directions in modes 0..k_max.
 
     Flags any (point, mode) whose smallest eigenvalue magnitude drops
     below 1e-8.  At each point, mode 0's ARPACK run starts from the
-    deterministic vector, or from one drawn with ``seed``; every later mode
-    starts from the previous mode's eigenvector, since neighbouring modes
-    have nearby eigenvectors and Arnoldi then converges in fewer steps.
+    deterministic vector; every later mode starts from the previous mode's
+    eigenvector, since neighbouring modes have nearby eigenvectors and
+    Arnoldi then converges in fewer steps.
     """
     if k_max < 0:
         raise ParameterDomainError("k_max must be non-negative")
@@ -465,7 +410,7 @@ def nondegeneracy_scan(branch, k_max: int = 8, seed: int | None = None) -> Nonde
     for i, pt in enumerate(points):
         start = None
         for k in range(k_max + 1):
-            spec_k = mode_spectrum(build_mode_operator(pt, k), count=2, seed=seed, start=start)
+            spec_k = mode_spectrum(build_mode_operator(pt, k), count=2, start=start)
             start = spec_k.eigenvector_0[:-1]
             eig_min[i, k] = spec_k.eigenvalues[0]
             eig_next[i, k] = spec_k.eigenvalues[1]
@@ -489,10 +434,10 @@ def kernel_candidate(point: SolutionPoint) -> np.ndarray:
     """
     mesh = point.mesh
     block, coupling = _interior_block(mesh, _folded_lap(mesh, 0.0), _potential(point))
-    lu_solve = _band_lu(mesh, block)
-    if lu_solve is None:
+    solve = mesh.band_solver(block)[0]
+    if solve is None:
         raise SpectrumError("local mode-0 block is singular")
-    xi_int = lu_solve(-coupling)
+    xi_int = solve(-coupling)
     xi = np.concatenate([xi_int, [1.0]])
     peak = int(np.argmax(np.abs(xi)))
     return xi / xi[peak]

@@ -9,9 +9,12 @@ Derivative operators are stored as row bands: row i of an (n, 2*bw + 1)
 band holds the entries of columns i - bw .. i + bw, where bw is the mesh
 bandwidth.  ``band_matvec`` multiplies a row band into a vector in
 O(n * (2*bw + 1)), and ``RadialMesh.diagonal_ordered`` packs one into LAPACK
-``gbsv`` storage.  Dense matrices are built from the bands on demand and
-carry the same entries.  The stencil weights of all rows come from one pass of
-Fornberg's recursion whose scalar operations run elementwise over the rows,
+``gbtrf`` storage.  ``RadialMesh.band_solver`` owns the band LU and the
+Sherman-Morrison step for a band plus a rank-one term, the form of both
+Newton's Jacobian and the linearized mode operators, so this is the only
+module that calls LAPACK.  Dense matrices are built from the bands on demand
+and carry the same entries.  The stencil weights of all rows come from one
+pass of Fornberg's recursion whose scalar operations run elementwise over the rows,
 so every row is bit-for-bit the one-row result.  The recursion is
 vectorised rather than replaced: a batched Vandermonde solve lands a few
 ulps off it, and Newton, the fold-pair root finding and the shift-invert
@@ -21,6 +24,7 @@ spectra amplify that well past their reference tolerances.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import MfelabError
 
@@ -173,9 +177,9 @@ class RadialMesh:
     use left-shifted windows, so both derivative operators have bandwidth
     at most ``2 * halfwidth``.  They are stored as the row bands
     ``d1_band`` and ``d2_band`` of shape (n, 2 * bandwidth + 1), so a mesh
-    holds O(n) floats; ``diagonal_ordered`` packs a band for LAPACK's band
-    solver, and ``D1``, ``D2`` and ``lap_rows`` build dense matrices from
-    the bands on demand.  The bands come from Fornberg's recursion run
+    holds O(n) floats; ``band_solver`` factors a band (plus a rank-one
+    term) with LAPACK's band LU, and ``D1``, ``D2`` and ``lap_rows`` build
+    dense matrices from the bands on demand.  The bands come from Fornberg's recursion run
     over all rows at once, which keeps every entry bit-identical to the
     scalar recursion (a Vandermonde solve would not; see the module
     docstring).  The per-cell quadrature weights are kept too, so
@@ -280,7 +284,7 @@ class RadialMesh:
         return out
 
     def diagonal_ordered(self, band: np.ndarray) -> np.ndarray:
-        """A row band in LAPACK ``gbsv``/``gbtrf`` storage, kl = ku = bandwidth.
+        """A row band in LAPACK ``gbtrf`` storage, kl = ku = bandwidth.
 
         Shape (3 * bandwidth + 1, m) for an m-row band, which stands for
         the m x m matrix as in ``dense``: matrix entry (i, j) sits at
@@ -296,6 +300,44 @@ class RadialMesh:
             lo, hi = max(0, bw - k), min(n, n + bw - k)
             ab[3 * bw - k, lo + k - bw : hi + k - bw] = band[lo:hi, k]
         return ab
+
+    def band_solver(self, band: np.ndarray, rank_one=None):
+        """Solver for dense(band) + outer(u, v) by one LAPACK band LU.
+
+        Factors the m-row ``band`` once with plain ``dgbtrf`` (partial
+        pivoting, no scaling) and returns ``(solve, denom, info)``.  ``solve``
+        maps x to (dense(band) + u v^T)^-1 x: one ``dgbtrs`` solve, then for
+        ``rank_one = (u, v)`` the Sherman-Morrison step with
+        ``denom = 1 + v . B^-1 u`` (Golub & Van Loan, Matrix Computations,
+        4th ed., sec. 2.1.4); without a rank-one pair ``denom`` is 1.  The
+        caller judges ``denom``, which must not be zero for ``solve`` to be
+        used.  ``info`` is LAPACK's: i > 0 means U(i, i) is exactly zero.  A
+        band with a non-finite entry is not factored and gets info = -5,
+        LAPACK's code for a bad fifth argument (the band).  ``solve`` is
+        None whenever info is not 0.
+        """
+        bw = self.bandwidth
+        ab = self.diagonal_ordered(band)
+        if not np.all(np.isfinite(ab)):
+            return None, np.nan, -5
+        lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
+        if info != 0:
+            return None, np.nan, int(info)
+
+        def band_solve(x):
+            return dgbtrs(lu, bw, bw, x, piv)[0]
+
+        if rank_one is None:
+            return band_solve, 1.0, 0
+        u, v = rank_one
+        binv_u = band_solve(u)
+        denom = 1.0 + float(v @ binv_u)
+
+        def solve(x):
+            y = band_solve(x)
+            return y - binv_u * ((v @ y) / denom)
+
+        return solve, denom, 0
 
     @property
     def D1(self) -> np.ndarray:

@@ -8,9 +8,10 @@ t = r^(1+alpha) the singular weight disappears:
 
 with beta = 1 + alpha and M the total mass integral.  Newton iterations
 carry the exact rank-one Jacobian of the nonlocal term, so convergence
-stays quadratic arbitrarily close to blow up.  The continuation parameter
-is lambda = max of the normalized solution, which stays monotone through
-folds in rho.
+stays quadratic arbitrarily close to blow up; ``RadialMesh.band_solver``
+owns the band LU and the Sherman-Morrison step of that rank-one term.  The
+continuation parameter is lambda = max of the normalized solution, which
+stays monotone through folds in rho.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv
 
 from .errors import (
     NotApplicableError,
@@ -71,16 +71,26 @@ class MeshPolicy:
         return RadialMesh.graded(self.n, beta, a)
 
 
-def mass_integral(u: np.ndarray, spec: WeightSpec, mesh: RadialMesh):
-    """log and value of M = int_D h e^u, evaluated in scaled-exponential
-    form so large peaks never overflow."""
+def _log_weight(spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
+    """log((2 pi / beta) t hstar) at the nodes: M = int_D h e^u is the
+    quadrature of exp(_log_weight + u) over t."""
     beta = 1.0 + spec.alpha
-    logs = np.log(2.0 * np.pi / beta * mesh.t * spec.hstar(mesh.r)) + u
+    return np.log(2.0 * np.pi / beta * mesh.t * np.asarray(spec.hstar(mesh.r)))
+
+
+def _log_mass(logs: np.ndarray, mesh: RadialMesh) -> float:
+    """log of the quadrature of exp(logs), in scaled-exponential form so
+    large peaks never overflow."""
     top = float(np.max(logs))
     s = float(mesh.quad @ np.exp(logs - top))
     if not s > 0.0:
         raise SolverError("mass integral lost positivity")
-    log_mass = top + np.log(s)
+    return top + np.log(s)
+
+
+def mass_integral(u: np.ndarray, spec: WeightSpec, mesh: RadialMesh):
+    """log and value of M = int_D h e^u."""
+    log_mass = _log_mass(_log_weight(spec, mesh) + u, mesh)
     return log_mass, np.exp(log_mass)
 
 
@@ -131,12 +141,11 @@ class SolutionPoint:
 
     def local_mass(self, r0: float) -> float:
         """rho times the mass fraction of B(0, r0): rho int_{B_r0} h e^(u~)."""
-        beta = 1.0 + self.spec.alpha
         if not 0.0 < r0 <= 1.0:
             raise ParameterDomainError("r0 must lie in (0, 1]")
-        q = self.mesh.quad_to(r0**beta)
-        logs = np.log(2.0 * np.pi / beta * self.mesh.t * self.spec.hstar(self.mesh.r))
-        return self.rho * float(q @ np.exp(logs + self.u - self.log_mass))
+        q = self.mesh.quad_to(r0 ** (1.0 + self.spec.alpha))
+        logs = _log_weight(self.spec, self.mesh) + self.u
+        return self.rho * float(q @ np.exp(logs - self.log_mass))
 
 
 def normalize(point: SolutionPoint):
@@ -170,23 +179,32 @@ class Branch:
 # assembly ----------------------------------------------------------------
 
 
-def _scaled_parts(u, rho, spec, mesh, lap, abs_band, hstar):
-    """Residual of the t-form equation, its row scales, and Jacobian data.
+def _residual_map(spec: WeightSpec, mesh: RadialMesh):
+    """The t-form equation on ``mesh`` as a map (u, rho) -> (G, d, mw, scale, log_mass).
 
-    ``lap`` holds the dense Laplacian rows, whose product with u is a dense
-    BLAS matvec; ``abs_band`` is the absolute value of their row band, and
-    the row scales |lap| |u| + |d| come from a band matvec.
+    G = lap u + d is the residual with d the nonlinear term, mw the
+    mass-derivative weights dM/du_j / M (they sum to 1) and scale the row
+    scales |lap| |u| + |d|.  G is a dense BLAS matvec on rows that live as
+    long as the map, because a band matvec sums in another order and the
+    fold root finding amplifies that to ~1e-9 in lambda; the row scales
+    come from a band matvec.
     """
     beta = 1.0 + spec.alpha
-    log_mass, _ = mass_integral(u, spec, mesh)
-    d = (rho / beta**2) * hstar * np.exp(u - log_mass)
-    G = lap @ u + d
-    scale = band_matvec(abs_band, np.abs(u)) + np.abs(d) + 1e-30
-    # mass-derivative weights: dM/du_j scaled by 1/M; they sum to 1
-    mw = mesh.quad * np.exp(
-        np.log(2.0 * np.pi / beta * mesh.t * hstar) + u - log_mass
-    )
-    return G, d, mw, scale, log_mass
+    lap_band = mesh.lap_band(1.0)
+    lap = mesh.dense(lap_band)
+    abs_band = np.abs(lap_band)
+    hstar = np.asarray(spec.hstar(mesh.r))
+    log_weight = _log_weight(spec, mesh)
+
+    def parts(u, rho):
+        logs = log_weight + u
+        log_mass = _log_mass(logs, mesh)
+        d = (rho / beta**2) * hstar * np.exp(u - log_mass)
+        G = lap @ u + d
+        scale = band_matvec(abs_band, np.abs(u)) + np.abs(d) + 1e-30
+        return G, d, mesh.quad * np.exp(logs - log_mass), scale, log_mass
+
+    return parts
 
 
 def residual(u, rho, spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
@@ -197,12 +215,7 @@ def residual(u, rho, spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
     if abs(float(u[-1])) > 1e-9:
         raise ParameterDomainError("field must vanish at r = 1")
     beta = 1.0 + spec.alpha
-    lap_band = mesh.lap_band(1.0)
-    lap = mesh.dense(lap_band)
-    if rho == 0.0:
-        return (beta**2 * mesh.t ** (2.0 - 2.0 / beta)) * (lap @ u)
-    hstar = np.asarray(spec.hstar(mesh.r))
-    G, _, _, _, _ = _scaled_parts(u, rho, spec, mesh, lap, np.abs(lap_band), hstar)
+    G = _residual_map(spec, mesh)(u, rho)[0]
     return (beta**2 * mesh.t ** (2.0 - 2.0 / beta)) * G
 
 
@@ -235,21 +248,14 @@ def newton_solve(
         if value is not None and not math.isfinite(value):
             raise ParameterDomainError(f"{name} must be finite, got {value!r}")
     beta = 1.0 + spec.alpha
-    hstar = np.asarray(spec.hstar(mesh.r))
     bw = mesh.bandwidth
     n = mesh.n
 
     if rho is not None and rho == 0.0:
         return SolutionPoint(spec, mesh, np.zeros(n), 0.0, 0.0, 0)
 
-    # the Newton matrix is assembled as a band and factored by LAPACK's band
-    # solver, and the row scales come from a band matvec; only the residual
-    # G = lap @ u stays a dense BLAS matvec on rows that live for this solve,
-    # because a band matvec sums in another order and the fold root finding
-    # amplifies that to ~1e-9 in lambda
+    parts = _residual_map(spec, mesh)
     lap_band = mesh.lap_band(1.0)
-    lap = mesh.dense(lap_band)
-    abs_band = np.abs(lap_band)
     on_diag = np.arange(2 * bw + 1) == bw
 
     if initial is None:
@@ -265,9 +271,15 @@ def newton_solve(
     rho_cur = float(rho) if rho is not None else EIGHT_PI * beta
 
     e0 = mesh.point_rows(0.0, 0)[0] if lam is not None else None
+    singular = (
+        "Jacobian is singular at fixed rho (possible fold); "
+        "use the lambda-parameterized solve instead"
+        if lam is None
+        else "singular Jacobian in lambda mode"
+    )
 
     def full_residual(u_, rho_):
-        G, d, mw, scale, log_mass = _scaled_parts(u_, rho_, spec, mesh, lap, abs_band, hstar)
+        G, d, mw, scale, log_mass = parts(u_, rho_)
         rn = _norm_rows(G, scale, u_[-1])
         if lam is not None:
             C = float(e0 @ u_) - log_mass - lam
@@ -287,53 +299,39 @@ def newton_solve(
     for _ in range(max_iter):
         if rn <= tol and step_norm <= np.sqrt(tol) * (1.0 + np.max(np.abs(u))):
             break
-        # rows of lap + diag(d) with a Dirichlet last row, each scaled by
-        # its largest entry
+        # the Jacobian is lap + diag(d) - d mw^T with a Dirichlet last row;
+        # each row is scaled by the largest entry of its band part
         A = lap_band + np.where(on_diag, d[:, None], 0.0)
         A[-1] = 0.0
         A[-1, bw] = 1.0
         s = np.max(np.abs(A), axis=1)
-        ab = mesh.diagonal_ordered(A / s[:, None])
         dcol = d.copy()
         dcol[-1] = 0.0
+        solve, denom, info = mesh.band_solver(A / s[:, None], (-dcol / s, mw))
+        if info < 0:
+            raise SolverError("Newton system is not finite", trace)
+        if info > 0:
+            raise SolverError(f"band LU of the Newton matrix failed (dgbtrf info {info})", trace)
+        if not 1e-12 <= abs(denom) < math.inf:
+            raise SolverError(singular, trace)
         rhs = -G
         rhs[-1] = -u[-1]
-        if lam is None:
-            cols = [rhs, dcol]
-        else:
+        du = solve(rhs / s)
+        drho = 0.0
+        if lam is not None:
+            # rho is the extra unknown: its column d / rho, eliminated
+            # through the constraint u(0) - log M = lam
             b = d / rho_cur
             b[-1] = 0.0
-            cols = [rhs, b, dcol]
-        B = np.column_stack(cols) / s[:, None]
-        if not (np.all(np.isfinite(ab)) and np.all(np.isfinite(B))):
-            raise SolverError("Newton system is not finite", trace)
-        _, _, sol, info = dgbsv(bw, bw, ab, B, overwrite_ab=1, overwrite_b=1)
-        if info != 0:
-            raise SolverError(f"band LU of the Newton matrix failed (dgbsv info {info})", trace)
-        if lam is None:
-            x, y = sol[:, 0], sol[:, 1]
-            denom = 1.0 - float(mw @ y)
-            if abs(denom) < 1e-12 or not np.all(np.isfinite(sol)):
-                raise SolverError(
-                    "Jacobian is singular at fixed rho (possible fold); "
-                    "use the lambda-parameterized solve instead",
-                    trace,
-                )
-            du = x + y * (float(mw @ x) / denom)
-            drho = 0.0
-        else:
-            xg, xb, y = sol[:, 0], sol[:, 1], sol[:, 2]
-            denom = 1.0 - float(mw @ y)
-            if abs(denom) < 1e-12 or not np.all(np.isfinite(sol)):
-                raise SolverError("singular Jacobian in lambda mode", trace)
-            x1 = xg + y * (float(mw @ xg) / denom)
-            x2 = xb + y * (float(mw @ xb) / denom)
+            x2 = solve(b / s)
             c = e0 - mw
             c_x2 = float(c @ x2)
             if c_x2 == 0.0:
                 raise SolverError("degenerate lambda constraint", trace)
-            drho = (C + float(c @ x1)) / c_x2
-            du = x1 - drho * x2
+            drho = (C + float(c @ du)) / c_x2
+            du = du - drho * x2
+        if not np.all(np.isfinite(du)):
+            raise SolverError(singular, trace)
 
         step = 1.0
         accepted = False
@@ -396,11 +394,7 @@ def exact_disk_family(
         mesh = MeshPolicy().build(beta, lam)
     u = 2.0 * (np.log1p(m) - np.log1p(m * mesh.t**2))
     rho = EIGHT_PI * beta * m / (1.0 + m)
-    lap_band = mesh.lap_band(1.0)
-    hstar = np.asarray(spec.hstar(mesh.r))
-    G, _, _, scale, _ = _scaled_parts(
-        u, rho, spec, mesh, mesh.dense(lap_band), np.abs(lap_band), hstar
-    )
+    G, _, _, scale, _ = _residual_map(spec, mesh)(u, rho)
     return SolutionPoint(spec, mesh, u, rho, _norm_rows(G, scale, u[-1]), 0)
 
 

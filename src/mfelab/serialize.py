@@ -275,9 +275,6 @@ class RunConfig:
     def config_hash(self) -> str:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
-    def seed(self) -> int:
-        return int(self.config_hash()[:8], 16)
-
     def weight_spec(self) -> WeightSpec:
         if self.hstar["kind"] == "poly":
             return WeightSpec(

@@ -202,8 +202,8 @@ def test_07_nondegeneracy_scan():
     # minima move by at most 1% when the mesh is doubled.
     coarse = continue_branch(6.0, 14.0, 9, PLUS, MeshPolicy(n=512))
     fine = continue_branch(6.0, 14.0, 9, PLUS, MeshPolicy(n=1024))
-    scan = nondegeneracy_scan(coarse, k_max=8, seed=7)
-    scan2 = nondegeneracy_scan(fine, k_max=8, seed=7)
+    scan = nondegeneracy_scan(coarse, k_max=8)
+    scan2 = nondegeneracy_scan(fine, k_max=8)
     assert not scan.kernel_flags.any()
     assert scan.min_magnitudes.min() >= 1e-6
     rel = np.abs(scan2.min_magnitudes - scan.min_magnitudes) / scan.min_magnitudes

@@ -1,5 +1,6 @@
 """Config validation, deterministic output files, and the four subcommands."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -86,10 +87,6 @@ class TestRunConfig:
         assert cfg.weight_spec().kind == "gaussian"
         assert cfg.mesh_policy().n == 512
         assert cfg.mesh_policy(nodes=128).n == 128
-
-    def test_seed_derived_from_hash(self):
-        cfg = RunConfig.from_dict(base_config("x"))
-        assert cfg.seed() == int(cfg.config_hash()[:8], 16)
 
 
 class TestSerializeHelpers:
@@ -383,6 +380,27 @@ def test_alpha_and_hstar_faults_listed_with_the_rest(overrides, fields):
         RunConfig.from_dict(base_config("x", **overrides))
     assert err.value.fields == fields
     assert str(err.value) == "invalid config fields: " + ", ".join(fields)
+
+
+def test_only_meshing_imports_lapack():
+    # the band LU and its Sherman-Morrison step live in RadialMesh.band_solver
+    pkg = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "mfelab")
+    importers = set()
+    for name in sorted(os.listdir(pkg)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            else:
+                continue
+            if "scipy.linalg.lapack" in mods:
+                importers.add(name)
+    assert importers == {"meshing.py"}
 
 
 def test_cli_import_leaves_out_optional_scipy_modules():

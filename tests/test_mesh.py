@@ -172,6 +172,16 @@ def _solve_banded_layout(mesh, band):
     return ab
 
 
+def _scaled_dirichlet_band(mesh, rows):
+    """A row-scaled band of the Newton matrix's form, in ``rows`` rows."""
+    bw = mesh.bandwidth
+    band = mesh.lap_band(1.0)[:rows].copy()
+    band[:, bw] += 1.0 + mesh.t[:rows]
+    band[-1] = 0.0
+    band[-1, bw] = 1.0
+    return band / np.max(np.abs(band), axis=1)[:, None]
+
+
 def test_band_matvec_matches_dense():
     rng = np.random.default_rng(2)
     mesh = RadialMesh.graded(96, 1.5, 3.0)
@@ -191,11 +201,7 @@ def test_gbsv_layout_solve_equals_solve_banded():
     rng = np.random.default_rng(3)
     mesh = RadialMesh.graded(96, 1.5, 3.0)
     bw, n = mesh.bandwidth, mesh.n
-    band = mesh.lap_band(1.0)
-    band[:, bw] += 1.0 + mesh.t
-    band[-1] = 0.0
-    band[-1, bw] = 1.0  # Dirichlet row
-    band /= np.max(np.abs(band), axis=1)[:, None]
+    band = _scaled_dirichlet_band(mesh, n)
     ab = mesh.diagonal_ordered(band)
     assert ab.shape == (3 * bw + 1, n)
     assert np.all(ab[:bw] == 0.0)
@@ -206,6 +212,34 @@ def test_gbsv_layout_solve_equals_solve_banded():
     _, _, x, info = dgbsv(bw, bw, ab, B)
     assert info == 0
     assert np.array_equal(x, scipy.linalg.solve_banded((bw, bw), _solve_banded_layout(mesh, band), B))
+
+
+@pytest.mark.parametrize("rank_one", [False, True])
+@pytest.mark.parametrize("rows", [96, 95])
+def test_band_solver_matches_dense_solve(rows, rank_one):
+    # full mesh bands (Newton) and (n - 1)-row interior blocks (mode spectra)
+    rng = np.random.default_rng(4)
+    mesh = RadialMesh.graded(96, 1.5, 3.0)
+    band = _scaled_dirichlet_band(mesh, rows)
+    u, v, x = rng.standard_normal((3, rows))
+    pair = (u, v) if rank_one else None
+    solve, denom, info = mesh.band_solver(band, pair)
+    assert info == 0
+    dense = mesh.dense(band)
+    exact = np.linalg.solve(dense + np.outer(u, v) if rank_one else dense, x)
+    assert np.max(np.abs(solve(x) - exact)) <= 1e-12 * np.max(np.abs(exact))
+    want = 1.0 + v @ np.linalg.solve(dense, u) if rank_one else 1.0
+    assert denom == pytest.approx(want, rel=1e-12)
+
+
+def test_band_solver_reports_singular_and_non_finite_bands():
+    mesh = RadialMesh.graded(96, 1.5, 3.0)
+    solve, _, info = mesh.band_solver(np.zeros_like(mesh.d1_band))
+    assert solve is None and info > 0
+    band = _scaled_dirichlet_band(mesh, mesh.n)
+    band[10, mesh.bandwidth] = np.nan
+    solve, _, info = mesh.band_solver(band)
+    assert solve is None and info == -5  # non-finite, never factored
 
 
 def test_graded_mesh_shapes():

@@ -159,7 +159,7 @@ def test_newton_rejects_non_finite_parameter(fixed):
 
 
 @pytest.mark.parametrize(
-    "fill, message", [(0.0, "dgbsv info 11"), (math.nan, "Newton system is not finite")]
+    "fill, message", [(0.0, "dgbtrf info 11"), (math.nan, "Newton system is not finite")]
 )
 def test_newton_bad_band_is_solver_error(monkeypatch, fill, message):
     mesh = RadialMesh.graded(64, BETA, 2.0)
