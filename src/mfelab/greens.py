@@ -1,8 +1,9 @@
-"""Green function of the unit disk, singular weights, and rate coefficients.
+"""Regular part of the unit disk's Green function, singular weights, and
+rate coefficients.
 
 The domain is fixed: the unit disk with the singular point at the center.
-Both Green function and regular part are exact (method of images), which is
-what makes every downstream identity testable against closed forms.
+The regular part is exact (method of images), which is what makes every
+downstream identity testable against closed forms.
 """
 
 from __future__ import annotations
@@ -22,26 +23,6 @@ def _point(x) -> np.ndarray:
     if p.size != 2 or not np.all(np.isfinite(p)):
         raise ParameterDomainError(f"expected a finite planar point, got {x!r}")
     return p
-
-
-def green_disk(x, y) -> float:
-    """G(x, y) for the unit disk: (1/2 pi) log(|y| |x - y*| / |x - y|)
-    with the image point y* = y/|y|^2; -(1/2 pi) log|x| when y = 0."""
-    xp, yp = _point(x), _point(y)
-    ax, ay = np.hypot(*xp), np.hypot(*yp)
-    if ax > 1.0 + 1e-14:
-        raise ParameterDomainError(f"|x| = {ax} lies outside the closed disk")
-    if ay >= 1.0:
-        raise ParameterDomainError(f"|y| = {ay} must be interior")
-    if ay == 0.0:
-        if ax == 0.0:
-            raise ParameterDomainError("Green function is singular at x = y")
-        return -np.log(ax) / TWO_PI
-    d = np.hypot(*(xp - yp))
-    if d == 0.0:
-        raise ParameterDomainError("Green function is singular at x = y")
-    image = yp / ay**2
-    return float(np.log(ay * np.hypot(*(xp - image)) / d) / TWO_PI)
 
 
 def regular_part(x, y) -> float:
@@ -98,8 +79,9 @@ class WeightSpec:
             object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
             if not self.coeffs[0] > 0.0:
                 raise WeightSpecError("poly hstar must be positive at the origin")
-            # scale-free coefficients make constant rescalings of hstar cancel
-            # exactly in log_hstar_centered, not just to rounding
+            # coefficients scaled to hstar(0) = 1: a constant factor of hstar
+            # drops out of log hstar's derivatives, so dlog_hstar and
+            # lap_log_hstar0 read these ratios
             object.__setattr__(
                 self, "_unit", tuple(c / self.coeffs[0] for c in self.coeffs)
             )
@@ -133,18 +115,6 @@ class WeightSpec:
             out = self._poly(r**2)
         return out if out.ndim else float(out)
 
-    def log_hstar_centered(self, r):
-        """log hstar(r) - log hstar(0), computed per kind so that constant
-        offsets cancel exactly rather than to rounding."""
-        r = np.asarray(r, dtype=float)
-        if self.kind == "constant":
-            out = np.zeros_like(r)
-        elif self.kind == "gaussian":
-            out = self.coef * r**2
-        else:
-            out = np.log(self._poly(r**2, unit=True))
-        return out if out.ndim else float(out)
-
     def dlog_hstar(self, r):
         """Radial derivative of log hstar."""
         r = np.asarray(r, dtype=float)
@@ -167,29 +137,9 @@ class WeightSpec:
 
     # point evaluations ---------------------------------------------------
 
-    def weight(self, x) -> float:
-        """h(x) = hstar(x) |x|^(2 alpha); vanishes at the singular point."""
-        p = _point(x)
-        r = float(np.hypot(*p))
-        if r == 0.0:
-            return 0.0
-        return float(self.hstar(r)) * r ** (2.0 * self.alpha)
-
     def hbar1(self, x) -> float:
         """The desingularized factor h(x)/|x|^(2 alpha), exact on the disk."""
         return float(self.hstar(float(np.hypot(*_point(x)))))
-
-    def hamiltonian_Hp(self, x) -> float:
-        """8 pi (1+alpha)(R(x,0) - R(0,0)) + log hbar1(x) - log hbar1(0).
-
-        The R-term is omitted because R(x, 0) = 0 identically on the disk
-        with the singularity at the center, which leaves log hbar1(x) -
-        log hbar1(0).
-        """
-        r = float(np.hypot(*_point(x)))
-        if r >= 1.0:
-            raise ParameterDomainError("Hamiltonian is defined for interior points")
-        return float(self.log_hstar_centered(r))
 
 
 def ell_coefficient(alpha: float, hbar1_at_p: float, lap_log_hstar_at_p: float) -> float:
@@ -205,9 +155,3 @@ def ell_coefficient(alpha: float, hbar1_at_p: float, lap_log_hstar_at_p: float) 
     front = 2.0 * np.pi**2 / (beta * np.sin(np.pi / beta))
     scale = (beta / (np.pi * hbar1_at_p)) ** (1.0 / beta)
     return float(front * scale * lap_log_hstar_at_p)
-
-
-def epsilon0(alpha: float) -> float:
-    """Correction exponent 2 - 2(1-alpha)^+: equals 2 alpha below 1, else 2."""
-    a = validate_alpha(alpha)
-    return 2.0 * a if a < 1.0 else 2.0

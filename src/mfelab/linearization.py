@@ -30,13 +30,13 @@ eigenvectors and saves restarts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse.linalg as spl
 
-from .errors import NotApplicableError, ParameterDomainError, SpectrumError
+from .errors import ParameterDomainError, SpectrumError
 from .meshing import RadialMesh
 from .radial_solver import SolutionPoint
 
@@ -68,8 +68,9 @@ class ModeOperator:
     interior matrix is dense(band) + outer(u, v).  For the disk operator
     the pair carries the k = 0 nonlocal projection; for truncated
     far-field operators it carries the boundary-condition elimination.
-    ``weight`` is the interior sample of V for the weighted eigenproblem;
-    ``_lap`` holds the full-mesh operator rows as a mesh row band.
+    ``weight`` is the interior sample of V for the weighted eigenproblem.
+    The operator is stored only in this interior form; ``matrix`` gives it
+    densely.
     """
 
     k: int
@@ -78,9 +79,6 @@ class ModeOperator:
     weight: np.ndarray
     rank_one: tuple[np.ndarray, np.ndarray] | None = None
     bc_elim: np.ndarray | None = None
-    _lap: np.ndarray | None = field(default=None, repr=False)
-    _v_full: np.ndarray | None = field(default=None, repr=False)
-    _nu: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -90,22 +88,6 @@ class ModeOperator:
             return block
         u, v = self.rank_one
         return block + np.outer(u, v)
-
-    def apply(self, phi: np.ndarray) -> np.ndarray:
-        """Differential action on a full-mesh field, interior rows only.
-
-        The boundary row is a boundary condition, not a differential
-        statement, so it is excluded.
-        """
-        phi = np.asarray(phi, dtype=float)
-        if self._lap is None or self._v_full is None:
-            raise NotApplicableError("operator was built without full-mesh rows")
-        if phi.shape != (self._lap.shape[0],):
-            raise ParameterDomainError("field length does not match the mesh")
-        out = self.mesh.dense(self._lap) @ phi + self._v_full * phi
-        if self._nu is not None:
-            out = out - self._v_full * float(self._nu @ phi)
-        return out[:-1]
 
 
 @dataclass(frozen=True)
@@ -167,7 +149,6 @@ def build_mode_operator(point: SolutionPoint, k: int) -> ModeOperator:
     lap = _folded_lap(mesh, k / (1.0 + point.spec.alpha))
     band, _ = _interior_block(mesh, lap, V)
     rank_one = None
-    nu = None
     if k == 0:
         nu = mesh.quad * mesh.t * V
         nu = nu / nu.sum()
@@ -178,9 +159,6 @@ def build_mode_operator(point: SolutionPoint, k: int) -> ModeOperator:
         band=band,
         weight=V[:-1],
         rank_one=rank_one,
-        _lap=lap,
-        _v_full=V,
-        _nu=nu,
     )
 
 
@@ -206,8 +184,6 @@ def _truncated_operator(
         weight=V[:-1],
         rank_one=(coupling, elim),
         bc_elim=elim,
-        _lap=lap,
-        _v_full=V,
     )
 
 

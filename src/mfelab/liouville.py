@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterDomainError
-from .meshing import RadialMesh
+from .meshing import RadialMesh, band_matvec
 
 #: reject alpha this close to an integer
 ALPHA_TOL = 1e-12
@@ -112,15 +112,15 @@ def entire_linearized_apply(alpha: float, phi, mesh_r) -> FieldResult:
         raise ParameterDomainError("phi and mesh_r must be 1-d with equal length")
     mesh = RadialMesh(r**beta, beta)
     t = mesh.t
-    lap_t = mesh.lap_rows(1.0)
+    lap_t = mesh.lap_band(1.0)
     # radial Laplacian in r equals beta^2 t^(2 - 2/beta) (g_tt + g_t / t)
     jac = beta * beta * t ** (2.0 - 2.0 / beta)
     potential = 8.0 * beta * beta * r ** (2.0 * a) / (1.0 + t**2) ** 2
-    values = jac * (lap_t @ phi) + potential * phi
+    values = jac * band_matvec(lap_t, phi) + potential * phi
 
     warnings = []
     probe = np.cos(t)
-    probe_err = np.max(np.abs(lap_t @ probe - (-np.cos(t) - np.sin(t) / t)))
+    probe_err = np.max(np.abs(band_matvec(lap_t, probe) - (-np.cos(t) - np.sin(t) / t)))
     if probe_err > 1e-6:
         warnings.append(
             f"mesh too coarse: probe Laplacian error {probe_err:.2e} > 1e-06"

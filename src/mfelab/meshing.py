@@ -12,10 +12,11 @@ O(n * (2*bw + 1)), and ``RadialMesh.diagonal_ordered`` packs one into LAPACK
 ``gbtrf`` storage.  ``RadialMesh.band_solver`` owns the band LU and the
 Sherman-Morrison step for a band plus a rank-one term, the form of both
 Newton's Jacobian and the linearized mode operators, so this is the only
-module that calls LAPACK.  Dense matrices are built from the bands on demand
-and carry the same entries.  The stencil weights of all rows come from one
-pass of Fornberg's recursion whose scalar operations run elementwise over the rows,
-so every row is bit-for-bit the one-row result.  The recursion is
+module that calls LAPACK.  ``RadialMesh.dense`` builds the dense matrix of
+a band, with the same entries, for the few callers that need one.  The
+stencil weights of all rows come from one pass of Fornberg's recursion
+whose scalar operations run elementwise over the rows, so every row is
+bit-for-bit the one-row result.  The recursion is
 vectorised rather than replaced: a batched Vandermonde solve lands a few
 ulps off it, and Newton, the fold-pair root finding and the shift-invert
 spectra amplify that well past their reference tolerances.
@@ -145,30 +146,6 @@ def _sum_intervals(t: np.ndarray, t_end: float, table: np.ndarray) -> np.ndarray
     return q
 
 
-def quad_weights(
-    t: np.ndarray, t_end: float | None = None, points: int = QUAD_POINTS
-) -> np.ndarray:
-    """Composite interpolatory weights for integrals over [0, t_end].
-
-    ``t`` must be strictly increasing with t[0] > 0.  Each cell between
-    consecutive nodes integrates the degree-(points-1) interpolant through
-    the ``points`` nearest nodes (design order 6 by default); the leading
-    cell [0, t[0]] uses one-sided extrapolation, so no parity of the
-    integrand is assumed.  ``t_end`` defaults to t[-1] and may land
-    strictly inside a cell.
-    """
-    t = np.asarray(t, dtype=float)
-    n = t.size
-    if points < 2:
-        raise MfelabError("cell stencils need at least 2 points")
-    if n < points:
-        raise MfelabError(f"quadrature needs at least {points} nodes")
-    if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-        raise MfelabError("nodes must be strictly increasing and positive")
-    t_end = _check_end(t, float(t[-1]) if t_end is None else t_end)
-    return _sum_intervals(t, t_end, _interval_table(t, points))
-
-
 class RadialMesh:
     """Nodes, banded derivative operators and quadrature on (0, t_max].
 
@@ -178,12 +155,18 @@ class RadialMesh:
     at most ``2 * halfwidth``.  They are stored as the row bands
     ``d1_band`` and ``d2_band`` of shape (n, 2 * bandwidth + 1), so a mesh
     holds O(n) floats; ``band_solver`` factors a band (plus a rank-one
-    term) with LAPACK's band LU, and ``D1``, ``D2`` and ``lap_rows`` build
-    dense matrices from the bands on demand.  The bands come from Fornberg's recursion run
+    term) with LAPACK's band LU, and ``dense`` builds the dense matrix of a
+    band on demand.  The bands come from Fornberg's recursion run
     over all rows at once, which keeps every entry bit-identical to the
     scalar recursion (a Vandermonde solve would not; see the module
-    docstring).  The per-cell quadrature weights are kept too, so
-    ``quad_to`` only solves for the one cell that t_end cuts.  The final
+    docstring).
+
+    ``quad`` holds composite interpolatory weights over [0, t[-1]]: each
+    cell between consecutive nodes integrates the degree-5 interpolant
+    through the ``QUAD_POINTS`` = 6 nearest nodes, and the leading cell
+    [0, t[0]] uses one-sided extrapolation, so no parity of the integrand
+    is assumed.  The per-cell weights are kept too, so ``quad_to`` only
+    solves for the one cell that t_end cuts.  The final
     node carries a stencil row like any other; boundary conditions are
     imposed by whoever assembles the system.
     """
@@ -338,16 +321,6 @@ class RadialMesh:
             return y - binv_u * ((v @ y) / denom)
 
         return solve, denom, 0
-
-    @property
-    def D1(self) -> np.ndarray:
-        """Dense first-derivative matrix, built from ``d1_band``."""
-        return self.dense(self.d1_band)
-
-    @property
-    def D2(self) -> np.ndarray:
-        """Dense second-derivative matrix, built from ``d2_band``."""
-        return self.dense(self.d2_band)
 
     def point_rows(self, t_star: float, m: int = 0) -> np.ndarray:
         """Rows evaluating derivatives 0..m at an arbitrary point.

@@ -148,11 +148,6 @@ class SolutionPoint:
         return self.rho * float(q @ np.exp(logs - self.log_mass))
 
 
-def normalize(point: SolutionPoint):
-    """(u~, lambda, gamma, sigma) of a converged point."""
-    return point.u_tilde, point.lam, point.gamma, point.sigma
-
-
 @dataclass(frozen=True)
 class Branch:
     """Ordered lambda-increasing family of solutions of one configuration.

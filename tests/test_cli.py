@@ -382,15 +382,19 @@ def test_alpha_and_hstar_faults_listed_with_the_rest(overrides, fields):
     assert str(err.value) == "invalid config fields: " + ", ".join(fields)
 
 
+def _package_trees():
+    """(file name, parsed module) for every module of the package."""
+    pkg = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "mfelab")
+    for name in sorted(os.listdir(pkg)):
+        if name.endswith(".py"):
+            with open(os.path.join(pkg, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
 def test_only_meshing_imports_lapack():
     # the band LU and its Sherman-Morrison step live in RadialMesh.band_solver
-    pkg = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "mfelab")
     importers = set()
-    for name in sorted(os.listdir(pkg)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(pkg, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for name, tree in _package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 mods = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
@@ -401,6 +405,33 @@ def test_only_meshing_imports_lapack():
             if "scipy.linalg.lapack" in mods:
                 importers.add(name)
     assert importers == {"meshing.py"}
+
+
+def test_dense_operators_built_only_where_needed():
+    # banded operators stay bands: a dense n x n matrix is built only for
+    # Newton's residual matvec, the mode operators' dense form, and
+    # RadialMesh.lap_rows (a timing boundary of the benchmark tracer)
+    callers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in ("dense", "lap_rows"):
+                    callers.add((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for name, tree in _package_trees():
+        visit(tree, name, ())
+    assert callers == {
+        ("meshing.py", "RadialMesh.lap_rows"),
+        ("radial_solver.py", "_residual_map"),
+        ("linearization.py", "ModeOperator.matrix"),
+    }
 
 
 def test_cli_import_leaves_out_optional_scipy_modules():

@@ -73,10 +73,23 @@ def _generalized_spectrum(op, count):
     return w[np.argsort(np.abs(w))].real
 
 
+def _boundary_column(point, k):
+    """The interior rows' coefficients of the boundary unknown, which the
+    mode operator leaves out: the Laplacian's coupling and, for k = 0, the
+    nonlocal average's weight on the last node."""
+    mesh = point.mesh
+    col = mesh.lap_rows(2.0 * k / BETA + 1.0)[:-1, -1]
+    if k == 0:
+        V = point.rho * np.exp(point.u_tilde) / BETA**2
+        nu = mesh.quad * mesh.t * V
+        col = col - V[:-1] * (nu[-1] / nu.sum())
+    return col
+
+
 def test_constants_annihilated_by_nonlocal_part(family100):
     op = build_mode_operator(family100, 0)
-    rows = op.apply(np.ones(family100.mesh.t.size))
-    scale = np.abs(op._lap).sum(axis=1)[:-1]
+    rows = op.matrix @ np.ones(family100.mesh.n - 1) + _boundary_column(family100, 0)
+    scale = np.abs(family100.mesh.lap_rows(1.0)).sum(axis=1)[:-1]
     assert np.max(np.abs(rows) / scale) < 1e-13
 
 
@@ -85,10 +98,12 @@ def test_mode1_has_no_nonlocal_term(family100):
     assert op.rank_one is None
     mesh = family100.mesh
     phi = np.sin(2.0 * mesh.t) * (1.0 - mesh.t**2)
-    lap = mesh.lap_rows(2.0 / BETA + 1.0)
+    # the local operator alone, with V on the diagonal as the band stores it
     V = family100.rho * np.exp(family100.u_tilde) / BETA**2
-    expected = (lap @ phi + V * phi)[:-1]
-    got = op.apply(phi)
+    local = mesh.lap_rows(2.0 / BETA + 1.0) + np.diag(V)
+    assert np.array_equal(op.matrix, local[:-1, :-1])
+    expected = (local @ phi)[:-1]
+    got = op.matrix @ phi[:-1] + _boundary_column(family100, 1) * phi[-1]
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 

@@ -4,7 +4,7 @@ import scipy.linalg
 from scipy.linalg.lapack import dgbsv
 
 from mfelab.errors import MfelabError
-from mfelab.meshing import RadialMesh, band_matvec, fd_weights, quad_weights
+from mfelab.meshing import RadialMesh, band_matvec, fd_weights
 
 
 def test_fd_weights_exact_on_monomials():
@@ -36,7 +36,7 @@ def _sinh_nodes(n, a=3.0, t_max=1.0):
 def test_quad_exact_on_cubics():
     # each cell integrates its own cubic interpolant, so global cubics are exact
     t = _sinh_nodes(40)
-    q = quad_weights(t)
+    q = RadialMesh(t, 1.5).quad
     f = 2.0 * t**3 - t**2 + 0.5 * t - 1.0
     exact = 2.0 / 4 - 1.0 / 3 + 0.5 / 2 - 1.0
     assert q @ f == pytest.approx(exact, abs=1e-14)
@@ -50,7 +50,7 @@ def test_quad_order_four():
     errs = []
     for n in (64, 128, 256):
         t = _sinh_nodes(n)
-        errs.append(abs(quad_weights(t) @ F(t) - exact))
+        errs.append(abs(RadialMesh(t, 1.5).quad @ F(t) - exact))
     order = np.log2(errs[0] / errs[2]) / 2.0
     assert order > 3.5
     assert errs[2] < 1e-8
@@ -65,23 +65,24 @@ def test_quad_partial_interval():
         return (np.cos(3.0 * b) + 3.0 * np.sin(3.0 * b)) * np.exp(b) / 10.0 - 0.1
 
     t = _sinh_nodes(256)
+    mesh = RadialMesh(t, 1.5)
     for t_end in (0.3, 0.5, float(t[100]), 1.0):
-        q = quad_weights(t, t_end)
+        q = mesh.quad_to(t_end)
         assert q @ F(t) == pytest.approx(exact(t_end), abs=2e-8)
     # weights beyond the cut vanish
-    q = quad_weights(t, 0.3)
+    q = mesh.quad_to(0.3)
     cut = int(np.searchsorted(t, 0.3))
     assert np.all(q[cut + 3 :] == 0.0)
 
 
 def test_quad_rejects_bad_input():
-    t = _sinh_nodes(16)
+    mesh = RadialMesh(_sinh_nodes(16), 1.5)
     with pytest.raises(MfelabError):
-        quad_weights(t, 1.5)
+        mesh.quad_to(1.5)
     with pytest.raises(MfelabError):
-        quad_weights(t, 0.0)
+        mesh.quad_to(0.0)
     with pytest.raises(MfelabError):
-        quad_weights(np.array([0.0, 0.1, 0.2, 0.3]))
+        RadialMesh(np.linspace(0.0, 1.0, 16), 1.5)
 
 
 def test_derivative_matrices_order():
@@ -96,7 +97,7 @@ def test_derivative_matrices_order():
     errs = []
     for n in (128, 256):
         mesh = RadialMesh.graded(n, beta, 4.0)
-        errs.append(np.max(np.abs(mesh.D1 @ g(mesh.t) - g1(mesh.t))))
+        errs.append(np.max(np.abs(mesh.dense(mesh.d1_band) @ g(mesh.t) - g1(mesh.t))))
     order = np.log2(errs[0] / errs[1])
     assert order > 4.5
     assert errs[1] < 1e-6
@@ -110,8 +111,8 @@ def test_even_reflection_near_origin():
     g1 = -2.0 * t / (1.0 + t**2) ** 2
     g2 = (6.0 * t**2 - 2.0) / (1.0 + t**2) ** 3
     w = mesh.halfwidth
-    assert np.max(np.abs((mesh.D1 @ g - g1)[:w])) < 1e-10
-    assert np.max(np.abs((mesh.D2 @ g - g2)[:w])) < 1e-7
+    assert np.max(np.abs((mesh.dense(mesh.d1_band) @ g - g1)[:w])) < 1e-10
+    assert np.max(np.abs((mesh.dense(mesh.d2_band) @ g - g2)[:w])) < 1e-7
 
 
 def test_entire_bubble_kernel_identity():
@@ -139,27 +140,6 @@ def test_point_rows_value_and_derivative():
     assert rows[1] @ vals == pytest.approx(d1, abs=1e-8)
     with pytest.raises(MfelabError):
         mesh.point_rows(1.5)
-
-
-def test_banded_solve_matches_dense():
-    rng = np.random.default_rng(1)
-    mesh = RadialMesh.graded(96, 1.5, 3.0)
-    L = mesh.lap_rows(1.0) + np.diag(1.0 + mesh.t)
-    L[-1] = 0.0
-    L[-1, -1] = 1.0  # Dirichlet row
-    rhs = rng.standard_normal(mesh.n)
-    w = mesh.bandwidth
-    # pack the dense rows into LAPACK diagonal-ordered form
-    ab = np.zeros((2 * w + 1, mesh.n))
-    for k in range(-w, w + 1):
-        d = np.diagonal(L, offset=k)
-        if k >= 0:
-            ab[w - k, k:] = d
-        else:
-            ab[w - k, : mesh.n + k] = d
-    x_banded = scipy.linalg.solve_banded((w, w), ab, rhs)
-    x_dense = np.linalg.solve(L, rhs)
-    assert np.max(np.abs(x_banded - x_dense)) < 1e-8 * max(1.0, np.max(np.abs(x_dense)))
 
 
 def _solve_banded_layout(mesh, band):
@@ -310,7 +290,7 @@ def _reference_rows(mesh, i):
 @pytest.mark.parametrize("halfwidth", [2, 3])
 def test_derivative_rows_bit_identical_to_scalar_recursion(n, strength, halfwidth):
     mesh = RadialMesh.graded(n, 1.5, strength, halfwidth=halfwidth)
-    D1, D2 = mesh.D1, mesh.D2
+    D1, D2 = mesh.dense(mesh.d1_band), mesh.dense(mesh.d2_band)
     for i in range(n):
         d1, d2 = _reference_rows(mesh, i)
         assert np.array_equal(D1[i], d1), i
@@ -347,14 +327,12 @@ def _reference_quad(t, t_end, points=6):
     return q
 
 
-def test_quad_to_bit_identical_to_quad_weights():
+def test_quad_to_bit_identical_to_cell_loop():
     mesh = RadialMesh.graded(256, 1.5, 6.0)
     t = mesh.t
     for t_end in (0.4 * t[0], float(t[0]), float(t[40]), 0.5 * (t[100] + t[101]), float(t[-1])):
-        q = mesh.quad_to(t_end)
-        assert np.array_equal(q, quad_weights(t, t_end))
-        assert np.array_equal(q, _reference_quad(t, t_end))
-    assert np.array_equal(mesh.quad, quad_weights(t))
+        assert np.array_equal(mesh.quad_to(t_end), _reference_quad(t, t_end))
+    assert np.array_equal(mesh.quad, mesh.quad_to(float(t[-1])))
 
 
 def test_mesh_holds_no_dense_operators():

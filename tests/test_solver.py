@@ -21,7 +21,6 @@ from mfelab.radial_solver import (
     exact_disk_family,
     find_fold_pair,
     newton_solve,
-    normalize,
     residual,
 )
 
@@ -217,19 +216,16 @@ def test_normalize_constant_shift_invariance():
 
     pt = exact_disk_family(ALPHA, 10.0)
     shifted = SolutionPoint(CONST, pt.mesh, pt.u + 3.7, pt.rho, pt.res_norm, 0)
-    ut_a, lam_a, _, _ = normalize(pt)
-    ut_b, lam_b, _, _ = normalize(shifted)
-    assert np.max(np.abs(ut_a - ut_b)) <= 1e-12
-    assert abs(lam_a - lam_b) <= 1e-12
+    assert np.max(np.abs(pt.u_tilde - shifted.u_tilde)) <= 1e-12
+    assert abs(pt.lam - shifted.lam) <= 1e-12
 
 
 def test_normalize_sigma_lambda_relation():
     mesh = MeshPolicy().build(BETA, 3.0)
     pt = newton_solve(CONST, mesh, lam=3.0)
-    _, lam, gamma, sigma = normalize(pt)
-    assert lam == pytest.approx(3.0, abs=1e-10)
-    assert sigma == pytest.approx(np.exp(-1.0), rel=1e-10)
-    assert gamma == pytest.approx(pt.rho / (8.0 * BETA**2), rel=1e-14)
+    assert pt.lam == pytest.approx(3.0, abs=1e-10)
+    assert pt.sigma == pytest.approx(np.exp(-1.0), rel=1e-10)
+    assert pt.gamma == pytest.approx(pt.rho / (8.0 * BETA**2), rel=1e-14)
 
 
 # mesh convergence -----------------------------------------------------------
@@ -262,10 +258,9 @@ def test_approximate_profile_shape():
 
 def test_approximate_profile_tracks_normalized_family():
     pt = exact_disk_family(ALPHA, 100.0)
-    ut, lam, _, _ = normalize(pt)
     sel = pt.mesh.r < 0.25
-    U = approximate_profile(lam, CONST, pt.mesh.r[sel])
-    assert np.max(np.abs(ut[sel] - U)) <= 3.0
+    U = approximate_profile(pt.lam, CONST, pt.mesh.r[sel])
+    assert np.max(np.abs(pt.u_tilde[sel] - U)) <= 3.0
 
 
 def test_branch_constant_weight_matches_family_law():
