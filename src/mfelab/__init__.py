@@ -1,16 +1,18 @@
 """Numerical laboratory for bubbling branches of the singular mean field
 equation on the unit disk.
 
-Import rule: the only scipy modules imported at module level are
-``scipy.linalg`` (dense QZ, and LAPACK's band LU, which only ``meshing``
-imports: ``RadialMesh.band_solver`` serves Newton and the mode spectra)
-and ``scipy.sparse.linalg`` (ARPACK); ``scipy.sparse`` is loaded only
-because ``scipy.sparse.linalg`` imports it.  Every CLI process pays for
-its imports before it reads its config, so a function off the CLI paths
-imports what else it needs (``scipy.optimize``, ``scipy.interpolate``,
-``scipy.special``) in its own body, and the fold-pair root finder is a
-port of scipy's Brent step (``radial_solver._brentq``) rather than a call
-into ``scipy.optimize``.
+Import rule: no scipy package is imported at module level, since every CLI
+process pays for its imports before it reads its config and
+``import scipy.linalg`` alone takes about 0.3 s.  ``meshing.scipy_extension``
+loads the two compiled modules the CLI paths call straight from scipy's
+files: LAPACK (``scipy.linalg._flapack``, whose band LU only ``meshing``
+calls: ``RadialMesh.band_solver`` serves Newton and the mode spectra) and
+ARPACK (``scipy.sparse.linalg._eigen.arpack._arpacklib``, driven by
+``linearization._arnoldi``).  A function that needs a scipy package
+imports it in its own body (``scipy.linalg.eig`` for the dense fallback
+spectrum, ``scipy.optimize``, ``scipy.interpolate``, ``scipy.special``),
+and the fold-pair root finder is a port of scipy's Brent step
+(``radial_solver._brentq``) rather than a call into ``scipy.optimize``.
 """
 
 from .diagnostics import (

@@ -19,7 +19,11 @@ band LU and the Sherman-Morrison step for the rank-one part (see
 ``meshing``).  The spectra are computed in standard shift-invert form:
 ARPACK iterates with OP = (B + u v^T)^-1 W, where u v^T is the rank-one
 part and W = diag(V), so each Arnoldi step is one multiply by the weight
-and one band solve.
+and one band solve.  ``_arnoldi`` drives ARPACK's compiled
+reverse-communication routines, loaded from scipy's file by
+``meshing.scipy_extension``, with the calls ``scipy.sparse.linalg.eigs``
+makes, so the spectra are its bits without the 0.3 s import of
+``scipy.sparse.linalg``.
 ARPACK's generalized mode would orthogonalise in the W inner product and
 spend extra weight products on every step for the same eigenvalues.  A
 scan over modes starts each mode's Arnoldi run from the previous mode's
@@ -33,12 +37,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg as spl
 
 from .errors import ParameterDomainError, SpectrumError
-from .meshing import RadialMesh
+from .meshing import RadialMesh, scipy_extension
 from .radial_solver import SolutionPoint
+
+_arpack = scipy_extension("scipy.sparse.linalg._eigen.arpack._arpacklib")
 
 __all__ = [
     "ModeOperator",
@@ -96,7 +100,8 @@ class ModeSpectrum:
 
     Imaginary parts of the computed eigenvalues are numerical noise (the
     operator is self-adjoint in the weighted inner product); their maximum
-    is reported in ``imag_noise``.
+    is reported in ``imag_noise``.  ``op_applications`` counts the
+    shift-invert products ARPACK asked for (0 for a dense solve).
     """
 
     k: int
@@ -104,6 +109,7 @@ class ModeSpectrum:
     smallest_magnitude: float
     eigenvector_0: np.ndarray
     imag_noise: float
+    op_applications: int
 
 
 def _folded_lap(mesh: RadialMesh, kappa: float) -> np.ndarray:
@@ -255,11 +261,119 @@ def inner_mode_operator(
 
 
 def _dense_spectrum(op: ModeOperator, count: int):
-    w, X = scipy.linalg.eig(op.matrix, np.diag(op.weight))
+    from scipy.linalg import eig
+
+    w, X = eig(op.matrix, np.diag(op.weight))
     finite = np.isfinite(w)
     w, X = w[finite], X[:, finite]
     idx = np.argsort(np.abs(w))[:count]
     return w[idx], X[:, idx]
+
+
+def _arnoldi(apply, v0: np.ndarray, count: int, maxiter: int | None = None):
+    """ARPACK's ``dnaupd``/``dneupd`` in shift-invert mode around zero.
+
+    ``apply`` maps x to OP x; the ``count`` eigenvalues of OP largest in
+    magnitude are turned back by ARPACK into the eigenvalues 1/mu nearest
+    zero.  The calls are those ``scipy.sparse.linalg.eigs`` makes for
+    ``sigma=0.0, which="LM", tol=0`` with a real ``OPinv`` and no ``M``
+    (mode 3, bmat 'I', ncv = max(2 count + 1, 20), maxiter = 10 n by
+    default), so the results are its bits without loading
+    ``scipy.sparse``.  Returns (eigenvalues, eigenvectors, applications of
+    OP) in ARPACK's order; raises ``SpectrumError`` when ARPACK reports a
+    failure, with the number of converged eigenvalues when it ran out of
+    iterations.
+    """
+    n = v0.size
+    ncv = min(max(2 * count + 1, 20), n)
+    state = {
+        "tol": 0.0, "getv0_rnorm0": 0.0, "aitr_betaj": 0.0, "aitr_rnorm1": 0.0,
+        "aitr_wnorm": 0.0, "aup2_rnorm": 0.0, "ido": 0, "which": 0, "bmat": 0,
+        "info": 1, "iter": 0, "maxiter": 10 * n if maxiter is None else int(maxiter),
+        "mode": 3, "n": n, "nconv": 0, "ncv": ncv, "nev": count, "np": 0,
+        "shift": 1, "getv0_first": 0, "getv0_iter": 0, "getv0_itry": 0,
+        "getv0_orth": 0, "aitr_iter": 0, "aitr_j": 0, "aitr_orth1": 0,
+        "aitr_orth2": 0, "aitr_restart": 0, "aitr_step3": 0, "aitr_step4": 0,
+        "aitr_ierr": 0, "aup2_initv": 0, "aup2_iter": 0, "aup2_getv0": 0,
+        "aup2_cnorm": 0, "aup2_kplusp": 0, "aup2_nev": 0, "aup2_nev0": 0,
+        "aup2_np0": 0, "aup2_numcnv": 0, "aup2_update": 0, "aup2_ushift": 0,
+    }
+    resid = np.array(v0, dtype=float)
+    v = np.zeros((n, ncv))
+    workd = np.zeros(3 * n)
+    workl = np.zeros(3 * ncv * (ncv + 2))
+    ipntr = np.zeros(14, dtype=np.int32)
+    applications = 0
+    rng = None
+    while True:
+        _arpack.dnaupd_wrap(state, resid, v, ipntr, workd, workl)
+        ido = state["ido"]
+        y = slice(ipntr[1], ipntr[1] + n)
+        if ido in (1, 5):
+            # ido 1 hands over B x, which is x for bmat 'I'
+            x = ipntr[2] if ido == 1 else ipntr[0]
+            workd[y] = apply(workd[x : x + n])
+            applications += 1
+        elif ido == 4:
+            # a restart after an invariant subspace: a fresh start vector,
+            # drawn as scipy draws it but from a fixed seed
+            rng = rng or np.random.default_rng(0)
+            resid[:] = rng.uniform(-1.0, 1.0, n)
+        elif ido == 99:
+            break
+        else:
+            raise SpectrumError(f"ARPACK asked for unsupported request ido={ido}")
+    info = state["info"]
+    if info not in (0, 1):
+        raise SpectrumError(f"ARPACK dnaupd failed with info {info}")
+    # info 1 ran out of iterations: what converged is extracted to be counted
+    try:
+        d, z = _extract(state, count, resid, v, ipntr, workd, workl)
+    except SpectrumError:
+        if info == 0:
+            raise
+        d = np.zeros(0)
+    if info == 1:
+        raise SpectrumError(f"eigensolver converged {d.size} of {count} requested eigenvalues")
+    return d, z, applications
+
+
+def _extract(state, count, resid, v, ipntr, workd, workl):
+    """``dneupd`` with every Ritz vector, sorted out as ``eigs`` does it.
+
+    A complex pair fills two columns (real, imaginary) of ARPACK's real
+    eigenvector array, and ARPACK may return one value more than asked;
+    the extra one goes by magnitude of 1/eps.
+    """
+    n, ncv = resid.size, state["ncv"]
+    state["info"] = 0
+    dr = np.zeros(count + 1)
+    di = np.zeros(count + 1)
+    zr = np.zeros((n, count + 1), order="F")
+    _arpack.dneupd_wrap(
+        state, True, 0, np.zeros(ncv, dtype=np.int32), dr, di, zr, 0.0, 0.0,
+        np.zeros(3 * ncv), resid, v, ipntr, workd, workl,
+    )
+    if state["info"] != 0:
+        raise SpectrumError(f"ARPACK dneupd failed with info {state['info']}")
+    returned = state["nconv"]
+    d = dr + 1.0j * di
+    z = zr.astype(complex)
+    i = 0
+    while i <= count:
+        if d[i].imag != 0:
+            if i < count:
+                z[:, i] = zr[:, i] + 1.0j * zr[:, i + 1]
+                z[:, i + 1] = z[:, i].conjugate()
+                i += 1
+            else:
+                # the pair's second column was not returned
+                returned -= 1
+        i += 1
+    if returned <= count:
+        return d[:returned], z[:, :returned]
+    keep = np.argsort(abs(1 / d))[-count:][::-1]
+    return d[keep], z[:, keep]
 
 
 def mode_spectrum(
@@ -274,15 +388,17 @@ def mode_spectrum(
     ``op.band`` and ``op.rank_one``, which resolves
     near-kernel eigenvalues far below the reach of a dense solve on these
     ill-scaled matrices.  The weighted problem (B + u v^T) x = eps W x is
-    handed to ARPACK in standard form, as the eigenvalues 1/eps of
-    OP = (B + u v^T)^-1 W: no weight matrix is passed, so the Arnoldi
-    basis is orthogonalised in the plain inner product and each step costs
-    one weight multiply and one band LU solve.  An exactly singular band
-    falls back to a dense QZ solve.
+    handed to ARPACK (``_arnoldi``) in standard form, as the eigenvalues
+    1/eps of OP = (B + u v^T)^-1 W: no weight matrix is passed, so the
+    Arnoldi basis is orthogonalised in the plain inner product and each
+    step costs one weight multiply and one band LU solve.  An exactly
+    singular band falls back to a dense QZ solve.
 
     ``start`` is ARPACK's start vector, one entry per interior node (e.g.
-    another mode's ``eigenvector_0[:-1]``); it defaults to the
-    deterministic sin(1 + i).
+    another mode's ``eigenvector_0[:-1]``); it must be finite and not
+    zero, and defaults to the deterministic sin(1 + i).  ``maxiter`` caps
+    ARPACK's restarts (default 10 n); running out of them, like any other
+    ARPACK failure, raises ``SpectrumError``.
     """
     n = op.band.shape[0]
     if count < 1:
@@ -291,23 +407,17 @@ def mode_spectrum(
         v0 = np.array(start, dtype=float)
         if v0.shape != (n,):
             raise ParameterDomainError("start must have one entry per interior node")
+        if not np.all(np.isfinite(v0)) or not np.any(v0):
+            raise ParameterDomainError("start must be finite and not zero")
     else:
         v0 = np.sin(1.0 + np.arange(n))
     solve = None if count >= n - 1 else op.mesh.band_solver(op.band, op.rank_one)[0]
+    applications = 0
     if solve is not None:
-        # standard form of (B + u v^T) x = eps W x: A = W^-1 (B + u v^T) and
-        # OP = A^-1 = (B + u v^T)^-1 W; ARPACK calls only OP in shift-invert
-        # mode, so A's dense matvec never runs
-        A = spl.LinearOperator((n, n), matvec=lambda x: op.matrix @ x / op.weight, dtype=float)
-        OPinv = spl.LinearOperator((n, n), matvec=lambda x: solve(op.weight * x), dtype=float)
         try:
-            w, X = spl.eigs(A, k=count, sigma=0.0, OPinv=OPinv, which="LM", v0=v0, maxiter=maxiter)
-        except spl.ArpackNoConvergence as exc:
-            got = np.asarray(exc.eigenvalues)
-            raise SpectrumError(
-                f"eigensolver converged {got.size} of {count} requested "
-                f"eigenvalues for mode k={op.k}"
-            ) from exc
+            w, X, applications = _arnoldi(lambda x: solve(op.weight * x), v0, count, maxiter)
+        except SpectrumError as exc:
+            raise SpectrumError(f"{exc} for mode k={op.k}") from None
         idx = np.argsort(np.abs(w))
         w, X = w[idx], X[:, idx]
     else:
@@ -330,6 +440,7 @@ def mode_spectrum(
         smallest_magnitude=float(np.abs(eigenvalues[0])),
         eigenvector_0=vec,
         imag_noise=imag_noise,
+        op_applications=applications,
     )
 
 
@@ -410,11 +521,10 @@ def kernel_candidate(point: SolutionPoint) -> np.ndarray:
     """
     mesh = point.mesh
     block, coupling = _interior_block(mesh, _folded_lap(mesh, 0.0), _potential(point))
-    solve = mesh.band_solver(block)[0]
-    if solve is None:
+    _, _, info, x = mesh.band_solver(block, rhs=[-coupling])
+    if info != 0:
         raise SpectrumError("local mode-0 block is singular")
-    xi_int = solve(-coupling)
-    xi = np.concatenate([xi_int, [1.0]])
+    xi = np.concatenate([x[0], [1.0]])
     peak = int(np.argmax(np.abs(xi)))
     return xi / xi[peak]
 

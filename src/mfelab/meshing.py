@@ -24,10 +24,50 @@ spectra amplify that well past their reference tolerances.
 
 from __future__ import annotations
 
+import importlib
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import MfelabError
+
+
+def scipy_extension(name: str):
+    """scipy's compiled module ``name``, loaded without its packages.
+
+    ``import scipy.linalg`` runs the package initialisers of scipy, which
+    pull in ``scipy._lib.array_api_compat``, ``numpy.testing`` and
+    ``numpy.f2py``: about 0.3 s in every process, for the few compiled
+    routines this package calls.  So the extension file is located under
+    scipy's directory (``find_spec`` of a top-level package imports
+    nothing), loaded with ``ExtensionFileLoader`` and registered in
+    ``sys.modules`` under its own name.  A later ``import scipy.linalg``
+    then finds that module, and its functions are the very objects scipy
+    re-exports.  Without the file the module is imported the usual way.
+    """
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec("scipy")
+    roots = spec.submodule_search_locations if spec is not None else None
+    for root in roots or ():
+        stem = os.path.join(root, *name.split(".")[1:])
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            if os.path.isfile(stem + suffix):
+                loader = importlib.machinery.ExtensionFileLoader(name, stem + suffix)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_loader(name, loader, origin=stem + suffix)
+                )
+                sys.modules[name] = module
+                loader.exec_module(module)
+                return module
+    return importlib.import_module(name)
+
+
+_flapack = scipy_extension("scipy.linalg._flapack")
+dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 #: nodes per quadrature cell stencil (design order 6)
 QUAD_POINTS = 6
@@ -284,43 +324,57 @@ class RadialMesh:
             ab[3 * bw - k, lo + k - bw : hi + k - bw] = band[lo:hi, k]
         return ab
 
-    def band_solver(self, band: np.ndarray, rank_one=None):
+    def band_solver(self, band: np.ndarray, rank_one=None, rhs=None):
         """Solver for dense(band) + outer(u, v) by one LAPACK band LU.
 
         Factors the m-row ``band`` once with plain ``dgbtrf`` (partial
-        pivoting, no scaling) and returns ``(solve, denom, info)``.  ``solve``
-        maps x to (dense(band) + u v^T)^-1 x: one ``dgbtrs`` solve, then for
-        ``rank_one = (u, v)`` the Sherman-Morrison step with
+        pivoting, no scaling) and returns ``(solve, denom, info, x)``.
+        ``solve`` maps x to (dense(band) + u v^T)^-1 x: one ``dgbtrs``
+        solve, then for ``rank_one = (u, v)`` the Sherman-Morrison step with
         ``denom = 1 + v . B^-1 u`` (Golub & Van Loan, Matrix Computations,
         4th ed., sec. 2.1.4); without a rank-one pair ``denom`` is 1.  The
         caller judges ``denom``, which must not be zero for ``solve`` to be
-        used.  ``info`` is LAPACK's: i > 0 means U(i, i) is exactly zero.  A
-        band with a non-finite entry is not factored and gets info = -5,
-        LAPACK's code for a bad fifth argument (the band).  ``solve`` is
-        None whenever info is not 0.
+        used.  ``rhs``, a list of right-hand sides, is solved in the same
+        ``dgbtrs`` call as B^-1 u, and ``x`` lists the solutions in order;
+        each column gets its own ``v . y`` dot, so it is bit for bit what
+        ``solve`` returns.  ``x`` is None without ``rhs`` and when ``denom``
+        is zero or not finite.  ``info`` is LAPACK's: i > 0 means U(i, i) is
+        exactly zero.  A band with a non-finite entry is not factored and
+        gets info = -5, LAPACK's code for a bad fifth argument (the band).
+        ``solve`` and ``x`` are None whenever info is not 0.
         """
         bw = self.bandwidth
         ab = self.diagonal_ordered(band)
         if not np.all(np.isfinite(ab)):
-            return None, np.nan, -5
+            return None, np.nan, -5, None
         lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
         if info != 0:
-            return None, np.nan, int(info)
+            return None, np.nan, int(info), None
 
         def band_solve(x):
             return dgbtrs(lu, bw, bw, x, piv)[0]
 
         if rank_one is None:
-            return band_solve, 1.0, 0
+            x = None if rhs is None else list(band_solve(np.column_stack(rhs)).T)
+            return band_solve, 1.0, 0, x
         u, v = rank_one
-        binv_u = band_solve(u)
+        if rhs is None:
+            binv_u = band_solve(u)
+        else:
+            y = band_solve(np.column_stack([u, *rhs]))
+            binv_u = y[:, 0]
         denom = 1.0 + float(v @ binv_u)
 
-        def solve(x):
-            y = band_solve(x)
+        def correct(y):
             return y - binv_u * ((v @ y) / denom)
 
-        return solve, denom, 0
+        def solve(x):
+            return correct(band_solve(x))
+
+        x = None
+        if rhs is not None and denom != 0.0 and np.isfinite(denom):
+            x = [correct(col) for col in y[:, 1:].T]
+        return solve, denom, 0, x
 
     def point_rows(self, t_star: float, m: int = 0) -> np.ndarray:
         """Rows evaluating derivatives 0..m at an arbitrary point.

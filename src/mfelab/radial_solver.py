@@ -302,23 +302,26 @@ def newton_solve(
         s = np.max(np.abs(A), axis=1)
         dcol = d.copy()
         dcol[-1] = 0.0
-        solve, denom, info = mesh.band_solver(A / s[:, None], (-dcol / s, mw))
+        rhs = -G
+        rhs[-1] = -u[-1]
+        columns = [rhs / s]
+        if lam is not None:
+            # rho is the extra unknown: its column d / rho, eliminated
+            # through the constraint u(0) - log M = lam
+            b = d / rho_cur
+            b[-1] = 0.0
+            columns.append(b / s)
+        _, denom, info, x = mesh.band_solver(A / s[:, None], (-dcol / s, mw), columns)
         if info < 0:
             raise SolverError("Newton system is not finite", trace)
         if info > 0:
             raise SolverError(f"band LU of the Newton matrix failed (dgbtrf info {info})", trace)
         if not 1e-12 <= abs(denom) < math.inf:
             raise SolverError(singular, trace)
-        rhs = -G
-        rhs[-1] = -u[-1]
-        du = solve(rhs / s)
+        du = x[0]
         drho = 0.0
         if lam is not None:
-            # rho is the extra unknown: its column d / rho, eliminated
-            # through the constraint u(0) - log M = lam
-            b = d / rho_cur
-            b[-1] = 0.0
-            x2 = solve(b / s)
+            x2 = x[1]
             c = e0 - mw
             c_x2 = float(c @ x2)
             if c_x2 == 0.0:

@@ -392,19 +392,33 @@ def _package_trees():
 
 
 def test_only_meshing_imports_lapack():
-    # the band LU and its Sherman-Morrison step live in RadialMesh.band_solver
-    importers = set()
+    # meshing loads scipy's compiled modules straight from their files: LAPACK
+    # for RadialMesh.band_solver (the band LU and its Sherman-Morrison step)
+    # and, for linearization, ARPACK; no module imports a scipy package at
+    # module level
+    loaders, lapack, top_level = set(), set(), set()
     for name, tree in _package_trees():
         for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "ExtensionFileLoader":
+                loaders.add(name)
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                if getattr(node, "id", getattr(node, "attr", None)) in ("dgbtrf", "dgbtrs"):
+                    lapack.add(name)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if node.value.startswith("scipy.linalg._flapack"):
+                    lapack.add(name)
+        for node in tree.body:
             if isinstance(node, ast.ImportFrom):
-                mods = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+                mods = [node.module or ""]
             elif isinstance(node, ast.Import):
                 mods = [a.name for a in node.names]
             else:
                 continue
-            if "scipy.linalg.lapack" in mods:
-                importers.add(name)
-    assert importers == {"meshing.py"}
+            if any(m == "scipy" or m.startswith("scipy.") for m in mods):
+                top_level.add(name)
+    assert loaders == {"meshing.py"}
+    assert lapack == {"meshing.py"}
+    assert top_level == set()
 
 
 def test_dense_operators_built_only_where_needed():
@@ -434,12 +448,8 @@ def test_dense_operators_built_only_where_needed():
     }
 
 
-def test_cli_import_leaves_out_optional_scipy_modules():
-    # only scipy.linalg and scipy.sparse.linalg are module-level imports
-    # (the latter loads scipy.sparse); the rest load inside the few
-    # functions that use them
+def _loaded_after(probe):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    probe = "import json, sys, mfelab.cli; print(json.dumps(sorted(sys.modules)))"
     proc = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=src),
@@ -448,6 +458,26 @@ def test_cli_import_leaves_out_optional_scipy_modules():
         timeout=120,
         check=True,
     )
-    loaded = set(json.loads(proc.stdout))
-    assert "scipy.linalg" in loaded
-    assert loaded.isdisjoint({"scipy.optimize", "scipy.interpolate", "scipy.special"})
+    return json.loads(proc.stdout)
+
+
+def test_cli_import_leaves_out_optional_scipy_modules():
+    # the CLI loads scipy's compiled LAPACK and ARPACK modules and no scipy
+    # package; the rest load inside the few functions that use them
+    probe = "import json, sys, mfelab.cli; print(json.dumps(sorted(sys.modules)))"
+    loaded = {m for m in _loaded_after(probe) if m == "scipy" or m.startswith("scipy.")}
+    assert loaded == {
+        "scipy.linalg._flapack",
+        "scipy.sparse.linalg._eigen.arpack._arpacklib",
+    }
+
+
+def test_scipy_reuses_the_compiled_modules_mfelab_loaded():
+    probe = (
+        "import json, mfelab, mfelab.meshing as m, mfelab.linearization as lin\n"
+        "import scipy.linalg.lapack as lapack\n"
+        "from scipy.sparse.linalg._eigen.arpack import arpack\n"
+        "print(json.dumps([lapack.dgbtrf is m.dgbtrf, lapack.dgbtrs is m.dgbtrs,"
+        " arpack._arpacklib is lin._arpack]))"
+    )
+    assert _loaded_after(probe) == [True, True, True]

@@ -1,11 +1,15 @@
+import types
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
+from mfelab import linearization
 from mfelab.errors import ParameterDomainError, SpectrumError
 from mfelab.linearization import (
     ModeOperator,
+    _arnoldi,
     b0_projection,
     build_mode_operator,
     entire_mode_operator,
@@ -232,7 +236,7 @@ def test_zero_operator_fixture():
 
 def test_eigensolver_nonconvergence_reported(family100):
     op = build_mode_operator(family100, 0)
-    with pytest.raises(SpectrumError):
+    with pytest.raises(SpectrumError, match=r"converged \d of 8 requested eigenvalues for mode k=0"):
         mode_spectrum(op, count=8, maxiter=1)
 
 
@@ -394,42 +398,118 @@ def test_scan_single_point_branch():
 
 
 
-def _counting_eigs(monkeypatch):
-    """Wrap ``spl.eigs`` so that every OP application is counted."""
-    real = spl.eigs
-    calls = []
-
-    def eigs(A, *args, OPinv, **kwargs):
-        def matvec(x):
-            calls.append(1)
-            return OPinv.matvec(x)
-
-        counted = spl.LinearOperator(OPinv.shape, matvec=matvec, dtype=OPinv.dtype)
-        return real(A, *args, OPinv=counted, **kwargs)
-
-    monkeypatch.setattr(spl, "eigs", eigs)
-    return calls
-
-
 def test_scan_warm_start_matches_cold_spectra(monkeypatch):
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
     branch = continue_branch(6.0, 8.0, 3, spec, MeshPolicy(n=384))
     k_max = 16
-    calls = _counting_eigs(monkeypatch)
+    warm = []
+
+    def counted(*args, **kwargs):
+        result = mode_spectrum(*args, **kwargs)
+        warm.append(result.op_applications)
+        return result
+
+    monkeypatch.setattr(linearization, "mode_spectrum", counted)
     scan = nondegeneracy_scan(branch, k_max=k_max)
-    warm_ops = len(calls)
-    calls.clear()
+    monkeypatch.undo()
+    warm_ops = sum(warm)
     # each mode on its own, from the deterministic start vector
-    cold = np.array([
-        [mode_spectrum(build_mode_operator(pt, k), count=2).eigenvalues
-         for k in range(k_max + 1)]
+    spectra = [
+        [mode_spectrum(build_mode_operator(pt, k), count=2) for k in range(k_max + 1)]
         for pt in branch.points
-    ])
-    cold_ops = len(calls)
+    ]
+    cold = np.array([[s.eigenvalues for s in row] for row in spectra])
+    cold_ops = sum(s.op_applications for row in spectra for s in row)
+    assert len(warm) == len(branch.points) * (k_max + 1)
     assert np.all(np.abs(scan.eig_min - cold[..., 0]) <= 1e-9 * np.abs(cold[..., 0]))
     assert np.all(np.abs(scan.eig_min_next - cold[..., 1]) <= 1e-8 * np.abs(cold[..., 1]))
     # measured: 21.0 OP applications per spectrum warm, 29.7 cold
     assert warm_ops < cold_ops
+
+
+@pytest.fixture(scope="module")
+def arnoldi_cases():
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    point = newton_solve(spec, MeshPolicy(n=384).build(BETA, 8.0), lam=8.0)
+    return {
+        "disk k=0": (build_mode_operator(point, 0), build_mode_operator(point, 1)),
+        "disk k=3": (build_mode_operator(point, 3), build_mode_operator(point, 2)),
+        "entire k=1": (entire_mode_operator(ALPHA, 1, n=384), entire_mode_operator(ALPHA, 2, n=384)),
+    }
+
+
+@pytest.mark.parametrize("count", [2, 8])
+@pytest.mark.parametrize("warm", [False, True])
+def test_arnoldi_matches_scipy_eigs_bit_for_bit(arnoldi_cases, count, warm):
+    for name, (op, neighbour) in arnoldi_cases.items():
+        n = op.band.shape[0]
+        solve = op.mesh.band_solver(op.band, op.rank_one)[0]
+
+        def apply(x):
+            return solve(op.weight * x)
+
+        if warm:
+            v0 = mode_spectrum(neighbour, count=2).eigenvector_0[:-1]
+        else:
+            v0 = np.sin(1.0 + np.arange(n))
+        w, X, ops = _arnoldi(apply, v0, count)
+        # scipy calls OPinv only in shift-invert mode; A is never applied
+        A = spl.LinearOperator((n, n), matvec=lambda x: x, dtype=float)
+        OPinv = spl.LinearOperator((n, n), matvec=apply, dtype=float)
+        w_ref, X_ref = spl.eigs(A, k=count, sigma=0.0, OPinv=OPinv, which="LM", v0=v0)
+        assert np.array_equal(w, w_ref), name
+        assert np.array_equal(X, X_ref), name
+        assert ops >= count
+
+
+def test_arnoldi_serves_restart_request(monkeypatch):
+    # a rank-3 OP leaves an invariant Krylov subspace after three steps, so
+    # ARPACK asks for a fresh start vector (ido 4)
+    real = linearization._arpack
+    requests = set()
+
+    def dnaupd_wrap(state, *args):
+        real.dnaupd_wrap(state, *args)
+        requests.add(state["ido"])
+
+    fake = types.SimpleNamespace(dnaupd_wrap=dnaupd_wrap, dneupd_wrap=real.dneupd_wrap)
+    monkeypatch.setattr(linearization, "_arpack", fake)
+    n = 60
+    diag = np.r_[1.0, 2.0, 3.0, np.zeros(n - 3)]
+    w, X, _ = _arnoldi(lambda x: diag * x, np.ones(n), 2)
+    assert 4 in requests
+    assert np.allclose(w, [1.0 / 3.0, 0.5], rtol=1e-12)
+    assert np.allclose(np.abs(X[[2, 1]].real), np.eye(2), atol=1e-12)
+
+
+def test_zero_or_non_finite_start_rejected(family100):
+    op = build_mode_operator(family100, 1)
+    n = op.band.shape[0]
+    for start in (np.zeros(n), np.full(n, np.nan), np.r_[np.inf, np.ones(n - 1)]):
+        with pytest.raises(ParameterDomainError):
+            mode_spectrum(op, count=2, start=start)
+
+
+def test_arpack_failures_become_spectrum_errors(family100, monkeypatch):
+    op = build_mode_operator(family100, 1)
+    n = op.band.shape[0]
+    # dnaupd: info -9, a zero start vector
+    with pytest.raises(SpectrumError, match="info -9"):
+        _arnoldi(lambda x: x, np.zeros(n), 2)
+    # dnaupd: info -4, no iterations allowed
+    with pytest.raises(SpectrumError, match="info -4 for mode k=1"):
+        mode_spectrum(op, count=2, maxiter=0)
+    # dneupd: any nonzero info
+    real = linearization._arpack
+
+    def dneupd_wrap(state, *args):
+        real.dneupd_wrap(state, *args)
+        state["info"] = -14
+
+    fake = types.SimpleNamespace(dnaupd_wrap=real.dnaupd_wrap, dneupd_wrap=dneupd_wrap)
+    monkeypatch.setattr(linearization, "_arpack", fake)
+    with pytest.raises(SpectrumError, match="dneupd failed with info -14 for mode k=1"):
+        mode_spectrum(op, count=2)
 
 
 def test_start_vector_length_checked(family100):

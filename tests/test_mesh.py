@@ -1,10 +1,15 @@
+import importlib
+import importlib.machinery
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.linalg.lapack import dgbsv
 
+from mfelab import meshing
 from mfelab.errors import MfelabError
-from mfelab.meshing import RadialMesh, band_matvec, fd_weights
+from mfelab.meshing import RadialMesh, band_matvec, fd_weights, scipy_extension
 
 
 def test_fd_weights_exact_on_monomials():
@@ -201,25 +206,60 @@ def test_band_solver_matches_dense_solve(rows, rank_one):
     rng = np.random.default_rng(4)
     mesh = RadialMesh.graded(96, 1.5, 3.0)
     band = _scaled_dirichlet_band(mesh, rows)
-    u, v, x = rng.standard_normal((3, rows))
+    u, v, x, x2 = rng.standard_normal((4, rows))
     pair = (u, v) if rank_one else None
-    solve, denom, info = mesh.band_solver(band, pair)
+    solve, denom, info, solved = mesh.band_solver(band, pair, [x, x2])
     assert info == 0
     dense = mesh.dense(band)
     exact = np.linalg.solve(dense + np.outer(u, v) if rank_one else dense, x)
     assert np.max(np.abs(solve(x) - exact)) <= 1e-12 * np.max(np.abs(exact))
+    # right-hand sides solved with the factor are bit for bit what solve gives
+    assert len(solved) == 2
+    assert np.array_equal(solved[0], solve(x)) and np.array_equal(solved[1], solve(x2))
     want = 1.0 + v @ np.linalg.solve(dense, u) if rank_one else 1.0
     assert denom == pytest.approx(want, rel=1e-12)
 
 
 def test_band_solver_reports_singular_and_non_finite_bands():
     mesh = RadialMesh.graded(96, 1.5, 3.0)
-    solve, _, info = mesh.band_solver(np.zeros_like(mesh.d1_band))
+    solve, _, info, _ = mesh.band_solver(np.zeros_like(mesh.d1_band))
     assert solve is None and info > 0
     band = _scaled_dirichlet_band(mesh, mesh.n)
     band[10, mesh.bandwidth] = np.nan
-    solve, _, info = mesh.band_solver(band)
+    solve, _, info, _ = mesh.band_solver(band)
     assert solve is None and info == -5  # non-finite, never factored
+
+
+def test_scipy_extension_falls_back_to_import(monkeypatch):
+    # without the extension file the module comes from an ordinary import,
+    # and its band LU gives the bits of the one meshing loaded
+    name = "scipy.linalg._flapack"
+    imported = []
+    real_import = importlib.import_module
+
+    def spy(module, *args):
+        imported.append(module)
+        return real_import(module, *args)
+
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [])
+    monkeypatch.setattr(importlib, "import_module", spy)
+    monkeypatch.delitem(sys.modules, name)
+    fallback = scipy_extension(name)
+    assert imported == [name]
+    rng = np.random.default_rng(5)
+    mesh = RadialMesh.graded(96, 1.5, 3.0)
+    bw = mesh.bandwidth
+    # a full Newton band and an (n - 1)-row mode band
+    for rows in (mesh.n, mesh.n - 1):
+        ab = mesh.diagonal_ordered(_scaled_dirichlet_band(mesh, rows))
+        x = rng.standard_normal(rows)
+        lu, piv, info = meshing.dgbtrf(ab, bw, bw)
+        lu_f, piv_f, info_f = fallback.dgbtrf(ab, bw, bw)
+        assert info == info_f == 0
+        assert np.array_equal(lu, lu_f) and np.array_equal(piv, piv_f)
+        assert np.array_equal(
+            meshing.dgbtrs(lu, bw, bw, x, piv)[0], fallback.dgbtrs(lu_f, bw, bw, x, piv_f)[0]
+        )
 
 
 def test_graded_mesh_shapes():
