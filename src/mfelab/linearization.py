@@ -100,8 +100,7 @@ class ModeSpectrum:
 
     Imaginary parts of the computed eigenvalues are numerical noise (the
     operator is self-adjoint in the weighted inner product); their maximum
-    is reported in ``imag_noise``.  ``op_applications`` counts the
-    shift-invert products ARPACK asked for (0 for a dense solve).
+    is reported in ``imag_noise``.
     """
 
     k: int
@@ -109,7 +108,6 @@ class ModeSpectrum:
     smallest_magnitude: float
     eigenvector_0: np.ndarray
     imag_noise: float
-    op_applications: int
 
 
 def _folded_lap(mesh: RadialMesh, kappa: float) -> np.ndarray:
@@ -412,10 +410,9 @@ def mode_spectrum(
     else:
         v0 = np.sin(1.0 + np.arange(n))
     solve = None if count >= n - 1 else op.mesh.band_solver(op.band, op.rank_one)[0]
-    applications = 0
     if solve is not None:
         try:
-            w, X, applications = _arnoldi(lambda x: solve(op.weight * x), v0, count, maxiter)
+            w, X, _ = _arnoldi(lambda x: solve(op.weight * x), v0, count, maxiter)
         except SpectrumError as exc:
             raise SpectrumError(f"{exc} for mode k={op.k}") from None
         idx = np.argsort(np.abs(w))
@@ -440,7 +437,6 @@ def mode_spectrum(
         smallest_magnitude=float(np.abs(eigenvalues[0])),
         eigenvector_0=vec,
         imag_noise=imag_noise,
-        op_applications=applications,
     )
 
 
@@ -521,10 +517,11 @@ def kernel_candidate(point: SolutionPoint) -> np.ndarray:
     """
     mesh = point.mesh
     block, coupling = _interior_block(mesh, _folded_lap(mesh, 0.0), _potential(point))
-    _, _, info, x = mesh.band_solver(block, rhs=[-coupling])
-    if info != 0:
+    solve = mesh.band_solver(block)[0]
+    if solve is None:
         raise SpectrumError("local mode-0 block is singular")
-    xi = np.concatenate([x[0], [1.0]])
+    xi_int = solve(-coupling)
+    xi = np.concatenate([xi_int, [1.0]])
     peak = int(np.argmax(np.abs(xi)))
     return xi / xi[peak]
 

@@ -46,7 +46,9 @@ def scipy_extension(name: str):
     nothing), loaded with ``ExtensionFileLoader`` and registered in
     ``sys.modules`` under its own name.  A later ``import scipy.linalg``
     then finds that module, and its functions are the very objects scipy
-    re-exports.  Without the file the module is imported the usual way.
+    re-exports.  Without the file, or when loading it raises ImportError,
+    the module is imported the usual way; a failed load leaves nothing in
+    ``sys.modules``.
     """
     if name in sys.modules:
         return sys.modules[name]
@@ -57,16 +59,47 @@ def scipy_extension(name: str):
         for suffix in importlib.machinery.EXTENSION_SUFFIXES:
             if os.path.isfile(stem + suffix):
                 loader = importlib.machinery.ExtensionFileLoader(name, stem + suffix)
-                module = importlib.util.module_from_spec(
-                    importlib.util.spec_from_loader(name, loader, origin=stem + suffix)
-                )
-                sys.modules[name] = module
-                loader.exec_module(module)
+                try:
+                    module = importlib.util.module_from_spec(
+                        importlib.util.spec_from_loader(name, loader, origin=stem + suffix)
+                    )
+                    sys.modules[name] = module
+                    loader.exec_module(module)
+                except ImportError:
+                    sys.modules.pop(name, None)
+                    return importlib.import_module(name)
                 return module
     return importlib.import_module(name)
 
 
-_flapack = scipy_extension("scipy.linalg._flapack")
+def _load_lapack():
+    """``scipy.linalg._flapack``, loaded with a short OpenBLAS thread spin.
+
+    Loading it starts scipy's own OpenBLAS, whose worker thread then
+    busy-waits for OpenBLAS's thread timeout (2**28 cycles, about 0.1 s)
+    before it sleeps.  With no ``scipy.linalg`` import after the load to
+    absorb it, that spin runs into the command and takes a core from
+    numpy's BLAS threads: ``fold_pohozaev1024`` ran 0.03 s slower.  So
+    the load sets ``OPENBLAS_THREAD_TIMEOUT`` to its minimum, 2**4
+    cycles, unless the environment sets it, and then restores the
+    environment.  The timeout changes no result, and numpy's OpenBLAS,
+    initialised when numpy was imported, keeps its own.  It has a price:
+    ARPACK's BLAS calls now wake a sleeping thread, which costs the 289
+    spectra of ``spectrum_modes16`` about 0.02 s, against 0.05 s won on
+    the fold and 0.02 s of start-up won by every command.
+    """
+    timeout = "OPENBLAS_THREAD_TIMEOUT"
+    unset = timeout not in os.environ
+    if unset:
+        os.environ[timeout] = "4"
+    try:
+        return scipy_extension("scipy.linalg._flapack")
+    finally:
+        if unset:
+            del os.environ[timeout]
+
+
+_flapack = _load_lapack()
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 #: nodes per quadrature cell stencil (design order 6)
@@ -324,57 +357,51 @@ class RadialMesh:
             ab[3 * bw - k, lo + k - bw : hi + k - bw] = band[lo:hi, k]
         return ab
 
-    def band_solver(self, band: np.ndarray, rank_one=None, rhs=None):
+    def band_solver(self, band: np.ndarray, rank_one=None):
         """Solver for dense(band) + outer(u, v) by one LAPACK band LU.
 
         Factors the m-row ``band`` once with plain ``dgbtrf`` (partial
-        pivoting, no scaling) and returns ``(solve, denom, info, x)``.
+        pivoting, no scaling) and returns ``(solve, denom, info)``.
         ``solve`` maps x to (dense(band) + u v^T)^-1 x: one ``dgbtrs``
         solve, then for ``rank_one = (u, v)`` the Sherman-Morrison step with
         ``denom = 1 + v . B^-1 u`` (Golub & Van Loan, Matrix Computations,
         4th ed., sec. 2.1.4); without a rank-one pair ``denom`` is 1.  The
         caller judges ``denom``, which must not be zero for ``solve`` to be
-        used.  ``rhs``, a list of right-hand sides, is solved in the same
-        ``dgbtrs`` call as B^-1 u, and ``x`` lists the solutions in order;
-        each column gets its own ``v . y`` dot, so it is bit for bit what
-        ``solve`` returns.  ``x`` is None without ``rhs`` and when ``denom``
-        is zero or not finite.  ``info`` is LAPACK's: i > 0 means U(i, i) is
-        exactly zero.  A band with a non-finite entry is not factored and
-        gets info = -5, LAPACK's code for a bad fifth argument (the band).
-        ``solve`` and ``x`` are None whenever info is not 0.
+        used.  x may be one vector or an (m, c) stack of columns, solved in
+        one ``dgbtrs`` call; each column gets its own ``v . y`` dot, so it is
+        bit for bit the one-vector solve.  ``info`` is LAPACK's: i > 0 means
+        U(i, i) is exactly zero.  A band with a non-finite entry is not
+        factored and gets info = -5, LAPACK's code for a bad fifth argument
+        (the band).  ``solve`` is None whenever info is not 0.
         """
         bw = self.bandwidth
         ab = self.diagonal_ordered(band)
         if not np.all(np.isfinite(ab)):
-            return None, np.nan, -5, None
+            return None, np.nan, -5
         lu, piv, info = dgbtrf(ab, bw, bw, overwrite_ab=1)
         if info != 0:
-            return None, np.nan, int(info), None
+            return None, np.nan, int(info)
 
         def band_solve(x):
             return dgbtrs(lu, bw, bw, x, piv)[0]
 
         if rank_one is None:
-            x = None if rhs is None else list(band_solve(np.column_stack(rhs)).T)
-            return band_solve, 1.0, 0, x
+            return band_solve, 1.0, 0
         u, v = rank_one
-        if rhs is None:
-            binv_u = band_solve(u)
-        else:
-            y = band_solve(np.column_stack([u, *rhs]))
-            binv_u = y[:, 0]
+        binv_u = band_solve(u)
         denom = 1.0 + float(v @ binv_u)
 
         def correct(y):
             return y - binv_u * ((v @ y) / denom)
 
         def solve(x):
-            return correct(band_solve(x))
+            y = band_solve(x)
+            if y.ndim == 1:
+                return correct(y)
+            # stacked as rows and transposed, so each column is contiguous
+            return np.array([correct(col) for col in y.T]).T
 
-        x = None
-        if rhs is not None and denom != 0.0 and np.isfinite(denom):
-            x = [correct(col) for col in y[:, 1:].T]
-        return solve, denom, 0, x
+        return solve, denom, 0
 
     def point_rows(self, t_star: float, m: int = 0) -> np.ndarray:
         """Rows evaluating derivatives 0..m at an arbitrary point.

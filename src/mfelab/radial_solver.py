@@ -311,13 +311,14 @@ def newton_solve(
             b = d / rho_cur
             b[-1] = 0.0
             columns.append(b / s)
-        _, denom, info, x = mesh.band_solver(A / s[:, None], (-dcol / s, mw), columns)
+        solve, denom, info = mesh.band_solver(A / s[:, None], (-dcol / s, mw))
         if info < 0:
             raise SolverError("Newton system is not finite", trace)
         if info > 0:
             raise SolverError(f"band LU of the Newton matrix failed (dgbtrf info {info})", trace)
         if not 1e-12 <= abs(denom) < math.inf:
             raise SolverError(singular, trace)
+        x = solve(np.column_stack(columns)).T
         du = x[0]
         drho = 0.0
         if lam is not None:

@@ -407,6 +407,15 @@ def test_only_meshing_imports_lapack():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 if node.value.startswith("scipy.linalg._flapack"):
                     lapack.add(name)
+            # an import of LAPACK anywhere, function bodies included
+            if isinstance(node, ast.ImportFrom):
+                mods = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                mods = [a.name for a in node.names]
+            else:
+                continue
+            if {"scipy.linalg.lapack", "scipy.linalg._flapack"} & set(mods):
+                lapack.add(name)
         for node in tree.body:
             if isinstance(node, ast.ImportFrom):
                 mods = [node.module or ""]

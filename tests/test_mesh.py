@@ -1,5 +1,6 @@
 import importlib
 import importlib.machinery
+import os
 import sys
 
 import numpy as np
@@ -208,26 +209,70 @@ def test_band_solver_matches_dense_solve(rows, rank_one):
     band = _scaled_dirichlet_band(mesh, rows)
     u, v, x, x2 = rng.standard_normal((4, rows))
     pair = (u, v) if rank_one else None
-    solve, denom, info, solved = mesh.band_solver(band, pair, [x, x2])
+    solve, denom, info = mesh.band_solver(band, pair)
     assert info == 0
     dense = mesh.dense(band)
     exact = np.linalg.solve(dense + np.outer(u, v) if rank_one else dense, x)
     assert np.max(np.abs(solve(x) - exact)) <= 1e-12 * np.max(np.abs(exact))
-    # right-hand sides solved with the factor are bit for bit what solve gives
-    assert len(solved) == 2
-    assert np.array_equal(solved[0], solve(x)) and np.array_equal(solved[1], solve(x2))
+    # a stack of columns is solved bit for bit as each column on its own
+    solved = solve(np.column_stack([x, x2]))
+    assert solved.shape == (rows, 2)
+    assert np.array_equal(solved[:, 0], solve(x)) and np.array_equal(solved[:, 1], solve(x2))
     want = 1.0 + v @ np.linalg.solve(dense, u) if rank_one else 1.0
     assert denom == pytest.approx(want, rel=1e-12)
 
 
 def test_band_solver_reports_singular_and_non_finite_bands():
     mesh = RadialMesh.graded(96, 1.5, 3.0)
-    solve, _, info, _ = mesh.band_solver(np.zeros_like(mesh.d1_band))
+    solve, _, info = mesh.band_solver(np.zeros_like(mesh.d1_band))
     assert solve is None and info > 0
     band = _scaled_dirichlet_band(mesh, mesh.n)
     band[10, mesh.bandwidth] = np.nan
-    solve, _, info, _ = mesh.band_solver(band)
+    solve, _, info = mesh.band_solver(band)
     assert solve is None and info == -5  # non-finite, never factored
+
+
+@pytest.mark.parametrize("preset", [None, "7"])
+def test_lapack_load_shortens_openblas_spin_only_while_loading(monkeypatch, preset):
+    # the timeout reaches the load, a value the environment sets wins, and
+    # the environment is as it was afterwards
+    timeout = "OPENBLAS_THREAD_TIMEOUT"
+    if preset is None:
+        monkeypatch.delenv(timeout, raising=False)
+    else:
+        monkeypatch.setenv(timeout, preset)
+    seen = []
+
+    def spy(name):
+        seen.append((name, os.environ.get(timeout)))
+        return sys.modules[name]
+
+    monkeypatch.setattr(meshing, "scipy_extension", spy)
+    assert meshing._load_lapack() is meshing._flapack
+    assert seen == [("scipy.linalg._flapack", preset or "4")]
+    assert os.environ.get(timeout) == preset
+
+
+def test_scipy_extension_falls_back_when_loading_fails(monkeypatch):
+    # an extension file that does not load leaves no half-made module behind
+    # and hands over to an ordinary import
+    name = "scipy.linalg._flapack"
+    seen = []
+    imported = object()
+
+    def broken(self, module):
+        raise ImportError("incompatible extension")
+
+    def spy(module, *args):
+        seen.append((module, module in sys.modules))
+        return imported
+
+    monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, "exec_module", broken)
+    monkeypatch.setattr(importlib, "import_module", spy)
+    monkeypatch.delitem(sys.modules, name)
+    assert scipy_extension(name) is imported
+    assert seen == [(name, False)]
+    assert name not in sys.modules
 
 
 def test_scipy_extension_falls_back_to_import(monkeypatch):
