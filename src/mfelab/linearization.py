@@ -29,10 +29,21 @@ spend extra weight products on every step for the same eigenvalues.  A
 scan over modes starts each mode's Arnoldi run from the previous mode's
 eigenvector at the same point, which lies close to the wanted
 eigenvectors and saves restarts.
+
+``nondegeneracy_scan`` shares the branch points among one process per
+usable CPU (``os.sched_getaffinity``): point i goes to group i mod W, the
+calling process runs group 0, and a child started with ``os.fork`` runs
+each other group on a CPU of its own and pickles its rows back through a
+pipe.  Each point's chain of modes stays in one process and runs the
+operations of a serial scan, so the spectra are the same bits for any W.
+A profiler in the calling process sees only its own share of the calls.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 import warnings
 from dataclasses import dataclass
 
@@ -390,7 +401,8 @@ def mode_spectrum(
     1/eps of OP = (B + u v^T)^-1 W: no weight matrix is passed, so the
     Arnoldi basis is orthogonalised in the plain inner product and each
     step costs one weight multiply and one band LU solve.  An exactly
-    singular band falls back to a dense QZ solve.
+    singular band falls back to a dense QZ solve; a non-finite entry in
+    the band, the weight or the rank-one pair raises ``SpectrumError``.
 
     ``start`` is ARPACK's start vector, one entry per interior node (e.g.
     another mode's ``eigenvector_0[:-1]``); it must be finite and not
@@ -409,6 +421,9 @@ def mode_spectrum(
             raise ParameterDomainError("start must be finite and not zero")
     else:
         v0 = np.sin(1.0 + np.arange(n))
+    if not all(np.all(np.isfinite(a)) for a in (op.band, op.weight, *(op.rank_one or ()))):
+        # caught here: ARPACK's LAPACK would print its complaint to stdout
+        raise SpectrumError(f"mode k={op.k} operator has a non-finite entry")
     solve = None if count >= n - 1 else op.mesh.band_solver(op.band, op.rank_one)[0]
     if solve is not None:
         try:
@@ -473,6 +488,149 @@ class NondegeneracyScan:
                 )
 
 
+def _current_cpu() -> int | None:
+    """The CPU this process last ran on (field 39 of /proc/self/stat), or None."""
+    try:
+        with open("/proc/self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _worker_cpus(points: int) -> list:
+    """The CPUs of the forked workers that share a scan of ``points`` points.
+
+    The scan runs on W = min(points, number of usable CPUs) processes: the
+    parent and W - 1 forked workers (none where ``os.fork`` or
+    ``os.sched_getaffinity`` does not exist).  Each worker gets a CPU of
+    its own, other than the parent's: where the scheduler does not balance
+    load across CPUs, a forked child would stay on its parent's CPU and
+    the two would share it.
+    """
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return []
+    allowed = sorted(os.sched_getaffinity(0))
+    here = _current_cpu()
+    others = [cpu for cpu in allowed if cpu != here]
+    return others[: min(points, len(allowed)) - 1]
+
+
+def _scan_group(points, indices, k_max: int):
+    """eig_min and eig_min_next of ``points[i]`` for i in ``indices``, in order.
+
+    Returns (rows, failure): ``rows`` has shape (2, len(indices), k_max + 1)
+    and ``failure`` is None or (index, exception) of the first point that
+    raised.  The group stops there, as the serial scan does, and the rows
+    of that point and of the rest are left zero.  At each point, mode 0's
+    ARPACK run starts from the deterministic vector and every later mode
+    from the previous mode's eigenvector.
+    """
+    rows = np.zeros((2, len(indices), k_max + 1))
+    for j, i in enumerate(indices):
+        start = None
+        try:
+            for k in range(k_max + 1):
+                spec_k = mode_spectrum(build_mode_operator(points[i], k), count=2, start=start)
+                start = spec_k.eigenvector_0[:-1]
+                rows[:, j, k] = spec_k.eigenvalues[:2]
+        except Exception as exc:
+            return rows, (i, exc)
+    return rows, None
+
+
+def _fork_group(points, indices, k_max: int, cpu: int):
+    """Run ``_scan_group`` in a forked child: (pid, read end of its pipe).
+
+    The child pickles the group's result into the pipe and leaves through
+    ``os._exit``, so it flushes no inherited buffer and runs no exit hook;
+    if anything the group does not catch is raised, it exits 1 and writes
+    nothing.  Returns None, with no child, when the fork fails.
+    """
+    read, write = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns that a process with threads (OpenBLAS's)
+            # forks; the warning comes after the child exists, so a filter
+            # that turned it into an error would lose the child
+            warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read)
+            try:
+                os.sched_setaffinity(0, {cpu})
+            except OSError:
+                pass  # the CPU is a placement hint, not needed for the result
+            data = pickle.dumps(_scan_group(points, indices, k_max))
+            with os.fdopen(write, "wb") as fh:
+                fh.write(data)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _scan_rows(points, k_max: int) -> np.ndarray:
+    """``_scan_group`` over every point: eig_min and eig_min_next, shape (2, P, k_max + 1).
+
+    Point i goes to group i mod W, with W from ``_worker_cpus``.  The
+    parent runs group 0 (and any group whose fork failed), and one forked
+    child runs each other group, so every point's chain of modes runs in
+    one process exactly as in a serial scan.  Every child is reaped before
+    this returns or raises.  A failure is raised as the serial scan would
+    raise it: the exception of the lowest failing point index.  A child
+    that exits without a result raises ``SpectrumError``.
+    """
+    P = len(points)
+    cpus = _worker_cpus(P)
+    workers = 1 + len(cpus)
+    groups = [range(g, P, workers) for g in range(workers)]
+    own = groups[:1]
+    children = []  # (group, pid, pipe) of the children not yet reaped
+    try:
+        for group, cpu in zip(groups[1:], cpus):
+            child = _fork_group(points, group, k_max, cpu)
+            if child is None:
+                own.append(group)
+            else:
+                children.append((group, *child))
+        results = [(group, *_scan_group(points, group, k_max)) for group in own]
+        lost = []
+        while children:
+            group, pid, pipe = children[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            try:
+                results.append((group, *pickle.loads(data)))
+            except Exception:
+                lost.append(status)
+    finally:
+        # children are left here only when the parent itself was interrupted
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if lost:
+        raise SpectrumError(
+            f"a spectrum scan worker exited without a result (wait status {lost[0]})"
+        )
+    failures = [failure for _, _, failure in results if failure is not None]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    out = np.zeros((2, P, k_max + 1))
+    for group, rows, _ in results:
+        out[:, group] = rows
+    return out
+
+
 def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:
     """Scan the branch for near-kernel directions in modes 0..k_max.
 
@@ -480,30 +638,23 @@ def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:
     below 1e-8.  At each point, mode 0's ARPACK run starts from the
     deterministic vector; every later mode starts from the previous mode's
     eigenvector, since neighbouring modes have nearby eigenvectors and
-    Arnoldi then converges in fewer steps.
+    Arnoldi then converges in fewer steps.  The points are shared among
+    one process per usable CPU (``_scan_rows``); each point's spectra are
+    computed as in a serial scan, so the result does not depend on the
+    number of CPUs.
     """
     if k_max < 0:
         raise ParameterDomainError("k_max must be non-negative")
     points = branch.points
     if not points:
         raise ParameterDomainError("branch has no points")
-    P = len(points)
-    eig_min = np.zeros((P, k_max + 1))
-    eig_next = np.zeros((P, k_max + 1))
-    for i, pt in enumerate(points):
-        start = None
-        for k in range(k_max + 1):
-            spec_k = mode_spectrum(build_mode_operator(pt, k), count=2, start=start)
-            start = spec_k.eigenvector_0[:-1]
-            eig_min[i, k] = spec_k.eigenvalues[0]
-            eig_next[i, k] = spec_k.eigenvalues[1]
-    flags = np.abs(eig_min) < KERNEL_FLAG_TOL
+    eig_min, eig_next = _scan_rows(points, k_max)
     return NondegeneracyScan(
         lambdas=np.array([pt.lam for pt in points]),
         k_max=int(k_max),
         eig_min=eig_min,
         eig_min_next=eig_next,
-        kernel_flags=flags,
+        kernel_flags=np.abs(eig_min) < KERNEL_FLAG_TOL,
     )
 
 

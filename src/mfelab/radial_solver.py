@@ -459,6 +459,8 @@ def continue_branch(
         raise ParameterDomainError("steps must be at least 1")
     if lambda_end < lambda_start:
         raise ParameterDomainError("lambda_end must not precede lambda_start")
+    if steps == 1 and lambda_end > lambda_start:
+        raise ParameterDomainError("one step reaches lambda_start only; lambda_end needs steps >= 2")
     beta = 1.0 + spec.alpha
     if lambda_end == lambda_start:
         targets = np.array([lambda_start])

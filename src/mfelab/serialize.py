@@ -184,8 +184,12 @@ class RunConfig:
             errors.append("window.steps")
         else:
             window["steps"] = steps
-        if "start" in window and "end" in window and window["end"] < window["start"]:
-            errors.append("window.end")
+        if "start" in window and "end" in window:
+            if window["end"] < window["start"]:
+                errors.append("window.end")
+            elif window.get("steps") == 1 and window["end"] > window["start"]:
+                # one step solves lambda = start only and would drop the end
+                errors.append("window.steps")
 
         fit_raw = raw.get("fit_window", DEFAULTS["fit_window"])
         fit_window = ()

@@ -173,6 +173,19 @@ class TestBranchCommand:
         first_lam = float(lines[2].split(",")[0])
         assert abs(first_lam - 0.5) < 1e-9
 
+    def test_one_step_window_with_an_end_exit_code(self, tmp_path, capsys):
+        # linspace(6, 14, 1) is [6]: one step cannot reach the end
+        cfg = base_config(tmp_path / "o", window={"start": 6.0, "end": 14.0, "steps": 1})
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict(cfg)
+        assert err.value.fields == ["window.steps"]
+        code, msg = run(["spectrum", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+        assert code == 2
+        assert msg["error"]["fields"] == ["window.steps"]
+        assert not (tmp_path / "o").exists()
+        one = RunConfig.from_dict(dict(cfg, window={"start": 6.0, "end": 6.0, "steps": 1}))
+        assert one.window == {"start": 6.0, "end": 6.0, "steps": 1}
+
     def test_malformed_window_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", base_config(tmp_path / "o"))
         code, msg = run(["branch", "--config", path, "--window", "6;10"], capsys)
@@ -474,11 +487,15 @@ def test_cli_import_leaves_out_optional_scipy_modules():
     # the CLI loads scipy's compiled LAPACK and ARPACK modules and no scipy
     # package; the rest load inside the few functions that use them
     probe = "import json, sys, mfelab.cli; print(json.dumps(sorted(sys.modules)))"
-    loaded = {m for m in _loaded_after(probe) if m == "scipy" or m.startswith("scipy.")}
+    modules = _loaded_after(probe)
+    loaded = {m for m in modules if m == "scipy" or m.startswith("scipy.")}
     assert loaded == {
         "scipy.linalg._flapack",
         "scipy.sparse.linalg._eigen.arpack._arpacklib",
     }
+    # the spectrum scan forks its workers itself: no pool machinery at start-up
+    pools = [m for m in modules if m.split(".")[0] in ("multiprocessing", "concurrent")]
+    assert pools == []
 
 
 def test_scipy_reuses_the_compiled_modules_mfelab_loaded():

@@ -1,3 +1,8 @@
+import dataclasses
+import os
+import subprocess
+import sys
+import time
 import types
 
 import numpy as np
@@ -234,6 +239,22 @@ def test_zero_operator_fixture():
     assert s.smallest_magnitude == 0.0
 
 
+@pytest.mark.parametrize("k, field", [(1, "band"), (1, "weight"), (0, "rank_one")])
+def test_non_finite_operator_is_spectrum_error(family100, capfd, k, field):
+    op = build_mode_operator(family100, k)
+    if field == "rank_one":
+        bad = (op.rank_one[0].copy(), op.rank_one[1])
+        bad[0][3] = np.nan
+    else:
+        bad = getattr(op, field).copy()
+        bad[3] = np.nan
+    # the dense fallback for tiny counts gets the same check
+    for count in (2, op.band.shape[0]):
+        with pytest.raises(SpectrumError, match=rf"mode k={k} operator has a non-finite entry"):
+            mode_spectrum(dataclasses.replace(op, **{field: bad}), count=count)
+    assert capfd.readouterr().out == ""
+
+
 def test_eigensolver_nonconvergence_reported(family100):
     op = build_mode_operator(family100, 0)
     with pytest.raises(SpectrumError, match=r"converged \d of 8 requested eigenvalues for mode k=0"):
@@ -389,13 +410,158 @@ def test_scan_reports_ell_zero_without_assertions():
     assert np.all(np.isfinite(scan.eig_min))
 
 
-def test_scan_single_point_branch():
+@pytest.fixture(scope="module")
+def one_point_branch():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    branch = continue_branch(7.0, 7.0, 1, spec, MeshPolicy(n=384))
-    scan = nondegeneracy_scan(branch, k_max=3)
+    return continue_branch(7.0, 7.0, 1, spec, MeshPolicy(n=384))
+
+
+def test_scan_single_point_branch(one_point_branch):
+    scan = nondegeneracy_scan(one_point_branch, k_max=3)
     assert scan.eig_min.shape == (1, 4)
     assert len(list(scan.rows())) == 4
 
+
+
+def _with_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("which", ["short_branch", "one_point_branch"])
+def test_scan_results_do_not_depend_on_workers(which, request, monkeypatch):
+    branch = request.getfixturevalue(which)
+    scans = []
+    for cpus in (1, 3):
+        _with_cpus(monkeypatch, cpus)
+        scans.append(nondegeneracy_scan(branch, k_max=3))
+        _assert_no_children()
+    serial, forked = scans
+    assert np.array_equal(serial.eig_min, forked.eig_min)
+    assert np.array_equal(serial.eig_min_next, forked.eig_min_next)
+    assert np.array_equal(serial.kernel_flags, forked.kernel_flags)
+
+
+def test_scan_workers_follow_affinity(monkeypatch):
+    assert linearization._current_cpu() in os.sched_getaffinity(0)
+    _with_cpus(monkeypatch, 3)
+    monkeypatch.setattr(linearization, "_current_cpu", lambda: 1)
+    # one worker per CPU up to the number of points, none on the parent's CPU
+    assert [linearization._worker_cpus(p) for p in (1, 2, 5)] == [[], [0], [0, 2]]
+    monkeypatch.setattr(linearization, "_current_cpu", lambda: None)
+    assert linearization._worker_cpus(5) == [0, 1]
+    monkeypatch.delattr(os, "fork")
+    assert linearization._worker_cpus(5) == []
+
+
+def _before_each_operator(monkeypatch, hook):
+    """Call hook(point) before each operator the scan builds, in whichever process builds it."""
+    real = linearization.build_mode_operator
+
+    def build(point, k):
+        hook(point)
+        return real(point, k)
+
+    monkeypatch.setattr(linearization, "build_mode_operator", build)
+
+
+@pytest.mark.parametrize("failures, first", [
+    # groups of 3 workers on 5 points: {0, 3} in the parent, {1, 4} and {2} forked
+    ({1: ParameterDomainError("at point 1"), 3: SpectrumError("at point 3")}, 1),
+    ({0: SpectrumError("at point 0"), 2: ValueError("at point 2")}, 0),
+    ({2: ValueError("at point 2"), 4: SpectrumError("at point 4")}, 2),
+])
+def test_scan_raises_the_serial_scans_first_failure(short_branch, monkeypatch, failures, first):
+    def fail(point):
+        i = [p is point for p in short_branch.points].index(True)
+        if i in failures:
+            raise failures[i]
+
+    _before_each_operator(monkeypatch, fail)
+    expected = failures[first]
+    for cpus in (1, 3):
+        _with_cpus(monkeypatch, cpus)
+        with pytest.raises(type(expected)) as err:
+            nondegeneracy_scan(short_branch, k_max=1)
+        assert type(err.value) is type(expected)
+        assert str(err.value) == str(expected)
+        _assert_no_children()
+
+
+def test_scan_worker_without_result_is_spectrum_error(short_branch, monkeypatch):
+    parent = os.getpid()
+
+    def die_in_worker(point):
+        if os.getpid() != parent:
+            os._exit(7)
+
+    _before_each_operator(monkeypatch, die_in_worker)
+    _with_cpus(monkeypatch, 2)
+    with pytest.raises(SpectrumError, match=r"without a result \(wait status 1792\)"):
+        nondegeneracy_scan(short_branch, k_max=1)
+    _assert_no_children()
+
+
+def test_scan_interrupted_in_parent_stops_and_reaps_workers(short_branch, monkeypatch):
+    parent = os.getpid()
+
+    def interrupt_parent(point):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(30)
+
+    _before_each_operator(monkeypatch, interrupt_parent)
+    _with_cpus(monkeypatch, 3)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        nondegeneracy_scan(short_branch, k_max=1)
+    assert time.monotonic() - t0 < 10.0
+    _assert_no_children()
+
+
+def test_scan_runs_a_group_itself_when_fork_fails(short_branch, monkeypatch):
+    _with_cpus(monkeypatch, 1)
+    serial = nondegeneracy_scan(short_branch, k_max=1)
+
+    def no_fork():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    _with_cpus(monkeypatch, 3)
+    monkeypatch.setattr(os, "fork", no_fork)
+    scan = nondegeneracy_scan(short_branch, k_max=1)
+    assert np.array_equal(scan.eig_min, serial.eig_min)
+    assert np.array_equal(scan.eig_min_next, serial.eig_min_next)
+
+
+def test_scan_workers_leave_through_os_exit(tmp_path):
+    # a worker that left through the interpreter's exit would flush the
+    # pending stdout buffer it inherited and run the atexit hooks
+    marker = tmp_path / "atexit"
+    script = (
+        "import atexit, os, sys\n"
+        "from mfelab import MeshPolicy, WeightSpec, continue_branch, nondegeneracy_scan\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        f"atexit.register(lambda: open({str(marker)!r}, 'a').write('exit\\n'))\n"
+        "branch = continue_branch(7.0, 7.5, 2, WeightSpec(alpha=0.5), MeshPolicy(n=128))\n"
+        "sys.stdout.write('pending\\n')\n"
+        "nondegeneracy_scan(branch, k_max=1)\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(env, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout == "pending\n"
+    assert marker.read_text() == "exit\n"  # the parent's hook, once
 
 
 def test_scan_warm_start_matches_cold_spectra(monkeypatch):
@@ -410,6 +576,8 @@ def test_scan_warm_start_matches_cold_spectra(monkeypatch):
         return w, X, applications
 
     monkeypatch.setattr(linearization, "_arnoldi", counted)
+    # the counter only sees the calls of its own process: one worker
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     scan = nondegeneracy_scan(branch, k_max=k_max)
     assert len(ops) == len(branch.points) * (k_max + 1)
     warm_ops = sum(ops)

@@ -286,6 +286,9 @@ def test_branch_range_validation():
         continue_branch(3.0, 2.0, 5, CONST)
     with pytest.raises(ParameterDomainError):
         continue_branch(0.0, 1.0, 0, CONST)
+    # one step would solve lambda = 6 only and drop the end of the window
+    with pytest.raises(ParameterDomainError, match="steps >= 2"):
+        continue_branch(6.0, 14.0, 1, CONST)
 
 
 def test_branch_positive_ell_crosses_limit_and_folds(gauss_branch):
