@@ -33,10 +33,10 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _run_branch(config: RunConfig):
+def _run_branch(config: RunConfig, nodes: int | None = None):
     win = config.window
     return continue_branch(
-        win["start"], win["end"], win["steps"], config.weight_spec(), config.mesh_policy()
+        win["start"], win["end"], win["steps"], config.weight_spec(), config.mesh_policy(nodes)
     )
 
 
@@ -110,10 +110,7 @@ def _verify_failures(config: RunConfig, branch, report) -> list:
     failures = []
 
     # branch-level control: the continuation must be mesh-converged
-    fine = continue_branch(
-        config.window["start"], config.window["end"], config.window["steps"],
-        config.weight_spec(), config.mesh_policy(nodes=2 * config.mesh["nodes"]),
-    )
+    fine = _run_branch(config, nodes=2 * config.mesh["nodes"])
     if fine.failure is not None:
         failures.append({"check": "mesh-convergence", "detail": "doubled mesh did not converge"})
     else:

@@ -33,16 +33,19 @@ eigenvectors and saves restarts.
 ``nondegeneracy_scan`` shares the branch points among one process per
 usable CPU (``os.sched_getaffinity``): point i goes to group i mod W, the
 calling process runs group 0, and a child started with ``os.fork`` runs
-each other group on a CPU of its own and pickles its rows back through a
-pipe.  Each point's chain of modes stays in one process and runs the
-operations of a serial scan, so the spectra are the same bits for any W.
-A profiler in the calling process sees only its own share of the calls.
+each other group on a CPU of its own.  All of them write into one shared
+mapping of rows and per-point done flags, and the calling process then
+computes every point left undone: a failing point's chain runs twice, and
+a dead worker's points are computed again rather than reported.  Each
+point's chain of modes stays in one process and runs the operations of a
+serial scan, so the spectra are the same bits for any W.  A profiler in
+the calling process sees only its own share of the calls.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
-import pickle
 import signal
 import warnings
 from dataclasses import dataclass
@@ -515,120 +518,78 @@ def _worker_cpus(points: int) -> list:
     return others[: min(points, len(allowed)) - 1]
 
 
-def _scan_group(points, indices, k_max: int):
-    """eig_min and eig_min_next of ``points[i]`` for i in ``indices``, in order.
+def _scan_points(points, indices, k_max: int, rows: np.ndarray, done: np.ndarray) -> None:
+    """Compute the mode chains of ``points[i]`` for i in ``indices``, in order.
 
-    Returns (rows, failure): ``rows`` has shape (2, len(indices), k_max + 1)
-    and ``failure`` is None or (index, exception) of the first point that
-    raised.  The group stops there, as the serial scan does, and the rows
-    of that point and of the rest are left zero.  At each point, mode 0's
-    ARPACK run starts from the deterministic vector and every later mode
-    from the previous mode's eigenvector.
+    Writes eig_min and eig_min_next of point i into ``rows[:, i]`` (shape
+    (2, P, k_max + 1)) and sets ``done[i]`` once the whole chain is
+    written; the first point that raises stops the loop.  Mode 0's ARPACK
+    run starts from the deterministic vector and every later mode from the
+    previous mode's eigenvector.
     """
-    rows = np.zeros((2, len(indices), k_max + 1))
-    for j, i in enumerate(indices):
+    for i in indices:
         start = None
-        try:
-            for k in range(k_max + 1):
-                spec_k = mode_spectrum(build_mode_operator(points[i], k), count=2, start=start)
-                start = spec_k.eigenvector_0[:-1]
-                rows[:, j, k] = spec_k.eigenvalues[:2]
-        except Exception as exc:
-            return rows, (i, exc)
-    return rows, None
-
-
-def _fork_group(points, indices, k_max: int, cpu: int):
-    """Run ``_scan_group`` in a forked child: (pid, read end of its pipe).
-
-    The child pickles the group's result into the pipe and leaves through
-    ``os._exit``, so it flushes no inherited buffer and runs no exit hook;
-    if anything the group does not catch is raised, it exits 1 and writes
-    nothing.  Returns None, with no child, when the fork fails.
-    """
-    read, write = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns that a process with threads (OpenBLAS's)
-            # forks; the warning comes after the child exists, so a filter
-            # that turned it into an error would lose the child
-            warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
-            pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        return None
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            try:
-                os.sched_setaffinity(0, {cpu})
-            except OSError:
-                pass  # the CPU is a placement hint, not needed for the result
-            data = pickle.dumps(_scan_group(points, indices, k_max))
-            with os.fdopen(write, "wb") as fh:
-                fh.write(data)
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
+        for k in range(k_max + 1):
+            spec_k = mode_spectrum(build_mode_operator(points[i], k), count=2, start=start)
+            start = spec_k.eigenvector_0[:-1]
+            rows[:, i, k] = spec_k.eigenvalues[:2]
+        done[i] = 1.0
 
 
 def _scan_rows(points, k_max: int) -> np.ndarray:
-    """``_scan_group`` over every point: eig_min and eig_min_next, shape (2, P, k_max + 1).
+    """eig_min and eig_min_next of every point, shape (2, P, k_max + 1).
 
     Point i goes to group i mod W, with W from ``_worker_cpus``.  The
-    parent runs group 0 (and any group whose fork failed), and one forked
-    child runs each other group, so every point's chain of modes runs in
-    one process exactly as in a serial scan.  Every child is reaped before
-    this returns or raises.  A failure is raised as the serial scan would
-    raise it: the exception of the lowest failing point index.  A child
-    that exits without a result raises ``SpectrumError``.
+    parent runs group 0 and a forked child each other group, all writing
+    into one anonymous shared mapping; a child leaves through ``os._exit``,
+    so it flushes no inherited buffer and runs no exit hook.  Once every
+    child is reaped, the parent computes in point order each point not
+    marked done (one that raised, or whose worker died or was never
+    forked), so a failure is raised as the serial scan would raise it.
     """
     P = len(points)
     cpus = _worker_cpus(P)
     workers = 1 + len(cpus)
-    groups = [range(g, P, workers) for g in range(workers)]
-    own = groups[:1]
-    children = []  # (group, pid, pipe) of the children not yet reaped
+    # shared with the forked children: P done flags, then the rows
+    table = np.frombuffer(mmap.mmap(-1, 8 * P * (2 * k_max + 3)))
+    done, rows = table[:P], table[P:].reshape(2, P, k_max + 1)
+    pids = []  # the children not yet reaped
     try:
-        for group, cpu in zip(groups[1:], cpus):
-            child = _fork_group(points, group, k_max, cpu)
-            if child is None:
-                own.append(group)
-            else:
-                children.append((group, *child))
-        results = [(group, *_scan_group(points, group, k_max)) for group in own]
-        lost = []
-        while children:
-            group, pid, pipe = children[0]
-            with pipe:
-                data = pipe.read()
-            status = os.waitpid(pid, 0)[1]
-            children.pop(0)
+        for group, cpu in enumerate(cpus, 1):
             try:
-                results.append((group, *pickle.loads(data)))
-            except Exception:
-                lost.append(status)
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns that a process with threads
+                    # (OpenBLAS's) forks; the warning comes after the child
+                    # exists, so a filter that turned it into an error would
+                    # lose the child
+                    warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                continue  # the parent computes the group's points below
+            if pid == 0:
+                try:
+                    try:
+                        os.sched_setaffinity(0, {cpu})
+                    except OSError:
+                        pass  # the CPU is a placement hint, not needed for the result
+                    _scan_points(points, range(group, P, workers), k_max, rows, done)
+                finally:
+                    os._exit(0)
+            pids.append(pid)
+        try:
+            _scan_points(points, range(0, P, workers), k_max, rows, done)
+        except Exception:
+            pass  # computed again below, where it raises
+        while pids:
+            os.waitpid(pids[-1], 0)
+            pids.pop()
     finally:
         # children are left here only when the parent itself was interrupted
-        for _, pid, pipe in children:
-            pipe.close()
+        for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if lost:
-        raise SpectrumError(
-            f"a spectrum scan worker exited without a result (wait status {lost[0]})"
-        )
-    failures = [failure for _, _, failure in results if failure is not None]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    out = np.zeros((2, P, k_max + 1))
-    for group, rows, _ in results:
-        out[:, group] = rows
-    return out
+    _scan_points(points, [i for i in range(P) if not done[i]], k_max, rows, done)
+    return rows
 
 
 def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:

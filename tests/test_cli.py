@@ -443,6 +443,43 @@ def test_only_meshing_imports_lapack():
     assert top_level == set()
 
 
+def test_only_the_scan_forks():
+    # the spectrum scan's workers are the package's only processes: they are
+    # forked, share one anonymous mapping and leave through os._exit, all in
+    # one function; nothing is pickled
+    calls = {("os", "fork"), ("os", "_exit"), ("mmap", "mmap")}
+    forks, pickles = set(), set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
+                if (child.value.id, child.attr) in calls:
+                    forks.add((module, ".".join(scope), f"{child.value.id}.{child.attr}"))
+            if isinstance(child, ast.ImportFrom):
+                if {(child.module, a.name) for a in child.names} & calls:
+                    forks.add((module, ".".join(scope), f"from {child.module} import"))
+                mods = [child.module or ""]
+            elif isinstance(child, ast.Import):
+                mods = [a.name for a in child.names]
+            else:
+                mods = []
+            if any(m.split(".")[0] in ("pickle", "_pickle") for m in mods):
+                pickles.add(module)
+            visit(child, module, scope)
+
+    for name, tree in _package_trees():
+        visit(tree, name, ())
+    assert forks == {
+        ("linearization.py", "_scan_rows", "os.fork"),
+        ("linearization.py", "_scan_rows", "os._exit"),
+        ("linearization.py", "_scan_rows", "mmap.mmap"),
+    }
+    assert pickles == set()
+
+
 def test_dense_operators_built_only_where_needed():
     # banded operators stay bands: a dense n x n matrix is built only for
     # Newton's residual matvec, the mode operators' dense form, and

@@ -492,7 +492,18 @@ def test_scan_raises_the_serial_scans_first_failure(short_branch, monkeypatch, f
         _assert_no_children()
 
 
-def test_scan_worker_without_result_is_spectrum_error(short_branch, monkeypatch):
+def _assert_scan_is_serial(branch, monkeypatch, cpus):
+    """With ``cpus`` CPUs the scan gives the one-CPU result bit for bit and leaves no child."""
+    _with_cpus(monkeypatch, 1)
+    serial = nondegeneracy_scan(branch, k_max=1)
+    _with_cpus(monkeypatch, cpus)
+    scan = nondegeneracy_scan(branch, k_max=1)
+    _assert_no_children()
+    assert np.array_equal(scan.eig_min, serial.eig_min)
+    assert np.array_equal(scan.eig_min_next, serial.eig_min_next)
+
+
+def test_scan_recomputes_the_points_of_a_worker_that_died(short_branch, monkeypatch):
     parent = os.getpid()
 
     def die_in_worker(point):
@@ -500,10 +511,20 @@ def test_scan_worker_without_result_is_spectrum_error(short_branch, monkeypatch)
             os._exit(7)
 
     _before_each_operator(monkeypatch, die_in_worker)
-    _with_cpus(monkeypatch, 2)
-    with pytest.raises(SpectrumError, match=r"without a result \(wait status 1792\)"):
-        nondegeneracy_scan(short_branch, k_max=1)
-    _assert_no_children()
+    _assert_scan_is_serial(short_branch, monkeypatch, 2)
+
+
+def test_scan_ignores_a_failed_affinity_call(short_branch, monkeypatch):
+    def refuse(pid, cpus):
+        raise OSError("sched_setaffinity: invalid argument")
+
+    built = []  # the operators the parent builds; a worker appends to its own copy
+    _before_each_operator(monkeypatch, built.append)
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    _assert_scan_is_serial(short_branch, monkeypatch, 3)
+    # serial: 5 points x 2 modes; then the parent's group {0, 3} only, as
+    # the workers computed their own points
+    assert len(built) == 10 + 4
 
 
 def test_scan_interrupted_in_parent_stops_and_reaps_workers(short_branch, monkeypatch):
