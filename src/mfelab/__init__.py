@@ -9,10 +9,10 @@ files: LAPACK (``scipy.linalg._flapack``, whose band LU only ``meshing``
 calls: ``RadialMesh.band_solver`` serves Newton and the mode spectra) and
 ARPACK (``scipy.sparse.linalg._eigen.arpack._arpacklib``, driven by
 ``linearization._arnoldi``).  A function that needs a scipy package
-imports it in its own body (``scipy.linalg.eig`` for the dense fallback
-spectrum, ``scipy.optimize``, ``scipy.interpolate``, ``scipy.special``),
-and the fold-pair root finder is a port of scipy's Brent step
-(``radial_solver._brentq``) rather than a call into ``scipy.optimize``.
+imports it in its own body (``scipy.optimize``, ``scipy.interpolate``,
+``scipy.special``), and the fold-pair root finder is a port of scipy's
+Brent step (``radial_solver._brentq``) rather than a call into
+``scipy.optimize``.
 """
 
 from .diagnostics import (

@@ -160,7 +160,8 @@ def cmd_verify(config: RunConfig) -> int:
     if _branch_failed(branch, h):
         return 3
     report = build_report(
-        branch, config.fit_window, config.r0, config.outer_radius, h, config.diagnostics
+        branch, config.fit_window, config.r0, config.outer_radius, h, config.diagnostics,
+        config.thresholds["r2_floor"],
     )
     failures = _verify_failures(config, branch, report)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}

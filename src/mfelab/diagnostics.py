@@ -77,14 +77,14 @@ class FitResult:
     def ok(self) -> bool:
         return self.r_squared >= R2_FLOOR
 
-    def to_dict(self) -> dict:
+    def to_dict(self, r2_floor: float = R2_FLOOR) -> dict:
         return {
             "slope": self.slope,
             "intercept": self.intercept,
             "r_squared": self.r_squared,
             "window": list(self.window),
             "count": self.count,
-            "r2_ok": self.ok,
+            "r2_ok": self.r_squared >= r2_floor,
         }
 
 
@@ -452,17 +452,18 @@ class DiagnosticsReport:
     window: tuple
     r0: float
     config_hash: str
+    r2_floor: float
 
     def to_dict(self) -> dict:
         local = None
         if self.local_rate_fit is not None:
-            local = self.local_rate_fit.to_dict()
+            local = self.local_rate_fit.to_dict(self.r2_floor)
             local["r0"] = self.r0
         poh = None
         if self.pohozaev is not None:
             poh = {"kind": self.pohozaev_kind, "radius": self.r0, "values": list(self.pohozaev)}
         return {
-            "rate_fit": None if self.rate_fit is None else self.rate_fit.to_dict(),
+            "rate_fit": None if self.rate_fit is None else self.rate_fit.to_dict(self.r2_floor),
             "local_rate_fit": local,
             "matching": None if self.matching is None else list(self.matching),
             "outer": None if self.outer is None else list(self.outer),
@@ -480,6 +481,7 @@ def build_report(
     outer_radius: float = 0.5,
     config_hash: str = "",
     diagnostics=DIAGNOSTIC_NAMES,
+    r2_floor: float = R2_FLOOR,
 ) -> DiagnosticsReport:
     """Run the enabled diagnostics on one branch.
 
@@ -488,6 +490,8 @@ def build_report(
     radius.  The identity block comes from pohozaev_rows; on a fold-flagged
     branch the b0 estimates are projections of the same fold pairs'
     normalized differences, and a branch without folds gets no b0 values.
+    The fits' ``r2_ok`` flags compare r^2 with ``r2_floor``, which the
+    CLI takes from the config's ``thresholds.r2_floor``, as its gate does.
     """
     on = set(diagnostics)
     pts = branch.points
@@ -524,4 +528,5 @@ def build_report(
         window=(float(window[0]), float(window[1])),
         r0=float(r0),
         config_hash=config_hash,
+        r2_floor=r2_floor,
     )

@@ -16,11 +16,12 @@ region and the entire-space limit operator.
 The local block B is kept as the interior row band of the mesh and
 factored once per spectrum by ``RadialMesh.band_solver``, which owns the
 band LU and the Sherman-Morrison step for the rank-one part (see
-``meshing``).  The spectra are computed in standard shift-invert form:
-ARPACK iterates with OP = (B + u v^T)^-1 W, where u v^T is the rank-one
-part and W = diag(V), so each Arnoldi step is one multiply by the weight
-and one band solve.  ``_arnoldi`` drives ARPACK's compiled
-reverse-communication routines, loaded from scipy's file by
+``meshing``); no mode operator is formed densely.  The spectra are
+computed in standard shift-invert form: ARPACK iterates with
+OP = (B + u v^T)^-1 W, where u v^T is the rank-one part and W = diag(V),
+so each Arnoldi step is one multiply by the weight and one band solve, and
+a singular operator is a ``SpectrumError``.  ``_arnoldi`` drives ARPACK's
+compiled reverse-communication routines, loaded from scipy's file by
 ``meshing.scipy_extension``, with the calls ``scipy.sparse.linalg.eigs``
 makes, so the spectra are its bits without the 0.3 s import of
 ``scipy.sparse.linalg``.
@@ -87,8 +88,8 @@ class ModeOperator:
     the pair carries the k = 0 nonlocal projection; for truncated
     far-field operators it carries the boundary-condition elimination.
     ``weight`` is the interior sample of V for the weighted eigenproblem.
-    The operator is stored only in this interior form; ``matrix`` gives it
-    densely.
+    The operator is kept only as this band and pair; the package never
+    builds it densely.
     """
 
     k: int
@@ -97,15 +98,6 @@ class ModeOperator:
     weight: np.ndarray
     rank_one: tuple[np.ndarray, np.ndarray] | None = None
     bc_elim: np.ndarray | None = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """Dense interior matrix including any rank-one part."""
-        block = self.mesh.dense(self.band)
-        if self.rank_one is None:
-            return block
-        u, v = self.rank_one
-        return block + np.outer(u, v)
 
 
 @dataclass(frozen=True)
@@ -122,10 +114,6 @@ class ModeSpectrum:
     smallest_magnitude: float
     eigenvector_0: np.ndarray
     imag_noise: float
-
-
-def _folded_lap(mesh: RadialMesh, kappa: float) -> np.ndarray:
-    return mesh.lap_band(2.0 * kappa + 1.0)
 
 
 def _interior_block(mesh: RadialMesh, lap: np.ndarray, V: np.ndarray):
@@ -164,8 +152,8 @@ def build_mode_operator(point: SolutionPoint, k: int) -> ModeOperator:
         raise ParameterDomainError("mode index must be a non-negative integer")
     mesh = point.mesh
     V = _potential(point)
-    lap = _folded_lap(mesh, k / (1.0 + point.spec.alpha))
-    band, _ = _interior_block(mesh, lap, V)
+    kappa = k / (1.0 + point.spec.alpha)
+    band, _ = _interior_block(mesh, mesh.lap_band(2.0 * kappa + 1.0), V)
     rank_one = None
     if k == 0:
         nu = mesh.quad * mesh.t * V
@@ -193,8 +181,7 @@ def _truncated_operator(
     if k >= 1:
         bc[-1] += 2.0 * kappa / S
     elim = -bc[:-1] / bc[-1]
-    lap = _folded_lap(mesh, kappa)
-    band, coupling = _interior_block(mesh, lap, V)
+    band, coupling = _interior_block(mesh, mesh.lap_band(2.0 * kappa + 1.0), V)
     return ModeOperator(
         k=int(k),
         mesh=mesh,
@@ -270,16 +257,6 @@ def inner_mode_operator(
     hstar = np.asarray(spec.hstar(t_eval ** (1.0 / beta)), dtype=float)
     V = point.rho * hstar * np.exp(u_at) / beta**2 / m_eff
     return _truncated_operator(zmesh, V, k, kappa)
-
-
-def _dense_spectrum(op: ModeOperator, count: int):
-    from scipy.linalg import eig
-
-    w, X = eig(op.matrix, np.diag(op.weight))
-    finite = np.isfinite(w)
-    w, X = w[finite], X[:, finite]
-    idx = np.argsort(np.abs(w))[:count]
-    return w[idx], X[:, idx]
 
 
 def _arnoldi(apply, v0: np.ndarray, count: int, maxiter: int | None = None):
@@ -403,9 +380,13 @@ def mode_spectrum(
     handed to ARPACK (``_arnoldi``) in standard form, as the eigenvalues
     1/eps of OP = (B + u v^T)^-1 W: no weight matrix is passed, so the
     Arnoldi basis is orthogonalised in the plain inner product and each
-    step costs one weight multiply and one band LU solve.  An exactly
-    singular band falls back to a dense QZ solve; a non-finite entry in
-    the band, the weight or the rank-one pair raises ``SpectrumError``.
+    step costs one weight multiply and one band LU solve.  ``count`` must
+    lie in [1, m - 2] for m interior unknowns, ARPACK's bound.  A
+    non-finite entry in the band, the weight or the rank-one pair, an
+    exact zero pivot of the band, and a Sherman-Morrison denominator
+    1 + v . B^-1 u that is zero or not finite raise ``SpectrumError``; a
+    small nonzero denominator is kept, since a nearly singular operator is
+    what a scan looks for.
 
     ``start`` is ARPACK's start vector, one entry per interior node (e.g.
     another mode's ``eigenvector_0[:-1]``); it must be finite and not
@@ -414,8 +395,8 @@ def mode_spectrum(
     ARPACK failure, raises ``SpectrumError``.
     """
     n = op.band.shape[0]
-    if count < 1:
-        raise ParameterDomainError("count must be positive")
+    if not 1 <= count <= n - 2:
+        raise ParameterDomainError(f"count must lie in [1, {n - 2}] for {n} interior unknowns")
     if start is not None:
         v0 = np.array(start, dtype=float)
         if v0.shape != (n,):
@@ -427,19 +408,16 @@ def mode_spectrum(
     if not all(np.all(np.isfinite(a)) for a in (op.band, op.weight, *(op.rank_one or ()))):
         # caught here: ARPACK's LAPACK would print its complaint to stdout
         raise SpectrumError(f"mode k={op.k} operator has a non-finite entry")
-    solve = None if count >= n - 1 else op.mesh.band_solver(op.band, op.rank_one)[0]
-    if solve is not None:
-        try:
-            w, X, _ = _arnoldi(lambda x: solve(op.weight * x), v0, count, maxiter)
-        except SpectrumError as exc:
-            raise SpectrumError(f"{exc} for mode k={op.k}") from None
-        idx = np.argsort(np.abs(w))
-        w, X = w[idx], X[:, idx]
-    else:
-        # too few unknowns for ARPACK, or a singular local block (e.g. the
-        # zero-matrix fixture)
-        w, X = _dense_spectrum(op, count)
-    imag_noise = float(np.max(np.abs(w.imag))) if w.size else 0.0
+    solve, denom, info = op.mesh.band_solver(op.band, op.rank_one)
+    if solve is None or not 0.0 < abs(denom) < np.inf:
+        raise SpectrumError(f"mode k={op.k} operator is singular (info {info}, denom {denom!r})")
+    try:
+        w, X, _ = _arnoldi(lambda x: solve(op.weight * x), v0, count, maxiter)
+    except SpectrumError as exc:
+        raise SpectrumError(f"{exc} for mode k={op.k}") from None
+    idx = np.argsort(np.abs(w))
+    w, X = w[idx], X[:, idx]
+    imag_noise = float(np.max(np.abs(w.imag)))
     eigenvalues = w.real.copy()
     vec = X[:, 0].real.copy()
     peak = int(np.argmax(np.abs(vec)))
@@ -628,7 +606,7 @@ def kernel_candidate(point: SolutionPoint) -> np.ndarray:
     to sup-norm 1 with positive peak.
     """
     mesh = point.mesh
-    block, coupling = _interior_block(mesh, _folded_lap(mesh, 0.0), _potential(point))
+    block, coupling = _interior_block(mesh, mesh.lap_band(1.0), _potential(point))
     solve = mesh.band_solver(block)[0]
     if solve is None:
         raise SpectrumError("local mode-0 block is singular")

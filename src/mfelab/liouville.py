@@ -22,15 +22,13 @@ ALPHA_TOL = 1e-12
 
 
 def validate_alpha(alpha: float) -> float:
-    """Return alpha as float; positive non-integer strengths only."""
+    """Return alpha as float; positive non-integer strengths only (integer
+    strengths produce non-simple blow up and are outside scope)."""
     a = float(alpha)
     if not np.isfinite(a) or a <= 0.0:
-        raise ParameterDomainError(f"alpha must be positive, got {alpha!r}")
+        raise ParameterDomainError("alpha must be positive")
     if abs(a - round(a)) <= ALPHA_TOL:
-        raise ParameterDomainError(
-            f"alpha must be non-integer (got {alpha!r}); integer strengths "
-            "produce non-simple blow up and are outside scope"
-        )
+        raise ParameterDomainError("alpha must be non-integer")
     return a
 
 

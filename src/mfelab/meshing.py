@@ -389,7 +389,9 @@ class RadialMesh:
             return band_solve, 1.0, 0
         u, v = rank_one
         binv_u = band_solve(u)
-        denom = 1.0 + float(v @ binv_u)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # an overflow shows as a non-finite denom, which the caller judges
+            denom = 1.0 + float(v @ binv_u)
 
         def correct(y):
             return y - binv_u * ((v @ y) / denom)

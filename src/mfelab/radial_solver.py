@@ -536,10 +536,9 @@ def find_fold_pair(branch: Branch, which: int = 0):
         cache[lam] = pt
         return pt.rho - rho_target
 
-    la = _brentq(rho_at, float(lams[k - 1]), float(lams[k]), xtol=1e-13)
-    lb = _brentq(rho_at, float(lams[k]), float(lams[k + 1]), xtol=1e-13)
-    pa = cache.get(la) or newton_solve(spec, mesh, lam=la)
-    pb = cache.get(lb) or newton_solve(spec, mesh, lam=lb)
+    # _brentq returns an abscissa it evaluated, so both roots are cached
+    pa = cache[_brentq(rho_at, float(lams[k - 1]), float(lams[k]), xtol=1e-13)]
+    pb = cache[_brentq(rho_at, float(lams[k]), float(lams[k + 1]), xtol=1e-13)]
     if abs(pa.rho - pb.rho) > 1e-9 * abs(rho_target):
         raise SolverError(
             f"fold pair rho mismatch {abs(pa.rho - pb.rho):.3e}"

@@ -17,8 +17,9 @@ import tempfile
 from dataclasses import dataclass
 
 from .diagnostics import DIAGNOSTIC_NAMES
-from .errors import ConfigError
+from .errors import ConfigError, ParameterDomainError, WeightSpecError
 from .greens import WeightSpec
+from .liouville import validate_alpha
 from .radial_solver import MeshPolicy
 
 SCHEMA = "mfelab/1"
@@ -149,16 +150,21 @@ class RunConfig:
             errors.append("alpha")
         elif not _is_finite_number(alpha):
             faults["alpha"] = "alpha must be a finite number"
-        elif float(alpha).is_integer():
-            faults["alpha"] = "alpha must be non-integer"
-        elif alpha <= 0.0:
-            faults["alpha"] = "alpha must be positive"
         else:
-            alpha = float(alpha)
+            try:
+                alpha = validate_alpha(alpha)
+            except ParameterDomainError as exc:
+                faults["alpha"] = str(exc)
         if "hstar" not in raw:
             errors.append("hstar")
         else:
             hstar = _parse_hstar(raw["hstar"], faults)
+            if "alpha" in raw and not faults:
+                # WeightSpec owns the sign and positivity rules of hstar
+                try:
+                    WeightSpec(alpha=alpha, **hstar)
+                except WeightSpecError as exc:
+                    faults["hstar.coeffs" if hstar["kind"] == "poly" else "hstar.coef"] = str(exc)
         errors.extend(faults)
 
         mesh_raw = _merge_section(raw, "mesh", errors)
@@ -280,13 +286,7 @@ class RunConfig:
         return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def weight_spec(self) -> WeightSpec:
-        if self.hstar["kind"] == "poly":
-            return WeightSpec(
-                alpha=self.alpha, kind="poly", coeffs=tuple(self.hstar["coeffs"])
-            )
-        return WeightSpec(
-            alpha=self.alpha, kind=self.hstar["kind"], coef=self.hstar["coef"]
-        )
+        return WeightSpec(alpha=self.alpha, **self.hstar)
 
     def mesh_policy(self, nodes: int | None = None) -> MeshPolicy:
         return MeshPolicy(

@@ -186,6 +186,27 @@ class TestBranchCommand:
         one = RunConfig.from_dict(dict(cfg, window={"start": 6.0, "end": 6.0, "steps": 1}))
         assert one.window == {"start": 6.0, "end": 6.0, "steps": 1}
 
+    @pytest.mark.parametrize(
+        "overrides, field, message",
+        [
+            ({"alpha": 1.0000000000001}, "alpha", "alpha must be non-integer"),
+            ({"hstar": {"kind": "constant", "coef": -1}}, "hstar.coef",
+             "constant hstar must be positive"),
+            ({"hstar": {"kind": "poly", "coeffs": [1, -3]}}, "hstar.coeffs",
+             "poly hstar must be positive on the disk"),
+        ],
+    )
+    def test_alpha_and_weight_rules_checked_with_the_config(
+        self, tmp_path, capsys, overrides, field, message
+    ):
+        # found while reading the config, before any output is written
+        cfg = base_config(tmp_path / "o", **overrides)
+        code, msg = run(["branch", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+        assert code == 2
+        assert msg["error"]["fields"] == [field]
+        assert msg["error"]["message"] == message
+        assert not (tmp_path / "o").exists()
+
     def test_malformed_window_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, "c.json", base_config(tmp_path / "o"))
         code, msg = run(["branch", "--config", path, "--window", "6;10"], capsys)
@@ -236,6 +257,23 @@ class TestVerifyCommand:
         assert code == 4
         checks = {f["check"] for f in msg["error"]["failures"]}
         assert "mesh-convergence" in checks
+
+    def test_r2_flag_and_gate_read_the_config_floor(self, tmp_path, capsys):
+        # r^2 lands between the default floor 0.99 and the config's 0.999:
+        # the report's r2_ok and the rate-fit-quality gate must agree
+        cfg = base_config(
+            tmp_path / "out",
+            mesh={"nodes": 256},
+            diagnostics=["rate"],
+            fit_window=[6.0, 15.0],
+            thresholds={"r2_floor": 0.999, "rate_slope_rtol": 0.5},
+        )
+        code, msg = run(["verify", "--config", write_config(tmp_path, "r2.json", cfg)], capsys)
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert 0.99 < report["rate_fit"]["r_squared"] < 0.999
+        assert report["rate_fit"]["r2_ok"] is False
+        assert code == 4
+        assert [f["check"] for f in msg["error"]["failures"]] == ["rate-fit-quality"]
 
     def test_empty_toggles_metadata_only(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", diagnostics=[])
@@ -385,6 +423,11 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, overrides, fields):
          ["alpha", "hstar.kind", "window.steps"]),
         ({"hstar": {"kind": "gaussian", "coef": math.nan}, "mesh": {"nodes": 8}, "k_max": -1},
          ["hstar.coef", "k_max", "mesh.nodes"]),
+        # the rules of alpha and of the weight, from validate_alpha and WeightSpec
+        ({"alpha": 1.0000000000001, "k_max": -1}, ["alpha", "k_max"]),
+        ({"hstar": {"kind": "constant", "coef": -1}, "k_max": -1}, ["hstar.coef", "k_max"]),
+        ({"hstar": {"kind": "poly", "coeffs": [1, -3]}, "mesh": {"nodes": 8}},
+         ["hstar.coeffs", "mesh.nodes"]),
     ],
 )
 def test_alpha_and_hstar_faults_listed_with_the_rest(overrides, fields):
@@ -443,6 +486,36 @@ def test_only_meshing_imports_lapack():
     assert top_level == set()
 
 
+def test_scipy_packages_imported_only_where_needed():
+    # the three functions that need a scipy package import it in their own
+    # body; the mode spectra have one solve path and import none
+    imports = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.ImportFrom):
+                mods = [child.module or ""]
+            elif isinstance(child, ast.Import):
+                mods = [a.name for a in child.names]
+            else:
+                mods = []
+            for m in mods:
+                if m == "scipy" or m.startswith("scipy."):
+                    imports.add((module, ".".join(scope), m))
+            visit(child, module, scope)
+
+    for name, tree in _package_trees():
+        visit(tree, name, ())
+    assert imports == {
+        ("diagnostics.py", "two_term_fit", "scipy.optimize"),
+        ("linearization.py", "inner_mode_operator", "scipy.interpolate"),
+        ("liouville.py", "bubble_mass", "scipy.special"),
+    }
+
+
 def test_only_the_scan_forks():
     # the spectrum scan's workers are the package's only processes: they are
     # forked, share one anonymous mapping and leave through os._exit, all in
@@ -482,8 +555,8 @@ def test_only_the_scan_forks():
 
 def test_dense_operators_built_only_where_needed():
     # banded operators stay bands: a dense n x n matrix is built only for
-    # Newton's residual matvec, the mode operators' dense form, and
-    # RadialMesh.lap_rows (a timing boundary of the benchmark tracer)
+    # Newton's residual matvec and RadialMesh.lap_rows (a timing boundary
+    # of the benchmark tracer); the mode operators have no dense form
     callers = set()
 
     def visit(node, module, scope):
@@ -503,7 +576,6 @@ def test_dense_operators_built_only_where_needed():
     assert callers == {
         ("meshing.py", "RadialMesh.lap_rows"),
         ("radial_solver.py", "_residual_map"),
-        ("linearization.py", "ModeOperator.matrix"),
     }
 
 

@@ -82,6 +82,12 @@ def _generalized_spectrum(op, count):
     return w[np.argsort(np.abs(w))].real
 
 
+def _dense(op):
+    """The interior matrix of a mode operator, dense: band plus rank-one part."""
+    block = op.mesh.dense(op.band)
+    return block if op.rank_one is None else block + np.outer(*op.rank_one)
+
+
 def _boundary_column(point, k):
     """The interior rows' coefficients of the boundary unknown, which the
     mode operator leaves out: the Laplacian's coupling and, for k = 0, the
@@ -97,7 +103,7 @@ def _boundary_column(point, k):
 
 def test_constants_annihilated_by_nonlocal_part(family100):
     op = build_mode_operator(family100, 0)
-    rows = op.matrix @ np.ones(family100.mesh.n - 1) + _boundary_column(family100, 0)
+    rows = _dense(op) @ np.ones(family100.mesh.n - 1) + _boundary_column(family100, 0)
     scale = np.abs(family100.mesh.lap_rows(1.0)).sum(axis=1)[:-1]
     assert np.max(np.abs(rows) / scale) < 1e-13
 
@@ -110,21 +116,15 @@ def test_mode1_has_no_nonlocal_term(family100):
     # the local operator alone, with V on the diagonal as the band stores it
     V = family100.rho * np.exp(family100.u_tilde) / BETA**2
     local = mesh.lap_rows(2.0 / BETA + 1.0) + np.diag(V)
-    assert np.array_equal(op.matrix, local[:-1, :-1])
+    assert np.array_equal(_dense(op), local[:-1, :-1])
     expected = (local @ phi)[:-1]
-    got = op.matrix @ phi[:-1] + _boundary_column(family100, 1) * phi[-1]
+    got = _dense(op) @ phi[:-1] + _boundary_column(family100, 1) * phi[-1]
     assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_mode_operator_rejects_bad_k(family100):
     with pytest.raises(ParameterDomainError):
         build_mode_operator(family100, -1)
-
-
-def test_matrix_property_includes_rank_one(family100):
-    op = build_mode_operator(family100, 0)
-    u, v = op.rank_one
-    assert np.allclose(op.matrix, op.mesh.dense(op.band) + np.outer(u, v))
 
 
 def test_row_band_matches_dense_block(family100):
@@ -173,7 +173,7 @@ def test_eigenpair_residual(which, k, request):
     x = s.eigenvector_0[:-1]
     eps = s.eigenvalues[0]
     wx = op.weight * x
-    res = op.matrix @ x - eps * wx
+    res = _dense(op) @ x - eps * wx
     assert np.linalg.norm(res) <= 1e-8 * abs(eps) * np.linalg.norm(wx)
 
 
@@ -195,7 +195,7 @@ def test_spectrum_mesh_stability(family1e4):
 def test_weighted_self_adjointness(family100):
     op = build_mode_operator(family100, 0)
     mesh = family100.mesh
-    A = op.matrix
+    A = _dense(op)
     wq = (mesh.quad * mesh.t)[:-1]
     tt = mesh.t[:-1]
     rng = np.random.default_rng(7)
@@ -225,18 +225,40 @@ def test_rayleigh_growth_in_k(family100):
     assert 3.2 <= ratio <= 4.8
 
 
-def test_zero_operator_fixture():
+def _small_operator(diagonal, rank_one=None):
+    """A 12-node operator whose band is ``diagonal`` times the identity."""
     mesh = RadialMesh.graded(12, BETA, 2.0)
     n = mesh.t.size - 1
-    op = ModeOperator(
-        k=0,
-        mesh=mesh,
-        band=np.zeros((n, 2 * mesh.bandwidth + 1)),
-        weight=np.ones(n),
-    )
-    s = mode_spectrum(op, count=3)
-    assert np.all(s.eigenvalues == 0.0)
-    assert s.smallest_magnitude == 0.0
+    band = np.zeros((n, 2 * mesh.bandwidth + 1))
+    band[:, mesh.bandwidth] = diagonal
+    return ModeOperator(k=0, mesh=mesh, band=band, weight=np.ones(n), rank_one=rank_one)
+
+
+def test_zero_band_is_spectrum_error(capfd):
+    # an exact zero pivot: there is no shift-invert solve at zero
+    with pytest.raises(SpectrumError, match=r"mode k=0 operator is singular \(info 1,"):
+        mode_spectrum(_small_operator(0.0), count=3)
+    assert capfd.readouterr().out == ""
+
+
+@pytest.mark.parametrize("scale, sign", [(1.0, -1.0), (1e300, 1.0)])
+def test_singular_sherman_morrison_denominator_is_spectrum_error(capfd, scale, sign):
+    # B = I with u = s e0, v = sign s e0: 1 + v . B^-1 u is 0 for the first
+    # pair and overflows to inf for the second
+    e0 = np.eye(11)[0]
+    op = _small_operator(1.0, rank_one=(scale * e0, sign * scale * e0))
+    with pytest.raises(SpectrumError, match=r"mode k=0 operator is singular \(info 0, denom (0\.0|inf)\)"):
+        mode_spectrum(op, count=2)
+    assert capfd.readouterr().out == ""
+
+
+def test_count_outside_arpack_range_is_parameter_error(capfd):
+    op = _small_operator(1.0)
+    assert mode_spectrum(op, count=9).eigenvalues.size == 9
+    for count in (0, 10, 11):
+        with pytest.raises(ParameterDomainError, match=r"count must lie in \[1, 9\] for 11 interior"):
+            mode_spectrum(op, count=count)
+    assert capfd.readouterr().out == ""
 
 
 @pytest.mark.parametrize("k, field", [(1, "band"), (1, "weight"), (0, "rank_one")])
@@ -248,10 +270,12 @@ def test_non_finite_operator_is_spectrum_error(family100, capfd, k, field):
     else:
         bad = getattr(op, field).copy()
         bad[3] = np.nan
-    # the dense fallback for tiny counts gets the same check
-    for count in (2, op.band.shape[0]):
-        with pytest.raises(SpectrumError, match=rf"mode k={k} operator has a non-finite entry"):
-            mode_spectrum(dataclasses.replace(op, **{field: bad}), count=count)
+    bad_op = dataclasses.replace(op, **{field: bad})
+    with pytest.raises(SpectrumError, match=rf"mode k={k} operator has a non-finite entry"):
+        mode_spectrum(bad_op, count=2)
+    # a count past ARPACK's bound is refused before the entries are read
+    with pytest.raises(ParameterDomainError, match=r"count must lie in \[1, "):
+        mode_spectrum(bad_op, count=op.band.shape[0])
     assert capfd.readouterr().out == ""
 
 
