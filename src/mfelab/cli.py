@@ -18,6 +18,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -27,6 +28,7 @@ from .errors import ConfigError, MfelabError, ParameterDomainError, WeightSpecEr
 from .linearization import nondegeneracy_scan
 from .radial_solver import continue_branch
 from .serialize import RunConfig
+from .workers import forked
 
 
 def _emit(obj: dict) -> None:
@@ -99,8 +101,24 @@ def cmd_pohozaev(config: RunConfig) -> int:
     return 0
 
 
-def _verify_failures(config: RunConfig, branch, report) -> list:
-    """The threshold gates on top of the report, as a list of failures."""
+def _doubled_branch(config: RunConfig, table, *_) -> None:
+    """The continuation on twice the nodes, written into ``table``.
+
+    ``table`` holds a done flag, a failed flag and then rho at each point
+    of the window.
+    """
+    fine = _run_branch(config, nodes=2 * config.mesh["nodes"])
+    table[1] = fine.failure is not None
+    table[2 : 2 + len(fine.points)] = fine.rhos
+    table[0] = 1.0
+
+
+def _verify_failures(config: RunConfig, branch, report, doubled) -> list:
+    """The threshold gates on top of the report, as a list of failures.
+
+    ``doubled`` is the table of ``_doubled_branch``; it is filled here when
+    no worker filled it.
+    """
     if not config.diagnostics:
         return []
     thr = config.thresholds
@@ -110,11 +128,13 @@ def _verify_failures(config: RunConfig, branch, report) -> list:
     failures = []
 
     # branch-level control: the continuation must be mesh-converged
-    fine = _run_branch(config, nodes=2 * config.mesh["nodes"])
-    if fine.failure is not None:
+    if not doubled[0]:
+        _doubled_branch(config, doubled)
+    if doubled[1]:
         failures.append({"check": "mesh-convergence", "detail": "doubled mesh did not converge"})
     else:
-        rel = float(np.max(np.abs(fine.rhos - branch.rhos) / np.maximum(1.0, np.abs(branch.rhos))))
+        fine_rhos = doubled[2 : 2 + len(branch.points)]
+        rel = float(np.max(np.abs(fine_rhos - branch.rhos) / np.maximum(1.0, np.abs(branch.rhos))))
         if rel > thr["mesh_rtol"]:
             failures.append({
                 "check": "mesh-convergence",
@@ -155,15 +175,20 @@ def _verify_failures(config: RunConfig, branch, report) -> list:
 
 
 def cmd_verify(config: RunConfig) -> int:
-    branch = _run_branch(config)
     h = config.config_hash()
-    if _branch_failed(branch, h):
-        return 3
-    report = build_report(
-        branch, config.fit_window, config.r0, config.outer_radius, h, config.diagnostics,
-        config.thresholds["r2_floor"],
-    )
-    failures = _verify_failures(config, branch, report)
+    # the mesh gate's doubled-mesh continuation does not depend on the
+    # coarse branch, so a worker runs it meanwhile
+    processes = 2 if config.diagnostics else 1
+    doubled = partial(_doubled_branch, config)
+    with forked(2 + config.window["steps"], doubled, processes) as (table, _):
+        branch = _run_branch(config)
+        if _branch_failed(branch, h):
+            return 3
+        report = build_report(
+            branch, config.fit_window, config.r0, config.outer_radius, h, config.diagnostics,
+            config.thresholds["r2_floor"],
+        )
+    failures = _verify_failures(config, branch, report, table)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}
     path = os.path.join(config.out, "report.json")
     serialize.atomic_write(path, serialize.report_json(doc))

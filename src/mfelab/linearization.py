@@ -32,22 +32,20 @@ eigenvector at the same point, which lies close to the wanted
 eigenvectors and saves restarts.
 
 ``nondegeneracy_scan`` shares the branch points among one process per
-usable CPU (``os.sched_getaffinity``): point i goes to group i mod W, the
-calling process runs group 0, and a child started with ``os.fork`` runs
-each other group on a CPU of its own.  All of them write into one shared
-mapping of rows and per-point done flags, and the calling process then
-computes every point left undone: a failing point's chain runs twice, and
-a dead worker's points are computed again rather than reported.  Each
-point's chain of modes stays in one process and runs the operations of a
-serial scan, so the spectra are the same bits for any W.  A profiler in
-the calling process sees only its own share of the calls.
+usable CPU through ``workers.forked``, the package's process layer: point
+i goes to group i mod W, the calling process runs group 0, and a forked
+worker runs each other group on a CPU of its own, with OpenBLAS held to
+one thread in all of them.  All of them write into one shared table of
+rows and per-point done flags, and the calling process then computes
+every point left undone: a failing point's chain runs twice, and a dead
+worker's points are computed again rather than reported.  Each point's
+chain of modes stays in one process and runs the operations of a serial
+scan, so the spectra are the same bits for any W.  A profiler in the
+calling process sees only its own share of the calls.
 """
 
 from __future__ import annotations
 
-import mmap
-import os
-import signal
 import warnings
 from dataclasses import dataclass
 
@@ -56,6 +54,7 @@ import numpy as np
 from .errors import ParameterDomainError, SpectrumError
 from .meshing import RadialMesh, scipy_extension
 from .radial_solver import SolutionPoint
+from .workers import forked
 
 _arpack = scipy_extension("scipy.sparse.linalg._eigen.arpack._arpacklib")
 
@@ -469,33 +468,6 @@ class NondegeneracyScan:
                 )
 
 
-def _current_cpu() -> int | None:
-    """The CPU this process last ran on (field 39 of /proc/self/stat), or None."""
-    try:
-        with open("/proc/self/stat", "rb") as fh:
-            return int(fh.read().rsplit(b")", 1)[1].split()[36])
-    except (OSError, ValueError, IndexError):
-        return None
-
-
-def _worker_cpus(points: int) -> list:
-    """The CPUs of the forked workers that share a scan of ``points`` points.
-
-    The scan runs on W = min(points, number of usable CPUs) processes: the
-    parent and W - 1 forked workers (none where ``os.fork`` or
-    ``os.sched_getaffinity`` does not exist).  Each worker gets a CPU of
-    its own, other than the parent's: where the scheduler does not balance
-    load across CPUs, a forked child would stay on its parent's CPU and
-    the two would share it.
-    """
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
-        return []
-    allowed = sorted(os.sched_getaffinity(0))
-    here = _current_cpu()
-    others = [cpu for cpu in allowed if cpu != here]
-    return others[: min(points, len(allowed)) - 1]
-
-
 def _scan_points(points, indices, k_max: int, rows: np.ndarray, done: np.ndarray) -> None:
     """Compute the mode chains of ``points[i]`` for i in ``indices``, in order.
 
@@ -517,55 +489,28 @@ def _scan_points(points, indices, k_max: int, rows: np.ndarray, done: np.ndarray
 def _scan_rows(points, k_max: int) -> np.ndarray:
     """eig_min and eig_min_next of every point, shape (2, P, k_max + 1).
 
-    Point i goes to group i mod W, with W from ``_worker_cpus``.  The
-    parent runs group 0 and a forked child each other group, all writing
-    into one anonymous shared mapping; a child leaves through ``os._exit``,
-    so it flushes no inherited buffer and runs no exit hook.  Once every
-    child is reaped, the parent computes in point order each point not
-    marked done (one that raised, or whose worker died or was never
-    forked), so a failure is raised as the serial scan would raise it.
+    Point i goes to group i mod W, with W from ``workers.forked``: the
+    calling process runs group 0 and a forked worker each other group, all
+    writing into one shared table.  Once every worker is reaped, the
+    calling process computes in point order each point not marked done
+    (one that raised, or whose worker died or was never forked), so a
+    failure is raised as the serial scan would raise it.
     """
     P = len(points)
-    cpus = _worker_cpus(P)
-    workers = 1 + len(cpus)
-    # shared with the forked children: P done flags, then the rows
-    table = np.frombuffer(mmap.mmap(-1, 8 * P * (2 * k_max + 3)))
-    done, rows = table[:P], table[P:].reshape(2, P, k_max + 1)
-    pids = []  # the children not yet reaped
-    try:
-        for group, cpu in enumerate(cpus, 1):
-            try:
-                with warnings.catch_warnings():
-                    # Python >= 3.12 warns that a process with threads
-                    # (OpenBLAS's) forks; the warning comes after the child
-                    # exists, so a filter that turned it into an error would
-                    # lose the child
-                    warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                continue  # the parent computes the group's points below
-            if pid == 0:
-                try:
-                    try:
-                        os.sched_setaffinity(0, {cpu})
-                    except OSError:
-                        pass  # the CPU is a placement hint, not needed for the result
-                    _scan_points(points, range(group, P, workers), k_max, rows, done)
-                finally:
-                    os._exit(0)
-            pids.append(pid)
+
+    def split(table):
+        # P done flags, then the rows
+        return table[P:].reshape(2, P, k_max + 1), table[:P]
+
+    def scan_group(table, group, groups):
+        _scan_points(points, range(group, P, groups), k_max, *split(table))
+
+    with forked(P * (2 * k_max + 3), scan_group, processes=P) as (table, groups):
         try:
-            _scan_points(points, range(0, P, workers), k_max, rows, done)
+            scan_group(table, 0, groups)
         except Exception:
             pass  # computed again below, where it raises
-        while pids:
-            os.waitpid(pids[-1], 0)
-            pids.pop()
-    finally:
-        # children are left here only when the parent itself was interrupted
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+    rows, done = split(table)
     _scan_points(points, [i for i in range(P) if not done[i]], k_max, rows, done)
     return rows
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterDomainError
-from .meshing import RadialMesh, band_matvec
+from .meshing import band_matvec, derivative_bands
 
 #: reject alpha this close to an integer
 ALPHA_TOL = 1e-12
@@ -108,9 +108,10 @@ def entire_linearized_apply(alpha: float, phi, mesh_r) -> FieldResult:
     phi = np.asarray(phi, dtype=float)
     if r.ndim != 1 or phi.shape != r.shape:
         raise ParameterDomainError("phi and mesh_r must be 1-d with equal length")
-    mesh = RadialMesh(r**beta, beta)
-    t = mesh.t
-    lap_t = mesh.lap_band(1.0)
+    t = r**beta
+    d1_band, d2_band = derivative_bands(t)
+    # RadialMesh.lap_band(1.0), without the mesh's quadrature
+    lap_t = d2_band + (1.0 / t)[:, None] * d1_band
     # radial Laplacian in r equals beta^2 t^(2 - 2/beta) (g_tt + g_t / t)
     jac = beta * beta * t ** (2.0 - 2.0 / beta)
     potential = 8.0 * beta * beta * r ** (2.0 * a) / (1.0 + t**2) ** 2

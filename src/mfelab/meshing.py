@@ -219,6 +219,47 @@ def _sum_intervals(t: np.ndarray, t_end: float, table: np.ndarray) -> np.ndarray
     return q
 
 
+def _windows(t: np.ndarray, halfwidth: int, rows: np.ndarray):
+    """Stencil columns and (possibly reflected) node abscissae, one row each.
+
+    A window that would start left of the first node reaches into t < 0;
+    its virtual column -k - 1 stands for node k reflected to -t[k].
+    """
+    w = halfwidth
+    start = np.minimum(rows - w, t.size - 2 * w - 1)
+    virtual = start[:, None] + np.arange(2 * w + 1)
+    cols = np.where(virtual < 0, -virtual - 1, virtual)
+    nodes = np.where(virtual < 0, -t[cols], t[cols])
+    return cols, nodes
+
+
+def derivative_bands(t: np.ndarray, halfwidth: int = 3):
+    """The d/dt and d^2/dt^2 row bands of ``RadialMesh`` on the nodes ``t``.
+
+    For callers that need the derivative operators alone: the nodes are
+    checked as the mesh checks them, and no quadrature is built.  Both
+    bands come from one vectorised Fornberg pass; reflected rows hit some
+    columns twice, and ``np.add.at`` sums those duplicates in stencil
+    order, row by row.
+    """
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1 or t.size < 2 * halfwidth + 2:
+        raise MfelabError("mesh needs at least 2*halfwidth + 2 nodes")
+    if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
+        raise MfelabError("nodes must be strictly increasing and positive")
+    n, bw = t.size, 2 * halfwidth
+    rows = np.arange(n)
+    cols, nodes = _windows(t, halfwidth, rows)
+    c = _fornberg(t, nodes, 2)
+    where = (np.repeat(rows, cols.shape[1]), (cols - rows[:, None] + bw).ravel())
+    bands = []
+    for d in (1, 2):
+        band = np.zeros((n, 2 * bw + 1))
+        np.add.at(band, where, c[d].T.ravel())
+        bands.append(band)
+    return bands
+
+
 class RadialMesh:
     """Nodes, banded derivative operators and quadrature on (0, t_max].
 
@@ -246,10 +287,7 @@ class RadialMesh:
 
     def __init__(self, t: np.ndarray, beta: float, halfwidth: int = 3):
         t = np.array(t, dtype=float)
-        if t.ndim != 1 or t.size < 2 * halfwidth + 2:
-            raise MfelabError("mesh needs at least 2*halfwidth + 2 nodes")
-        if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
-            raise MfelabError("nodes must be strictly increasing and positive")
+        self.d1_band, self.d2_band = derivative_bands(t, halfwidth)
         if not beta > 0.0:
             raise MfelabError("beta must be positive")
         self.t = t
@@ -258,7 +296,6 @@ class RadialMesh:
         self.n = t.size
         self.halfwidth = int(halfwidth)
         self.bandwidth = 2 * self.halfwidth
-        self.d1_band, self.d2_band = self._derivative_bands()
         self._intervals = _interval_table(t, QUAD_POINTS)
         self.quad = _sum_intervals(t, float(t[-1]), self._intervals)
         for arr in (self.t, self.r, self.d1_band, self.d2_band, self._intervals, self.quad):
@@ -286,37 +323,6 @@ class RadialMesh:
         else:
             t = t_max * np.sinh(strength * i / n) / np.sinh(strength)
         return cls(t, beta, halfwidth)
-
-    def _windows(self, rows: np.ndarray):
-        """Stencil columns and (possibly reflected) node abscissae, one row each.
-
-        A window that would start left of the first node reaches into t < 0;
-        its virtual column -k - 1 stands for node k reflected to -t[k].
-        """
-        w = self.halfwidth
-        start = np.minimum(rows - w, self.n - 2 * w - 1)
-        virtual = start[:, None] + np.arange(2 * w + 1)
-        cols = np.where(virtual < 0, -virtual - 1, virtual)
-        nodes = np.where(virtual < 0, -self.t[cols], self.t[cols])
-        return cols, nodes
-
-    def _derivative_bands(self):
-        """Both derivative bands from one vectorised Fornberg pass.
-
-        Reflected rows hit some columns twice; ``np.add.at`` sums those
-        duplicates in stencil order, row by row.
-        """
-        n, bw = self.n, self.bandwidth
-        rows = np.arange(n)
-        cols, nodes = self._windows(rows)
-        c = _fornberg(self.t, nodes, 2)
-        where = (np.repeat(rows, cols.shape[1]), (cols - rows[:, None] + bw).ravel())
-        bands = []
-        for d in (1, 2):
-            band = np.zeros((n, 2 * bw + 1))
-            np.add.at(band, where, c[d].T.ravel())
-            bands.append(band)
-        return bands
 
     def band_triplets(self, band: np.ndarray):
         """(rows, cols, values) of the in-range entries of a row band, row by row.
@@ -414,7 +420,7 @@ class RadialMesh:
         if not 0.0 <= t_star <= self.t[-1] * (1.0 + 1e-12):
             raise MfelabError(f"point {t_star!r} outside [0, {self.t[-1]!r}]")
         i = int(np.argmin(np.abs(self.t - t_star)))
-        cols, nodes = self._windows(np.array([i]))
+        cols, nodes = _windows(self.t, self.halfwidth, np.array([i]))
         c = fd_weights(float(t_star), nodes[0], m)
         rows = np.zeros((m + 1, self.n))
         for d in range(m + 1):

@@ -29,6 +29,7 @@ from .errors import (
 )
 from .greens import WeightSpec
 from .meshing import RadialMesh, band_matvec
+from .workers import forked
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -515,7 +516,10 @@ def find_fold_pair(branch: Branch, which: int = 0):
     Root-finds rho(lambda) = rho_target on both sides of the flagged fold;
     the returned pair matches in rho to ~1e-12 relative, which is what the
     pairwise boundary-bulk identity checks require.  The mesh comes from
-    the branch's own policy.
+    the branch's own policy.  The upper root is found in a forked worker
+    (``workers.forked``) while this process finds the lower one; the
+    worker hands back the root's field, rho, residual and Newton count, and
+    this process computes the root itself when the worker did not.
     """
     if not branch.fold_flags:
         raise NotApplicableError("branch carries no fold flags")
@@ -536,9 +540,23 @@ def find_fold_pair(branch: Branch, which: int = 0):
         cache[lam] = pt
         return pt.rho - rho_target
 
-    # _brentq returns an abscissa it evaluated, so both roots are cached
-    pa = cache[_brentq(rho_at, float(lams[k - 1]), float(lams[k]), xtol=1e-13)]
-    pb = cache[_brentq(rho_at, float(lams[k]), float(lams[k + 1]), xtol=1e-13)]
+    def root(lo: float, hi: float) -> SolutionPoint:
+        # _brentq returns an abscissa it evaluated, so the root is cached
+        return cache[_brentq(rho_at, lo, hi, xtol=1e-13)]
+
+    def upper_root(table, *_):
+        # table: done flag, rho, res_norm, newton_iters, then u
+        pt = root(float(lams[k]), float(lams[k + 1]))
+        table[1:4] = pt.rho, pt.res_norm, pt.newton_iters
+        table[4:] = pt.u
+        table[0] = 1.0
+
+    # the upper root runs in a worker while this process finds the lower one
+    with forked(4 + mesh.n, upper_root) as (table, _):
+        pa = root(float(lams[k - 1]), float(lams[k]))
+    if not table[0]:
+        upper_root(table)
+    pb = SolutionPoint(spec, mesh, table[4:], table[1], table[2], int(table[3]))
     if abs(pa.rho - pb.rho) > 1e-9 * abs(rho_target):
         raise SolverError(
             f"fold pair rho mismatch {abs(pa.rho - pb.rho):.3e}"

@@ -12,7 +12,7 @@ import pytest
 
 from mfelab import cli, diagnostics, linearization, radial_solver
 from mfelab.cli import main
-from mfelab.errors import ConfigError
+from mfelab.errors import ConfigError, SolverError
 from mfelab.serialize import RunConfig, atomic_write, fmt
 
 ALPHA = 0.5
@@ -328,6 +328,79 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert float(lines[2].split(",")[3]) == report["pohozaev"]["values"][0]
 
+    def test_coarse_branch_failure_reaps_the_doubled_mesh_worker(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        real = radial_solver.newton_solve
+
+        def coarse_fails(spec, mesh, **kwargs):
+            # past the first point, so that the continuation bisects down to
+            # its step floor and gives up
+            if mesh.n == 128 and kwargs["lam"] > 6.0:
+                raise SolverError("coarse mesh refused")
+            return real(spec, mesh, **kwargs)
+
+        forks = _count_forks(monkeypatch)
+        monkeypatch.setattr(radial_solver, "newton_solve", coarse_fails)
+        cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=["rate"],
+                          window={"start": 6.0, "end": 9.0, "steps": 4})
+        code, msg = run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+        assert code == 3
+        assert msg["error"]["kind"] == "solver"
+        assert len(forks) == 1  # the doubled-mesh worker was running
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    """Give the package two CPUs and record each fork it makes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    real, forks = os.fork, []
+
+    def fork():
+        forks.append(os.getpid())
+        return real()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+@pytest.mark.parametrize("command, workers", [("verify", 2), ("pohozaev", 1)])
+def test_worker_and_serial_paths_write_the_same_bytes(command, workers, tmp_path, capsys,
+                                                      monkeypatch):
+    # verify forks its doubled-mesh continuation and the fold pair's upper
+    # root, pohozaev the upper root; a worker that dies before it marks its
+    # result done, and a process that cannot fork, leave the work to the
+    # parent, which must write the same bytes
+    cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=["pohozaev"],
+                      window={"start": 2.0, "end": 8.0, "steps": 25})
+    path = write_config(tmp_path, "fold.json", cfg)
+
+    def outputs():
+        code = main([command, "--config", path])
+        files = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        return code, capsys.readouterr().out, files
+
+    forks = _count_forks(monkeypatch)
+    forked = outputs()
+    assert len(forks) == workers
+
+    parent, real = os.getpid(), radial_solver.newton_solve
+
+    def die_in_worker(*args, **kwargs):
+        if os.getpid() != parent:
+            os._exit(7)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(radial_solver, "newton_solve", die_in_worker)
+    died = outputs()
+    assert len(forks) == 2 * workers
+    monkeypatch.setattr(radial_solver, "newton_solve", real)
+    monkeypatch.delattr(os, "fork")
+    serial = outputs()
+    assert forked[0] in (0, 4)
+    assert died == forked
+    assert serial == forked
+
 
 class TestSpectrumCommand:
     def test_rows_and_determinism(self, tmp_path, capsys):
@@ -516,11 +589,12 @@ def test_scipy_packages_imported_only_where_needed():
     }
 
 
-def test_only_the_scan_forks():
-    # the spectrum scan's workers are the package's only processes: they are
-    # forked, share one anonymous mapping and leave through os._exit, all in
-    # one function; nothing is pickled
-    calls = {("os", "fork"), ("os", "_exit"), ("mmap", "mmap")}
+def test_only_the_worker_helper_forks():
+    # the package's worker processes all come from workers.forked: it alone
+    # forks, maps the shared table, pins a CPU and leaves through os._exit,
+    # and only the workers module loads ctypes and names OpenBLAS's thread
+    # setters; nothing is pickled
+    calls = {("os", "fork"), ("os", "_exit"), ("mmap", "mmap"), ("os", "sched_setaffinity")}
     forks, pickles = set(), set()
 
     def visit(node, module, scope):
@@ -531,6 +605,8 @@ def test_only_the_scan_forks():
             if isinstance(child, ast.Attribute) and isinstance(child.value, ast.Name):
                 if (child.value.id, child.attr) in calls:
                     forks.add((module, ".".join(scope), f"{child.value.id}.{child.attr}"))
+            if isinstance(child, ast.Constant) and "set_num_threads" in str(child.value):
+                forks.add((module, ".".join(scope), "set_num_threads"))
             if isinstance(child, ast.ImportFrom):
                 if {(child.module, a.name) for a in child.names} & calls:
                     forks.add((module, ".".join(scope), f"from {child.module} import"))
@@ -541,14 +617,19 @@ def test_only_the_scan_forks():
                 mods = []
             if any(m.split(".")[0] in ("pickle", "_pickle") for m in mods):
                 pickles.add(module)
+            if any(m.split(".")[0] == "ctypes" for m in mods):
+                forks.add((module, ".".join(scope), "import ctypes"))
             visit(child, module, scope)
 
     for name, tree in _package_trees():
         visit(tree, name, ())
     assert forks == {
-        ("linearization.py", "_scan_rows", "os.fork"),
-        ("linearization.py", "_scan_rows", "os._exit"),
-        ("linearization.py", "_scan_rows", "mmap.mmap"),
+        ("workers.py", "forked", "os.fork"),
+        ("workers.py", "forked", "os._exit"),
+        ("workers.py", "forked", "mmap.mmap"),
+        ("workers.py", "forked", "os.sched_setaffinity"),
+        ("workers.py", "_openblas_threads", "import ctypes"),
+        ("workers.py", "", "set_num_threads"),
     }
     assert pickles == set()
 

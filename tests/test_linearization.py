@@ -10,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spl
 
-from mfelab import linearization
+from mfelab import linearization, workers
 from mfelab.errors import ParameterDomainError, SpectrumError
 from mfelab.linearization import (
     ModeOperator,
@@ -471,15 +471,15 @@ def test_scan_results_do_not_depend_on_workers(which, request, monkeypatch):
 
 
 def test_scan_workers_follow_affinity(monkeypatch):
-    assert linearization._current_cpu() in os.sched_getaffinity(0)
+    assert workers._current_cpu() in os.sched_getaffinity(0)
     _with_cpus(monkeypatch, 3)
-    monkeypatch.setattr(linearization, "_current_cpu", lambda: 1)
+    monkeypatch.setattr(workers, "_current_cpu", lambda: 1)
     # one worker per CPU up to the number of points, none on the parent's CPU
-    assert [linearization._worker_cpus(p) for p in (1, 2, 5)] == [[], [0], [0, 2]]
-    monkeypatch.setattr(linearization, "_current_cpu", lambda: None)
-    assert linearization._worker_cpus(5) == [0, 1]
+    assert [workers._worker_cpus(p) for p in (1, 2, 5)] == [[], [0], [0, 2]]
+    monkeypatch.setattr(workers, "_current_cpu", lambda: None)
+    assert workers._worker_cpus(5) == [0, 1]
     monkeypatch.delattr(os, "fork")
-    assert linearization._worker_cpus(5) == []
+    assert workers._worker_cpus(5) == []
 
 
 def _before_each_operator(monkeypatch, hook):
