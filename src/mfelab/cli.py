@@ -18,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .errors import ConfigError, MfelabError, ParameterDomainError, WeightSpecEr
 from .linearization import nondegeneracy_scan
 from .radial_solver import continue_branch
 from .serialize import RunConfig
-from .workers import forked
+from .workers import shared
 
 
 def _emit(obj: dict) -> None:
@@ -101,23 +100,20 @@ def cmd_pohozaev(config: RunConfig) -> int:
     return 0
 
 
-def _doubled_branch(config: RunConfig, table, *_) -> None:
-    """The continuation on twice the nodes, written into ``table``.
-
-    ``table`` holds a done flag, a failed flag and then rho at each point
-    of the window.
-    """
+def _doubled_branch(config: RunConfig) -> np.ndarray:
+    """The continuation on twice the nodes: a failed flag, then rho at each point."""
     fine = _run_branch(config, nodes=2 * config.mesh["nodes"])
-    table[1] = fine.failure is not None
-    table[2 : 2 + len(fine.points)] = fine.rhos
-    table[0] = 1.0
+    row = np.zeros(1 + config.window["steps"])
+    row[0] = fine.failure is not None
+    row[1 : 1 + len(fine.points)] = fine.rhos
+    return row
 
 
 def _verify_failures(config: RunConfig, branch, report, doubled) -> list:
     """The threshold gates on top of the report, as a list of failures.
 
-    ``doubled`` is the table of ``_doubled_branch``; it is filled here when
-    no worker filled it.
+    ``doubled`` is the table whose one row ``_doubled_branch`` computed;
+    it has no row when ``diagnostics`` is empty.
     """
     if not config.diagnostics:
         return []
@@ -128,12 +124,10 @@ def _verify_failures(config: RunConfig, branch, report, doubled) -> list:
     failures = []
 
     # branch-level control: the continuation must be mesh-converged
-    if not doubled[0]:
-        _doubled_branch(config, doubled)
-    if doubled[1]:
+    if doubled[0, 0]:
         failures.append({"check": "mesh-convergence", "detail": "doubled mesh did not converge"})
     else:
-        fine_rhos = doubled[2 : 2 + len(branch.points)]
+        fine_rhos = doubled[0, 1 : 1 + len(branch.points)]
         rel = float(np.max(np.abs(fine_rhos - branch.rhos) / np.maximum(1.0, np.abs(branch.rhos))))
         if rel > thr["mesh_rtol"]:
             failures.append({
@@ -177,10 +171,10 @@ def _verify_failures(config: RunConfig, branch, report, doubled) -> list:
 def cmd_verify(config: RunConfig) -> int:
     h = config.config_hash()
     # the mesh gate's doubled-mesh continuation does not depend on the
-    # coarse branch, so a worker runs it meanwhile
-    processes = 2 if config.diagnostics else 1
-    doubled = partial(_doubled_branch, config)
-    with forked(2 + config.window["steps"], doubled, processes) as (table, _):
+    # coarse branch, so a worker runs it meanwhile; without diagnostics
+    # there is no gate to run it for
+    rows = 1 if config.diagnostics else 0
+    with shared(lambda _: _doubled_branch(config), rows, 1 + config.window["steps"]) as doubled:
         branch = _run_branch(config)
         if _branch_failed(branch, h):
             return 3
@@ -188,7 +182,7 @@ def cmd_verify(config: RunConfig) -> int:
             branch, config.fit_window, config.r0, config.outer_radius, h, config.diagnostics,
             config.thresholds["r2_floor"],
         )
-    failures = _verify_failures(config, branch, report, table)
+    failures = _verify_failures(config, branch, report, doubled)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}
     path = os.path.join(config.out, "report.json")
     serialize.atomic_write(path, serialize.report_json(doc))

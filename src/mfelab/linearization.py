@@ -32,16 +32,16 @@ eigenvector at the same point, which lies close to the wanted
 eigenvectors and saves restarts.
 
 ``nondegeneracy_scan`` shares the branch points among one process per
-usable CPU through ``workers.forked``, the package's process layer: point
-i goes to group i mod W, the calling process runs group 0, and a forked
-worker runs each other group on a CPU of its own, with OpenBLAS held to
-one thread in all of them.  All of them write into one shared table of
-rows and per-point done flags, and the calling process then computes
-every point left undone: a failing point's chain runs twice, and a dead
-worker's points are computed again rather than reported.  Each point's
-chain of modes stays in one process and runs the operations of a serial
-scan, so the spectra are the same bits for any W.  A profiler in the
-calling process sees only its own share of the calls.
+usable CPU through ``workers.shared``, the package's process layer: with
+W processes, a forked worker on a CPU of its own runs the points
+i = r - 1 (mod W) for r = 1 .. W - 1 and the calling process the points
+i = W - 1 (mod W), with OpenBLAS held to one thread in all of them.  The
+helper then computes in the calling process every point left undone: a
+failing point's chain runs twice, and a dead worker's points are computed
+again rather than reported.  Each point's chain of modes stays in one
+process and runs the operations of a serial scan, so the spectra are the
+same bits for any W.  A profiler in the calling process sees only its own
+share of the calls.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 from .errors import ParameterDomainError, SpectrumError
 from .meshing import RadialMesh, scipy_extension
 from .radial_solver import SolutionPoint
-from .workers import forked
+from .workers import shared
 
 _arpack = scipy_extension("scipy.sparse.linalg._eigen.arpack._arpacklib")
 
@@ -468,51 +468,19 @@ class NondegeneracyScan:
                 )
 
 
-def _scan_points(points, indices, k_max: int, rows: np.ndarray, done: np.ndarray) -> None:
-    """Compute the mode chains of ``points[i]`` for i in ``indices``, in order.
+def _mode_chain(point: SolutionPoint, k_max: int) -> np.ndarray:
+    """eig_min of modes 0..k_max at ``point``, then their eig_min_next.
 
-    Writes eig_min and eig_min_next of point i into ``rows[:, i]`` (shape
-    (2, P, k_max + 1)) and sets ``done[i]`` once the whole chain is
-    written; the first point that raises stops the loop.  Mode 0's ARPACK
-    run starts from the deterministic vector and every later mode from the
-    previous mode's eigenvector.
+    Mode 0's ARPACK run starts from the deterministic vector and every
+    later mode from the previous mode's eigenvector.
     """
-    for i in indices:
-        start = None
-        for k in range(k_max + 1):
-            spec_k = mode_spectrum(build_mode_operator(points[i], k), count=2, start=start)
-            start = spec_k.eigenvector_0[:-1]
-            rows[:, i, k] = spec_k.eigenvalues[:2]
-        done[i] = 1.0
-
-
-def _scan_rows(points, k_max: int) -> np.ndarray:
-    """eig_min and eig_min_next of every point, shape (2, P, k_max + 1).
-
-    Point i goes to group i mod W, with W from ``workers.forked``: the
-    calling process runs group 0 and a forked worker each other group, all
-    writing into one shared table.  Once every worker is reaped, the
-    calling process computes in point order each point not marked done
-    (one that raised, or whose worker died or was never forked), so a
-    failure is raised as the serial scan would raise it.
-    """
-    P = len(points)
-
-    def split(table):
-        # P done flags, then the rows
-        return table[P:].reshape(2, P, k_max + 1), table[:P]
-
-    def scan_group(table, group, groups):
-        _scan_points(points, range(group, P, groups), k_max, *split(table))
-
-    with forked(P * (2 * k_max + 3), scan_group, processes=P) as (table, groups):
-        try:
-            scan_group(table, 0, groups)
-        except Exception:
-            pass  # computed again below, where it raises
-    rows, done = split(table)
-    _scan_points(points, [i for i in range(P) if not done[i]], k_max, rows, done)
-    return rows
+    rows = np.empty((2, k_max + 1))
+    start = None
+    for k in range(k_max + 1):
+        spec_k = mode_spectrum(build_mode_operator(point, k), count=2, start=start)
+        start = spec_k.eigenvector_0[:-1]
+        rows[:, k] = spec_k.eigenvalues[:2]
+    return rows.ravel()
 
 
 def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:
@@ -523,16 +491,18 @@ def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:
     deterministic vector; every later mode starts from the previous mode's
     eigenvector, since neighbouring modes have nearby eigenvectors and
     Arnoldi then converges in fewer steps.  The points are shared among
-    one process per usable CPU (``_scan_rows``); each point's spectra are
-    computed as in a serial scan, so the result does not depend on the
-    number of CPUs.
+    one process per usable CPU (``workers.shared``); each point's chain of
+    modes is computed in one process as in a serial scan, so the result
+    does not depend on the number of CPUs.
     """
     if k_max < 0:
         raise ParameterDomainError("k_max must be non-negative")
     points = branch.points
     if not points:
         raise ParameterDomainError("branch has no points")
-    eig_min, eig_next = _scan_rows(points, k_max)
+    with shared(lambda i: _mode_chain(points[i], k_max), len(points), 2 * (k_max + 1)) as table:
+        pass
+    eig_min, eig_next = table.reshape(len(points), 2, k_max + 1).swapaxes(0, 1)
     return NondegeneracyScan(
         lambdas=np.array([pt.lam for pt in points]),
         k_max=int(k_max),

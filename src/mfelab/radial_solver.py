@@ -29,7 +29,7 @@ from .errors import (
 )
 from .greens import WeightSpec
 from .meshing import RadialMesh, band_matvec
-from .workers import forked
+from .workers import shared
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -99,7 +99,8 @@ class SolutionPoint:
     """One converged radial solution with its derived scalars.
 
     Immutable once constructed; field arrays are write-locked so points can
-    be shared freely between threads and diagnostics.
+    be shared freely between diagnostics and with the forked workers that
+    inherit them (the package runs no threads).
     """
 
     def __init__(
@@ -500,7 +501,8 @@ def _advance(state, target, spec, policy, beta) -> SolutionPoint:
                 spec, mesh, lam=lam_next, initial=_warm_guess(current, lam_next, spec, mesh)
             )
         except SolverError:
-            base = current.lam if current is not None else lam_next - 1.0
+            # with no previous point, bisect toward a fixed floor below the target
+            base = current.lam if current is not None else target - 1.0
             if lam_next - base <= MIN_STEP:
                 raise
             pending.append(0.5 * (base + lam_next))
@@ -516,10 +518,10 @@ def find_fold_pair(branch: Branch, which: int = 0):
     Root-finds rho(lambda) = rho_target on both sides of the flagged fold;
     the returned pair matches in rho to ~1e-12 relative, which is what the
     pairwise boundary-bulk identity checks require.  The mesh comes from
-    the branch's own policy.  The upper root is found in a forked worker
-    (``workers.forked``) while this process finds the lower one; the
-    worker hands back the root's field, rho, residual and Newton count, and
-    this process computes the root itself when the worker did not.
+    the branch's own policy.  The two roots are found at once, through
+    ``workers.shared``: a forked worker finds the lower root while this
+    process finds the upper one, each packed into a row as rho, residual,
+    Newton count and field, and both points are rebuilt from the table.
     """
     if not branch.fold_flags:
         raise NotApplicableError("branch carries no fold flags")
@@ -540,23 +542,15 @@ def find_fold_pair(branch: Branch, which: int = 0):
         cache[lam] = pt
         return pt.rho - rho_target
 
-    def root(lo: float, hi: float) -> SolutionPoint:
-        # _brentq returns an abscissa it evaluated, so the root is cached
-        return cache[_brentq(rho_at, lo, hi, xtol=1e-13)]
+    def root(i: int) -> np.ndarray:
+        # root 0 below the fold flag, root 1 above it; _brentq returns an
+        # abscissa it evaluated, so the root is cached
+        pt = cache[_brentq(rho_at, float(lams[k - 1 + i]), float(lams[k + i]), xtol=1e-13)]
+        return np.concatenate([[pt.rho, pt.res_norm, pt.newton_iters], pt.u])
 
-    def upper_root(table, *_):
-        # table: done flag, rho, res_norm, newton_iters, then u
-        pt = root(float(lams[k]), float(lams[k + 1]))
-        table[1:4] = pt.rho, pt.res_norm, pt.newton_iters
-        table[4:] = pt.u
-        table[0] = 1.0
-
-    # the upper root runs in a worker while this process finds the lower one
-    with forked(4 + mesh.n, upper_root) as (table, _):
-        pa = root(float(lams[k - 1]), float(lams[k]))
-    if not table[0]:
-        upper_root(table)
-    pb = SolutionPoint(spec, mesh, table[4:], table[1], table[2], int(table[3]))
+    with shared(root, 2, 3 + mesh.n) as table:
+        pass
+    pa, pb = (SolutionPoint(spec, mesh, row[3:], row[0], row[1], int(row[2])) for row in table)
     if abs(pa.rho - pb.rho) > 1e-9 * abs(rho_target):
         raise SolverError(
             f"fold pair rho mismatch {abs(pa.rho - pb.rho):.3e}"

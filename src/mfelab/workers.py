@@ -1,13 +1,15 @@
-"""Forked workers that share one table with the calling process.
+"""Forked workers that fill one shared table with the calling process.
 
-``forked`` is the package's one process layer.  Its callers are the
-spectrum scan's point groups (``linearization._scan_rows``), verify's
-doubled-mesh continuation (``cli.cmd_verify``) and the upper root of a
-fold pair (``radial_solver.find_fold_pair``).  A worker's result counts
-only once the worker marks it done in the table.  Each caller then
-computes in its own process, with the code a worker would have run,
-whatever is not marked, so a worker that raised, one that died and a fork
-that failed all end as the serial computation would, exception included.
+``shared`` is the package's one process layer.  Its callers are the
+spectrum scan (a row per branch point, ``linearization.nondegeneracy_scan``),
+verify's doubled-mesh continuation (one row, ``cli.cmd_verify``) and the
+two roots of a fold pair (a row per root, ``radial_solver.find_fold_pair``).
+A caller hands it ``compute(i)``, the row of item i, and reads the whole
+table when its with-block ends.  The helper owns the rest: which process
+computes which row, a done flag per row, and the one failure rule, that
+every row no process marked done is computed again in the calling process
+in row order.  So a row that raised, a worker that died and a fork that
+failed all end as the serial loop would, exception included.
 
 While workers run, every OpenBLAS the process has mapped is held to one
 thread, in the workers and the calling process alike.  A pinned worker
@@ -95,32 +97,51 @@ def _openblas_threads() -> list:
 
 
 @contextmanager
-def forked(size: int, work, processes: int = 2):
-    """Run ``work`` in forked workers while the with-block runs here.
+def shared(compute, count: int, width: int):
+    """Compute the rows ``compute(0)``, ..., ``compute(count - 1)`` in forked workers.
 
-    Yields ``(table, W)``.  ``table`` is a zero-filled float64 array of
-    ``size`` entries in one anonymous shared mapping.  W - 1 workers are
-    forked, W from ``_worker_cpus(processes)``; worker i (1 <= i < W),
-    pinned to a CPU of its own, calls ``work(table, i, W)`` and leaves
-    through ``os._exit``, so it flushes no inherited buffer, runs no exit
-    hook and drops any exception.  The with-block is share 0.  Leaving it
-    reaps the workers; when it raises, they are killed and reaped first.
+    Yields ``table``, a float64 array of shape (count, width) in one
+    anonymous shared mapping, whose row i is ``compute(i)`` (``width``
+    floats) once the with-block ends; the block is the caller's own work,
+    run here while the workers run.  The job runs on W processes, W from
+    ``_worker_cpus(count + 1)``: worker r (1 <= r < W), pinned to a CPU of
+    its own, computes the rows i = r - 1 (mod W) and leaves through
+    ``os._exit``, so it flushes no inherited buffer, runs no exit hook and
+    drops any exception.  The calling process computes the rows
+    i = W - 1 (mod W) when the block ends, and then reaps the workers.
     W is 1, and nothing forks, where ``_worker_cpus`` finds no spare CPU or
     the process maps no OpenBLAS whose threads can be set.  A fork that
     fails with ``OSError`` is skipped, and so is a pinning call that fails,
     since the CPU is only a placement hint.
+
+    A row counts once its done flag, kept in the mapping beside the table,
+    is set, which happens only after the row is whole.  Once the workers
+    are reaped, every row not marked done is computed here in row order,
+    and its exception propagates: a row that raised (the lowest one's
+    exception is the serial loop's), the rows of a worker that died and
+    those of a fork that failed all end as the serial loop would.  When the
+    block raises, or an exception other than ``Exception`` escapes the
+    caller's rows, the workers are killed and reaped and no row is
+    computed.
 
     A Python >= 3.12 interpreter warns that a process with threads
     (OpenBLAS's) forks.  The warning comes after the child exists, so a
     filter that turned it into an error would lose the child, and it is
     silenced around the fork.
     """
-    table = np.frombuffer(mmap.mmap(-1, 8 * size))
-    cpus = _worker_cpus(processes)
+    mapped = np.frombuffer(mmap.mmap(-1, 8 * max(1, count * (width + 1))))
+    done, table = mapped[:count], mapped[count : count * (width + 1)].reshape(count, width)
+
+    def run(rows):
+        for i in rows:
+            table[i] = compute(i)
+            done[i] = 1.0
+
+    cpus = _worker_cpus(count + 1)
     blas = _openblas_threads() if cpus else []
     if not blas:
         cpus = []
-    counts = [get() for get, _ in blas]
+    threads = [get() for get, _ in blas]
     workers = 1 + len(cpus)
     pids = []  # the workers not yet reaped
     try:
@@ -132,25 +153,30 @@ def forked(size: int, work, processes: int = 2):
                     warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
                     pid = os.fork()
             except OSError:
-                continue  # the caller computes this worker's share itself
+                continue  # this worker's rows are computed here after the reap
             if pid == 0:
                 try:
                     try:
                         os.sched_setaffinity(0, {cpu})
                     except OSError:
                         pass
-                    work(table, rank, workers)
+                    run(range(rank - 1, count, workers))
                 finally:
                     os._exit(0)
             pids.append(pid)
-        yield table, workers
+        yield table
+        try:
+            run(range(workers - 1, count, workers))
+        except Exception:
+            pass  # computed again after the reap, where it raises
         while pids:
             os.waitpid(pids[-1], 0)
             pids.pop()
     finally:
-        # workers are left here only when the with-block raised
+        # workers are left here only when the block or the caller's rows raised
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        for (_, set_), count in zip(blas, counts):
-            set_(count)
+        for (_, set_), n in zip(blas, threads):
+            set_(n)
+    run([i for i in range(count) if not done[i]])

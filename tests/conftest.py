@@ -9,7 +9,7 @@ import pytest
 def no_child_left():
     """Fail a test that leaves a child process unreaped.
 
-    The package forks its workers itself (``mfelab.workers.forked``); a
+    The package forks its workers itself (``mfelab.workers.shared``); a
     worker left running or unreaped after a command is a leak.
     """
     yield

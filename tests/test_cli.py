@@ -364,14 +364,17 @@ def _count_forks(monkeypatch):
     return forks
 
 
-@pytest.mark.parametrize("command, workers", [("verify", 2), ("pohozaev", 1)])
+@pytest.mark.parametrize("command, workers", [("verify", 2), ("pohozaev", 1), ("verify", 0)])
 def test_worker_and_serial_paths_write_the_same_bytes(command, workers, tmp_path, capsys,
                                                       monkeypatch):
-    # verify forks its doubled-mesh continuation and the fold pair's upper
-    # root, pohozaev the upper root; a worker that dies before it marks its
-    # result done, and a process that cannot fork, leave the work to the
-    # parent, which must write the same bytes
-    cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=["pohozaev"],
+    # on 2 CPUs, verify forks its doubled-mesh continuation and the fold
+    # pair's lower root, pohozaev the lower root, and verify without
+    # diagnostics nothing (it has no mesh gate and finds no fold pair); a
+    # worker that dies before it marks its result done, and a process that
+    # cannot fork, leave the work to the parent, which must write the same
+    # bytes
+    diagnostics = ["pohozaev"] if workers else []
+    cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=diagnostics,
                       window={"start": 2.0, "end": 8.0, "steps": 25})
     path = write_config(tmp_path, "fold.json", cfg)
 
@@ -590,7 +593,7 @@ def test_scipy_packages_imported_only_where_needed():
 
 
 def test_only_the_worker_helper_forks():
-    # the package's worker processes all come from workers.forked: it alone
+    # the package's worker processes all come from workers.shared: it alone
     # forks, maps the shared table, pins a CPU and leaves through os._exit,
     # and only the workers module loads ctypes and names OpenBLAS's thread
     # setters; nothing is pickled
@@ -624,10 +627,10 @@ def test_only_the_worker_helper_forks():
     for name, tree in _package_trees():
         visit(tree, name, ())
     assert forks == {
-        ("workers.py", "forked", "os.fork"),
-        ("workers.py", "forked", "os._exit"),
-        ("workers.py", "forked", "mmap.mmap"),
-        ("workers.py", "forked", "os.sched_setaffinity"),
+        ("workers.py", "shared", "os.fork"),
+        ("workers.py", "shared", "os._exit"),
+        ("workers.py", "shared", "mmap.mmap"),
+        ("workers.py", "shared", "os.sched_setaffinity"),
         ("workers.py", "_openblas_threads", "import ctypes"),
         ("workers.py", "", "set_num_threads"),
     }

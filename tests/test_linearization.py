@@ -494,7 +494,7 @@ def _before_each_operator(monkeypatch, hook):
 
 
 @pytest.mark.parametrize("failures, first", [
-    # groups of 3 workers on 5 points: {0, 3} in the parent, {1, 4} and {2} forked
+    # 3 processes on 5 points: {0, 3} and {1, 4} forked, {2} in the parent
     ({1: ParameterDomainError("at point 1"), 3: SpectrumError("at point 3")}, 1),
     ({0: SpectrumError("at point 0"), 2: ValueError("at point 2")}, 0),
     ({2: ValueError("at point 2"), 4: SpectrumError("at point 4")}, 2),
@@ -546,9 +546,9 @@ def test_scan_ignores_a_failed_affinity_call(short_branch, monkeypatch):
     _before_each_operator(monkeypatch, built.append)
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
     _assert_scan_is_serial(short_branch, monkeypatch, 3)
-    # serial: 5 points x 2 modes; then the parent's group {0, 3} only, as
+    # serial: 5 points x 2 modes; then the parent's point {2} only, as
     # the workers computed their own points
-    assert len(built) == 10 + 4
+    assert len(built) == 10 + 2
 
 
 def test_scan_interrupted_in_parent_stops_and_reaps_workers(short_branch, monkeypatch):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from mfelab import radial_solver
 from mfelab.errors import NotApplicableError, ParameterDomainError, SolverError
 from mfelab.greens import WeightSpec, ell_coefficient
 from mfelab.meshing import RadialMesh
@@ -279,6 +280,24 @@ def test_branch_single_point():
     br = continue_branch(2.0, 2.0, 5, CONST)
     assert len(br.points) == 1
     assert br.points[0].lam == pytest.approx(2.0, abs=1e-10)
+
+
+def test_branch_gives_up_when_its_first_point_fails(monkeypatch):
+    calls = []
+
+    def refuse(spec, mesh, **kwargs):
+        calls.append(kwargs["lam"])
+        if len(calls) > 200:
+            raise RuntimeError("continuation does not give up")
+        raise SolverError("refused")
+
+    monkeypatch.setattr(radial_solver, "newton_solve", refuse)
+    br = continue_branch(6.0, 8.0, 3, CONST, MeshPolicy(n=64))
+    assert br.points == ()
+    assert br.failure["lambda_target"] == 6.0
+    assert br.failure["reason"] == "refused"
+    # sub-targets bisect toward 5.0 until the gap reaches MIN_STEP
+    assert min(calls) > 5.0
 
 
 def test_branch_range_validation():

@@ -1,15 +1,20 @@
 """The process layer: forked workers, their shared table and the BLAS cap."""
 
 import os
+import time
 
 import pytest
 
 from mfelab import workers
 
 
+def _with_cpus(monkeypatch, count):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
 @pytest.fixture
 def two_cpus(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _with_cpus(monkeypatch, 2)
 
 
 @pytest.fixture
@@ -29,35 +34,125 @@ def _counts(blas):
     return [get() for get, _ in blas]
 
 
-def test_openblas_held_to_one_thread_while_workers_run(two_cpus, openblas):
-    def work(table, rank, size):
-        table[1:] = _counts(openblas)
-        table[0] = 1.0
+def _squares(count):
+    return [[i, i * i] for i in range(count)]
 
-    with workers.forked(1 + len(openblas), work) as (table, size):
-        assert size == 2
+
+def _in_parent(calls, compute):
+    """``compute`` that records in ``calls`` each item the calling process computes."""
+    parent = os.getpid()
+
+    def recorded(i):
+        if os.getpid() == parent:
+            calls.append(i)
+        return compute(i)
+
+    return recorded
+
+
+def test_openblas_held_to_one_thread_while_workers_run(two_cpus, openblas):
+    with workers.shared(lambda i: [os.getpid(), *_counts(openblas)], 1, 1 + len(openblas)) as table:
         inside = _counts(openblas)
-    assert table[0] == 1.0
-    assert list(table[1:]) == [1.0] * len(openblas)  # in the worker
+    assert table[0, 0] != os.getpid()  # one item on 2 CPUs goes to the worker
+    assert list(table[0, 1:]) == [1.0] * len(openblas)  # in the worker
     assert inside == [1] * len(openblas)
     assert _counts(openblas) == [2] * len(openblas)
 
 
 def test_openblas_counts_restored_when_the_block_raises(two_cpus, openblas):
     with pytest.raises(RuntimeError, match="in the parent"):
-        with workers.forked(1, lambda *_: None):
+        with workers.shared(lambda i: [0.0], 1, 1):
             raise RuntimeError("in the parent")
     assert _counts(openblas) == [2] * len(openblas)
 
 
 def test_nothing_forks_without_a_spare_cpu(monkeypatch, openblas):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    _with_cpus(monkeypatch, 1)
 
     def fail(*_):
         raise AssertionError("forked")
 
     monkeypatch.setattr(os, "fork", fail)
-    with workers.forked(1, fail) as (table, size):
-        assert size == 1
+    calls = []
+    with workers.shared(_in_parent(calls, lambda i: [i, i * i]), 2, 2) as table:
         assert _counts(openblas) == [2] * len(openblas)  # no cap without workers
-    assert table[0] == 0.0
+        assert calls == []  # the caller's items run when the block ends
+    assert calls == [0, 1]
+    assert table.tolist() == _squares(2)
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 5])
+def test_rows_equal_a_plain_loop(monkeypatch, openblas, cpus, count):
+    _with_cpus(monkeypatch, cpus)
+    calls = []
+    with workers.shared(_in_parent(calls, lambda i: [i, i * i]), count, 2) as table:
+        pass
+    assert table.shape == (count, 2)
+    assert table.tolist() == _squares(count)
+    # W = min(count + 1, CPUs) processes; the caller's items are i = W - 1 (mod W)
+    size = min(count + 1, cpus)
+    assert calls == list(range(size - 1, count, size))
+
+
+def test_rows_of_a_worker_that_died_are_recomputed(monkeypatch, openblas):
+    _with_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def compute(i):
+        if os.getpid() != parent:
+            os._exit(7)  # before the worker marks any row done
+        return [i, i * i]
+
+    calls = []
+    with workers.shared(_in_parent(calls, compute), 5, 2) as table:
+        pass
+    assert table.tolist() == _squares(5)
+    # the caller's item {2}, then the workers' {0, 3} and {1, 4} in item order
+    assert calls == [2, 0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_lowest_raising_item_raises(monkeypatch, openblas, cpus):
+    _with_cpus(monkeypatch, cpus)
+    failures = {1: ValueError("at item 1"), 3: KeyError("at item 3")}
+
+    def compute(i):
+        if i in failures:
+            raise failures[i]
+        return [i, i * i]
+
+    with pytest.raises(ValueError, match="at item 1"):
+        with workers.shared(compute, 5, 2):
+            pass
+
+
+def test_no_items_fork_nothing(two_cpus, monkeypatch):
+    def fail(*_):
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fail)
+    with workers.shared(fail, 0, 2) as table:
+        pass
+    assert table.shape == (0, 2)
+
+
+def test_a_raising_block_kills_the_workers_and_computes_nothing(monkeypatch, openblas):
+    _with_cpus(monkeypatch, 3)
+    parent = os.getpid()
+
+    def compute(i):
+        if os.getpid() != parent:
+            time.sleep(30)
+        return [i, i * i]
+
+    calls = []
+    t0 = time.monotonic()
+    with pytest.raises(RuntimeError, match="in the parent"):
+        with workers.shared(_in_parent(calls, compute), 3, 2):
+            raise RuntimeError("in the parent")
+    assert time.monotonic() - t0 < 10.0
+    assert calls == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _counts(openblas) == [2] * len(openblas)
