@@ -9,7 +9,6 @@ field whose inner projection onto the kernel shape stays order one.
 import numpy as np
 
 from mfelab import (
-    MeshPolicy,
     WeightSpec,
     b0_projection,
     continue_branch,
@@ -23,12 +22,12 @@ LIMIT = 8.0 * np.pi * BETA
 
 def main():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    branch = continue_branch(6.0, 15.0, 10, spec, MeshPolicy(n=512))
+    branch = continue_branch(6.0, 15.0, 10, spec, nodes=512)
     print("lambda      rho           rho - 8 pi beta   residual")
     for pt in branch.points:
         print(f"{pt.lam:6.2f}   {pt.rho:.8f}   {pt.rho - LIMIT:+.4e}     {pt.res_norm:.1e}")
 
-    low = continue_branch(2.0, 8.0, 25, spec, MeshPolicy(n=512))
+    low = continue_branch(2.0, 8.0, 25, spec, nodes=512)
     print(f"\nfold flags on the [2, 8] window: {low.fold_flags}")
     lo, hi = find_fold_pair(low)
     print(f"paired at rho = {hi.rho:.10f}: lambda {lo.lam:.4f} and {hi.lam:.4f}")

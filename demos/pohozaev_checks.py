@@ -9,7 +9,6 @@ residuals decay along the branch at the documented sigma rate.
 import numpy as np
 
 from mfelab import (
-    MeshPolicy,
     WeightSpec,
     continue_branch,
     exact_disk_family,
@@ -27,7 +26,7 @@ BETA = 1.0 + ALPHA
 
 def main():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    low = continue_branch(2.0, 8.0, 25, spec, MeshPolicy(n=512))
+    low = continue_branch(2.0, 8.0, 25, spec, nodes=512)
     lo, hi = find_fold_pair(low)
     print("pairwise identity across the fold:")
     for r in (0.5, 0.25, 0.125):
@@ -42,7 +41,7 @@ def main():
     bad = pohozaev_residual_linearized(fam, np.ones_like(fam.u), 0.25)
     print(f"  manufactured constant field: residual {bad:+.3e}")
 
-    branch = continue_branch(6.0, 15.0, 10, spec, MeshPolicy(n=512))
+    branch = continue_branch(6.0, 15.0, 10, spec, nodes=512)
     print("\nmatching and outer-profile residuals along the gaussian branch:")
     print("lambda   matching      outer sup     outer gradient")
     for pt in branch.points:

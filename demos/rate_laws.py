@@ -11,7 +11,6 @@ import numpy as np
 
 from mfelab import (
     Branch,
-    MeshPolicy,
     WeightSpec,
     continue_branch,
     ell_coefficient,
@@ -42,7 +41,7 @@ def main():
     for coef in (0.25, -0.25):
         spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=coef)
         ell = ell_coefficient(ALPHA, spec.hbar1((0.0, 0.0)), spec.lap_log_hstar0())
-        branch = continue_branch(6.0, 15.0, 19, spec, MeshPolicy(n=512))
+        branch = continue_branch(6.0, 15.0, 19, spec, nodes=512)
         fit = rate_law_fit(branch)
         lfit = local_rate_law_fit(branch, 0.25)
         print(f"\ngaussian coef {coef:+.2f}: ell = {ell:+.4f}, "

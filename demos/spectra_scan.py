@@ -6,14 +6,14 @@ rescaling.  No magnitude dips below the kernel threshold on this window,
 which is the numerical face of non-degeneracy.
 """
 
-from mfelab import MeshPolicy, WeightSpec, continue_branch, nondegeneracy_scan
+from mfelab import WeightSpec, continue_branch, nondegeneracy_scan
 
 ALPHA = 0.5
 
 
 def main():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    branch = continue_branch(6.0, 14.0, 9, spec, MeshPolicy(n=512))
+    branch = continue_branch(6.0, 14.0, 9, spec, nodes=512)
     scan = nondegeneracy_scan(branch, k_max=8)
 
     print("lambda   min |eig| over k <= 8   nearest mode-0 eig   flags")

@@ -44,7 +44,6 @@ from .liouville import (
 )
 from .radial_solver import (
     Branch,
-    MeshPolicy,
     SolutionPoint,
     blowup_initial_guess,
     continue_branch,
@@ -55,7 +54,6 @@ from .radial_solver import (
 
 __all__ = [
     "Branch",
-    "MeshPolicy",
     "ParameterDomainError",
     "SolutionPoint",
     "WeightSpec",

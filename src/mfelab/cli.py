@@ -37,7 +37,7 @@ def _emit(obj: dict) -> None:
 def _run_branch(config: RunConfig, nodes: int | None = None):
     win = config.window
     return continue_branch(
-        win["start"], win["end"], win["steps"], config.weight_spec(), config.mesh_policy(nodes)
+        win["start"], win["end"], win["steps"], config.weight_spec(), nodes or config.mesh["nodes"]
     )
 
 
@@ -168,20 +168,29 @@ def _verify_failures(config: RunConfig, branch, report, doubled) -> list:
     return failures
 
 
+class _CoarseFailure(Exception):
+    """The verified branch stopped short; raised to leave the worker block."""
+
+
 def cmd_verify(config: RunConfig) -> int:
     h = config.config_hash()
     # the mesh gate's doubled-mesh continuation does not depend on the
     # coarse branch, so a worker runs it meanwhile; without diagnostics
     # there is no gate to run it for
     rows = 1 if config.diagnostics else 0
-    with shared(lambda _: _doubled_branch(config), rows, 1 + config.window["steps"]) as doubled:
-        branch = _run_branch(config)
-        if _branch_failed(branch, h):
-            return 3
-        report = build_report(
-            branch, config.fit_window, config.r0, config.outer_radius, h, config.diagnostics,
-            config.thresholds["r2_floor"],
-        )
+    try:
+        with shared(lambda _: _doubled_branch(config), rows, 1 + config.window["steps"]) as doubled:
+            branch = _run_branch(config)
+            if _branch_failed(branch, h):
+                # unlike a return, an exception leaves the block with the
+                # worker killed and the doubled-mesh row not computed
+                raise _CoarseFailure
+            report = build_report(
+                branch, config.fit_window, config.r0, config.outer_radius, h,
+                config.diagnostics, config.thresholds["r2_floor"],
+            )
+    except _CoarseFailure:
+        return 3
     failures = _verify_failures(config, branch, report, doubled)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}
     path = os.path.join(config.out, "report.json")

@@ -323,10 +323,10 @@ def pohozaev_rows(branch: Branch, r: float):
 
     Returns (kind, rows, pairs) with rows of (lambda, residual).  A
     fold-flagged branch gets kind "pair": each fold pair is solved once,
-    on the branch's mesh policy, and gives one row at its upper lambda;
-    pairs holds the (lower, upper) points for reuse.  A branch without
-    folds gets kind "eigenfield": the linearized identity on the local
-    kernel candidate at every point, with no pairs.
+    on a solver mesh of the branch's node count, and gives one row at its
+    upper lambda; pairs holds the (lower, upper) points for reuse.  A
+    branch without folds gets kind "eigenfield": the linearized identity
+    on the local kernel candidate at every point, with no pairs.
     """
     if branch.fold_flags:
         pairs = [find_fold_pair(branch, which) for which in range(len(branch.fold_flags))]

@@ -73,6 +73,9 @@ __all__ = [
 
 KERNEL_FLAG_TOL = 1e-8
 
+#: sinh strength of the truncated mode operators' meshes
+MODE_MESH_STRENGTH = 10.0
+
 
 @dataclass(frozen=True)
 class ModeOperator:
@@ -196,7 +199,6 @@ def entire_mode_operator(
     k: int,
     radius: float = 50.0,
     n: int = 768,
-    strength: float = 10.0,
 ) -> ModeOperator:
     """Mode-k entire-space limit operator truncated to |y| <= radius.
 
@@ -210,26 +212,21 @@ def entire_mode_operator(
         raise ParameterDomainError("truncation radius must exceed 1")
     beta = 1.0 + alpha
     kappa = k / beta
-    mesh = RadialMesh.graded(n, beta, strength, t_max=radius**beta)
+    mesh = RadialMesh.graded(n, beta, MODE_MESH_STRENGTH, t_max=radius**beta)
     s = mesh.t
     V = 8.0 / (1.0 + s * s) ** 2
     return _truncated_operator(mesh, V, k, kappa)
 
 
-def inner_mode_operator(
-    point: SolutionPoint,
-    k: int,
-    radius: float = 8.0,
-    n: int = 768,
-    strength: float = 10.0,
-) -> ModeOperator:
+def inner_mode_operator(point: SolutionPoint, k: int, radius: float = 8.0) -> ModeOperator:
     """Mode-k operator of the point restricted to the inner blow-up window.
 
     The window is |y| <= radius in the inner variable y = x/s where the
     core scale satisfies s^(2 beta) = 1/(gamma e^lambda).  The local
     potential is carried over from the point (no nonlocal term at inner
     order) and the far edge uses the decay condition, so the spectrum is
-    directly comparable with entire_mode_operator on the same window.
+    directly comparable with entire_mode_operator on the same window,
+    whose 768-node mesh it shares.
     """
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ParameterDomainError("mode index must be a non-negative integer")
@@ -245,7 +242,7 @@ def inner_mode_operator(
             f"inner window reaches t = {t_cut:.3f}; the point is not "
             "concentrated enough for this radius"
         )
-    zmesh = RadialMesh.graded(n, beta, strength, t_max=S)
+    zmesh = RadialMesh.graded(768, beta, MODE_MESH_STRENGTH, t_max=S)
     t_eval = zmesh.t * sig_t
     from scipy.interpolate import make_interp_spline
 

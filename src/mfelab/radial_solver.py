@@ -36,40 +36,25 @@ EIGHT_PI = 8.0 * np.pi
 #: continuation sub-step floor; below this a failing step aborts the branch
 MIN_STEP = 1e-3
 
+#: Newton iteration cap of ``newton_solve``
+NEWTON_MAX_ITER = 50
+
 #: Brent root finder: relative tolerance and iteration cap of scipy's brentq
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAXITER = 100
 
 
-@dataclass(frozen=True)
-class MeshPolicy:
-    """How solver meshes are built.
+def solver_mesh(nodes: int, beta: float, lam: float) -> RadialMesh:
+    """The solver's mesh of ``nodes`` nodes at blow-up height ``lam``.
 
-    "auto" grading ties the sinh strength to the current blow-up height so
-    that the node cluster tracks the shrinking inner scale; "fixed" uses
-    ``strength`` as given.  Solver meshes never go below 64 nodes.
+    The sinh strength max(2, lam/2 + 2) keeps the first node below the
+    bubble core scale, which shrinks like e^(-lam/2) in t, without starving
+    the mid-range where curvature actually lives.  Solver meshes never go
+    below 64 nodes.
     """
-
-    n: int = 512
-    grading: str = "auto"
-    strength: float = 6.0
-    offset: float = 2.0
-
-    def __post_init__(self):
-        if self.n < 64:
-            raise ParameterDomainError("solver meshes need at least 64 nodes")
-        if self.grading not in ("auto", "fixed"):
-            raise ParameterDomainError(f"unknown grading {self.grading!r}")
-
-    def build(self, beta: float, lam: float) -> RadialMesh:
-        if self.grading == "fixed":
-            a = self.strength
-        else:
-            # grading must keep the first node below the bubble core scale
-            # (which shrinks like e^(-lam/2) in t) without starving the
-            # mid-range where curvature actually lives
-            a = max(2.0, lam / 2.0 + self.offset)
-        return RadialMesh.graded(self.n, beta, a)
+    if nodes < 64:
+        raise ParameterDomainError("solver meshes need at least 64 nodes")
+    return RadialMesh.graded(nodes, beta, max(2.0, lam / 2.0 + 2.0))
 
 
 def _log_weight(spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
@@ -154,15 +139,15 @@ class SolutionPoint:
 class Branch:
     """Ordered lambda-increasing family of solutions of one configuration.
 
-    ``policy`` is the mesh policy the points were solved on; fold pairs are
-    solved on it too.
+    ``nodes`` is the node count of the solver meshes the points were solved
+    on; fold pairs are solved on a mesh of that count too.
     """
 
     spec: WeightSpec
     points: tuple[SolutionPoint, ...]
     fold_flags: tuple[int, ...] = ()
     failure: dict | None = None
-    policy: MeshPolicy = MeshPolicy()
+    nodes: int = 512
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -228,7 +213,6 @@ def newton_solve(
     lam: float | None = None,
     initial: np.ndarray | None = None,
     tol: float = 1e-11,
-    max_iter: int = 50,
 ) -> SolutionPoint:
     """Solve the discrete problem at fixed rho, or at fixed lambda with rho
     as the extra unknown closed by u~(0) = lambda (fold-robust mode).
@@ -293,7 +277,7 @@ def newton_solve(
     # hides O(sqrt(tol)) errors behind an O(tol) residual, so convergence
     # also requires the last Newton update to be small
     step_norm = np.inf
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if rn <= tol and step_norm <= np.sqrt(tol) * (1.0 + np.max(np.abs(u))):
             break
         # the Jacobian is lap + diag(d) - d mw^T with a Dirichlet last row;
@@ -360,7 +344,7 @@ def newton_solve(
                 trace,
             )
     else:
-        raise SolverError(f"no convergence in {max_iter} iterations", trace)
+        raise SolverError(f"no convergence in {NEWTON_MAX_ITER} iterations", trace)
 
     return SolutionPoint(spec, mesh, u, rho_cur, rn, iters)
 
@@ -392,7 +376,7 @@ def exact_disk_family(
     beta = 1.0 + alpha
     lam = np.log(beta * (1.0 + m) / np.pi)
     if mesh is None:
-        mesh = MeshPolicy().build(beta, lam)
+        mesh = solver_mesh(512, beta, lam)
     u = 2.0 * (np.log1p(m) - np.log1p(m * mesh.t**2))
     rho = EIGHT_PI * beta * m / (1.0 + m)
     G, _, _, scale, _ = _residual_map(spec, mesh)(u, rho)
@@ -416,17 +400,15 @@ def approximate_profile(lam: float, spec: WeightSpec, r):
     return out if out.ndim else float(out)
 
 
-def blowup_initial_guess(
-    lam: float, spec: WeightSpec, mesh: RadialMesh, blend_radius: float = 0.25
-) -> np.ndarray:
+def blowup_initial_guess(lam: float, spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
     """Newton initial data: the bubble ansatz raised to the raw scale and
-    blended into the Green-function far field over [r0, 2 r0]."""
+    blended into the Green-function far field over [0.25, 0.5]."""
     beta = 1.0 + spec.alpha
     gamma = np.pi * float(spec.hstar(0.0)) / beta
     r = mesh.r
     inner = approximate_profile(lam, spec, r) + lam + 2.0 * np.log(gamma)
     outer = -4.0 * beta * np.log(r)
-    s = np.clip((r - blend_radius) / blend_radius, 0.0, 1.0)
+    s = np.clip((r - 0.25) / 0.25, 0.0, 1.0)
     w = 1.0 - s * s * (3.0 - 2.0 * s)
     u = w * inner + (1.0 - w) * outer
     u[-1] = 0.0
@@ -449,13 +431,15 @@ def continue_branch(
     lambda_end: float,
     steps: int,
     spec: WeightSpec,
-    mesh_policy: MeshPolicy = MeshPolicy(),
+    nodes: int = 512,
 ) -> Branch:
     """March the branch over a uniform lambda grid (inclusive endpoints).
 
-    Failing targets are bridged by bisecting sub-steps down to MIN_STEP;
-    if that floor is hit, the partial branch is returned with failure
-    diagnostics instead of raising.
+    Each point is solved on ``solver_mesh(nodes, beta, lambda)``, so the
+    mesh follows the shrinking core scale; fewer than 64 nodes is a
+    ParameterDomainError.  Failing targets are bridged by bisecting
+    sub-steps down to MIN_STEP; if that floor is hit, the partial branch
+    is returned with failure diagnostics instead of raising.
     """
     if steps < 1:
         raise ParameterDomainError("steps must be at least 1")
@@ -474,7 +458,7 @@ def continue_branch(
     state: SolutionPoint | None = None
     for target in targets:
         try:
-            state = _advance(state, float(target), spec, mesh_policy, beta)
+            state = _advance(state, float(target), spec, nodes, beta)
         except SolverError as err:
             failure = {
                 "lambda_target": float(target),
@@ -487,15 +471,15 @@ def continue_branch(
     rhos = np.array([p.rho for p in points])
     signs = np.sign(np.diff(rhos))
     flips = [i for i in range(1, len(signs)) if signs[i] != 0 and signs[i - 1] != 0 and signs[i] != signs[i - 1]]
-    return Branch(spec, tuple(points), tuple(flips), failure, mesh_policy)
+    return Branch(spec, tuple(points), tuple(flips), failure, nodes)
 
 
-def _advance(state, target, spec, policy, beta) -> SolutionPoint:
+def _advance(state, target, spec, nodes, beta) -> SolutionPoint:
     pending = [target]
     current = state
     while pending:
         lam_next = pending[-1]
-        mesh = policy.build(beta, lam_next)
+        mesh = solver_mesh(nodes, beta, lam_next)
         try:
             pt = newton_solve(
                 spec, mesh, lam=lam_next, initial=_warm_guess(current, lam_next, spec, mesh)
@@ -517,8 +501,9 @@ def find_fold_pair(branch: Branch, which: int = 0):
 
     Root-finds rho(lambda) = rho_target on both sides of the flagged fold;
     the returned pair matches in rho to ~1e-12 relative, which is what the
-    pairwise boundary-bulk identity checks require.  The mesh comes from
-    the branch's own policy.  The two roots are found at once, through
+    pairwise boundary-bulk identity checks require.  The mesh is the
+    solver mesh of the branch's own node count, graded for the flag's
+    upper neighbour.  The two roots are found at once, through
     ``workers.shared``: a forked worker finds the lower root while this
     process finds the upper one, each packed into a row as rho, residual,
     Newton count and field, and both points are rebuilt from the table.
@@ -532,7 +517,7 @@ def find_fold_pair(branch: Branch, which: int = 0):
     if not 0 < k < len(lams) - 1:
         raise NotApplicableError("fold flag sits at the branch edge")
     # one shared mesh, resolved for the larger lambda side
-    mesh = branch.policy.build(beta, float(lams[k + 1]))
+    mesh = solver_mesh(branch.nodes, beta, float(lams[k + 1]))
     rho_target = 0.5 * (float(rhos[k]) + max(float(rhos[k - 1]), float(rhos[k + 1])))
 
     cache: dict[float, SolutionPoint] = {}

@@ -20,12 +20,11 @@ from .diagnostics import DIAGNOSTIC_NAMES
 from .errors import ConfigError, ParameterDomainError, WeightSpecError
 from .greens import WeightSpec
 from .liouville import validate_alpha
-from .radial_solver import MeshPolicy
 
 SCHEMA = "mfelab/1"
 
 DEFAULTS = {
-    "mesh": {"nodes": 512, "grading": "auto", "strength": 6.0, "offset": 2.0},
+    "mesh": {"nodes": 512},
     "window": {"start": 6.0, "end": 15.0, "steps": 19},
     "fit_window": [8.0, 14.0],
     "diagnostics": list(DIAGNOSTIC_NAMES),
@@ -167,19 +166,9 @@ class RunConfig:
                     faults["hstar.coeffs" if hstar["kind"] == "poly" else "hstar.coef"] = str(exc)
         errors.extend(faults)
 
-        mesh_raw = _merge_section(raw, "mesh", errors)
-        mesh: dict = {}
-        nodes = mesh_raw["nodes"]
+        nodes = _merge_section(raw, "mesh", errors)["nodes"]
         if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 64:
             errors.append("mesh.nodes")
-        else:
-            mesh["nodes"] = nodes
-        if mesh_raw["grading"] not in ("auto", "fixed"):
-            errors.append("mesh.grading")
-        else:
-            mesh["grading"] = mesh_raw["grading"]
-        _require_number(mesh, errors, "mesh", "strength", mesh_raw["strength"], lo=0.5)
-        _require_number(mesh, errors, "mesh", "offset", mesh_raw["offset"], lo=0.0)
 
         win_raw = _merge_section(raw, "window", errors)
         window: dict = {}
@@ -241,7 +230,7 @@ class RunConfig:
         return cls(
             alpha=alpha,
             hstar=hstar,
-            mesh=mesh,
+            mesh={"nodes": nodes},
             window=window,
             fit_window=fit_window,
             diagnostics=diagnostics,
@@ -287,14 +276,6 @@ class RunConfig:
 
     def weight_spec(self) -> WeightSpec:
         return WeightSpec(alpha=self.alpha, **self.hstar)
-
-    def mesh_policy(self, nodes: int | None = None) -> MeshPolicy:
-        return MeshPolicy(
-            n=int(nodes if nodes is not None else self.mesh["nodes"]),
-            grading=self.mesh["grading"],
-            strength=self.mesh["strength"],
-            offset=self.mesh["offset"],
-        )
 
 
 def fmt(x) -> str:

@@ -15,7 +15,6 @@ import pytest
 
 from mfelab import (
     Branch,
-    MeshPolicy,
     WeightSpec,
     blowup_initial_guess,
     continue_branch,
@@ -37,6 +36,7 @@ from mfelab import (
     uniqueness_probe,
 )
 from mfelab.cli import main
+from mfelab.radial_solver import solver_mesh
 
 ALPHA = 0.5
 BETA = 1.0 + ALPHA
@@ -49,12 +49,12 @@ MINUS = WeightSpec(alpha=ALPHA, kind="gaussian", coef=-0.25)
 
 @pytest.fixture(scope="module")
 def branch_plus():
-    return continue_branch(6.0, 15.0, 19, PLUS, MeshPolicy(n=512))
+    return continue_branch(6.0, 15.0, 19, PLUS, nodes=512)
 
 
 @pytest.fixture(scope="module")
 def branch_minus():
-    return continue_branch(6.0, 15.0, 19, MINUS, MeshPolicy(n=512))
+    return continue_branch(6.0, 15.0, 19, MINUS, nodes=512)
 
 
 def decay_exponent(lams, values, window=(8.0, 14.0)):
@@ -70,11 +70,10 @@ def test_01_exact_family_from_bubble_guess():
     # Newton at fixed rho(m), started from the blended bubble ansatz,
     # lands on the closed-form disk solution.
     spec = WeightSpec(alpha=ALPHA)
-    policy = MeshPolicy(n=512)
     for m in (1.0, 10.0, 100.0, 1e4):
         lam = math.log(BETA * (1.0 + m) / math.pi)
         rho = EIGHT_PI_BETA * m / (1.0 + m)
-        mesh = policy.build(BETA, lam)
+        mesh = solver_mesh(512, BETA, lam)
         exact = exact_disk_family(ALPHA, m, mesh=mesh)
         guess = blowup_initial_guess(lam, spec, mesh)
         pt = newton_solve(spec, mesh, rho=rho, initial=guess)
@@ -200,8 +199,8 @@ def test_07_nondegeneracy_scan():
     # Mode spectra along the branch: no kernel suspicion for k <= 8 on
     # lambda in [6,14], smallest magnitudes >= 1e-6, and the per-point
     # minima move by at most 1% when the mesh is doubled.
-    coarse = continue_branch(6.0, 14.0, 9, PLUS, MeshPolicy(n=512))
-    fine = continue_branch(6.0, 14.0, 9, PLUS, MeshPolicy(n=1024))
+    coarse = continue_branch(6.0, 14.0, 9, PLUS, nodes=512)
+    fine = continue_branch(6.0, 14.0, 9, PLUS, nodes=1024)
     scan = nondegeneracy_scan(coarse, k_max=8)
     scan2 = nondegeneracy_scan(fine, k_max=8)
     assert not scan.kernel_flags.any()

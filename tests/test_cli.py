@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from mfelab import cli, diagnostics, linearization, radial_solver
+from mfelab import cli, diagnostics, linearization, radial_solver, serialize
 from mfelab.cli import main
 from mfelab.errors import ConfigError, SolverError
 from mfelab.serialize import RunConfig, atomic_write, fmt
@@ -85,8 +85,8 @@ class TestRunConfig:
     def test_weight_and_mesh_factories(self):
         cfg = RunConfig.from_dict(base_config("x"))
         assert cfg.weight_spec().kind == "gaussian"
-        assert cfg.mesh_policy().n == 512
-        assert cfg.mesh_policy(nodes=128).n == 128
+        # the mesh section takes only the node count
+        assert cfg.mesh == serialize.DEFAULTS["mesh"] == {"nodes": 512}
 
 
 class TestSerializeHelpers:
@@ -350,6 +350,30 @@ class TestVerifyCommand:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_coarse_branch_failure_skips_the_doubled_mesh_branch(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # on one CPU nothing forks, and the doubled-mesh row would be
+        # computed here once the block ends; a failed coarse branch must
+        # exit 3 without it
+        real, doubled = radial_solver.newton_solve, []
+
+        def coarse_fails(spec, mesh, **kwargs):
+            if mesh.n == 256:
+                doubled.append(kwargs["lam"])
+            if mesh.n == 128 and kwargs["lam"] > 6.0:
+                raise SolverError("coarse mesh refused")
+            return real(spec, mesh, **kwargs)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        monkeypatch.setattr(radial_solver, "newton_solve", coarse_fails)
+        cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=["rate"],
+                          window={"start": 6.0, "end": 9.0, "steps": 4})
+        code, msg = run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+        assert code == 3
+        assert msg["error"]["kind"] == "solver"
+        assert msg["error"]["detail"]["reason"] == "coarse mesh refused"
+        assert doubled == []
+
 
 def _count_forks(monkeypatch):
     """Give the package two CPUs and record each fork it makes."""
@@ -472,8 +496,8 @@ class TestPohozaevCommand:
         ({"hstar": {"kind": "gaussian", "coef": math.nan}}, ["hstar.coef"]),
         ({"hstar": {"kind": "poly", "coeffs": [1.0, -math.inf]}}, ["hstar.coeffs"]),
         ({"alpha": math.inf}, ["alpha"]),
-        ({"mesh": {"nodes": 128, "strength": math.nan, "offset": math.inf}},
-         ["mesh.offset", "mesh.strength"]),
+        ({"mesh": {"nodes": math.inf}, "window": {"start": -math.inf}},
+         ["mesh.nodes", "window.start"]),
         ({"fit_window": [8.0, math.inf], "r0": math.nan, "outer_radius": -math.inf},
          ["fit_window", "outer_radius", "r0"]),
     ],
@@ -488,6 +512,20 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, overrides, fields):
     assert code == 2
     assert msg["error"]["kind"] == "ConfigError"
     assert msg["error"]["fields"] == fields
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [("grading", "fixed"), ("strength", 6.0),
+                                          ("offset", 2.0)])
+def test_mesh_takes_only_the_node_count(tmp_path, capsys, field, value):
+    # the solver mesh has one grading rule, so the mesh section has no
+    # grading knobs: each is an unknown field
+    cfg = base_config(tmp_path / "out", mesh={"nodes": 128, field: value})
+    path = write_config(tmp_path, "mesh.json", cfg)
+    code, msg = run(["verify", "--config", path], capsys)
+    assert code == 2
+    assert msg["error"]["kind"] == "ConfigError"
+    assert msg["error"]["fields"] == [f"mesh.{field}"]
     assert not (tmp_path / "out").exists()
 
 
@@ -660,6 +698,29 @@ def test_dense_operators_built_only_where_needed():
     assert callers == {
         ("meshing.py", "RadialMesh.lap_rows"),
         ("radial_solver.py", "_residual_map"),
+    }
+
+
+def test_graded_meshes_built_only_by_the_mesh_rules():
+    # the solver mesh has one rule, solver_mesh; the truncated mode
+    # operators build their own fixed-strength meshes
+    callers = set()
+
+    def visit(node, module, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == "graded":
+                callers.add((module, ".".join(scope)))
+            visit(child, module, scope)
+
+    for name, tree in _package_trees():
+        visit(tree, name, ())
+    assert callers == {
+        ("radial_solver.py", "solver_mesh"),
+        ("linearization.py", "entire_mode_operator"),
+        ("linearization.py", "inner_mode_operator"),
     }
 
 

@@ -10,7 +10,6 @@ import pytest
 
 from mfelab import (
     Branch,
-    MeshPolicy,
     ParameterDomainError,
     SolutionPoint,
     WeightSpec,
@@ -30,6 +29,7 @@ from mfelab import (
     uniqueness_probe,
 )
 from mfelab.diagnostics import FitResult
+from mfelab.radial_solver import solver_mesh
 
 ALPHA = 0.5
 BETA = 1.0 + ALPHA
@@ -48,19 +48,19 @@ def exact_branch(lo=8.0, hi=14.0, count=13):
 @pytest.fixture(scope="module")
 def branch_plus():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    return continue_branch(6.0, 15.0, 19, spec, MeshPolicy(n=512))
+    return continue_branch(6.0, 15.0, 19, spec, nodes=512)
 
 
 @pytest.fixture(scope="module")
 def branch_minus():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=-0.25)
-    return continue_branch(6.0, 15.0, 19, spec, MeshPolicy(n=512))
+    return continue_branch(6.0, 15.0, 19, spec, nodes=512)
 
 
 @pytest.fixture(scope="module")
 def fold_branch():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    return continue_branch(2.0, 8.0, 25, spec, MeshPolicy(n=512))
+    return continue_branch(2.0, 8.0, 25, spec, nodes=512)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +126,7 @@ class TestRateLawFit:
 
     def test_slope_mesh_stable(self, branch_plus):
         spec = branch_plus.spec
-        refined = continue_branch(6.0, 15.0, 19, spec, MeshPolicy(n=768))
+        refined = continue_branch(6.0, 15.0, 19, spec, nodes=768)
         s0 = rate_law_fit(branch_plus).slope
         s1 = rate_law_fit(refined).slope
         assert abs(s1 - s0) <= 0.005 * abs(s0)
@@ -283,8 +283,8 @@ class TestPohozaevPair:
 
     def test_mesh_mismatch_raises(self):
         lam = float(np.log(BETA * 101.0 / np.pi))
-        a = exact_disk_family(ALPHA, 100.0, mesh=MeshPolicy(n=512).build(BETA, lam))
-        b = exact_disk_family(ALPHA, 100.0, mesh=MeshPolicy(n=384).build(BETA, lam))
+        a = exact_disk_family(ALPHA, 100.0, mesh=solver_mesh(512, BETA, lam))
+        b = exact_disk_family(ALPHA, 100.0, mesh=solver_mesh(384, BETA, lam))
         with pytest.raises(ParameterDomainError, match="mesh"):
             pohozaev_residual(a, b, 0.25)
 

@@ -26,11 +26,11 @@ from mfelab.linearization import (
 from mfelab.liouville import kernel_Y0
 from mfelab.meshing import RadialMesh
 from mfelab.radial_solver import (
-    MeshPolicy,
     WeightSpec,
     continue_branch,
     exact_disk_family,
     newton_solve,
+    solver_mesh,
 )
 
 ALPHA = 0.5
@@ -50,7 +50,7 @@ def family1e4():
 @pytest.fixture(scope="module")
 def gauss12():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    mesh = MeshPolicy(n=512).build(BETA, 12.0)
+    mesh = solver_mesh(512, BETA, 12.0)
     return newton_solve(spec, mesh, lam=12.0)
 
 
@@ -185,7 +185,7 @@ def test_spectrum_deterministic(family100):
 
 
 def test_spectrum_mesh_stability(family1e4):
-    mesh2 = MeshPolicy(n=1024).build(BETA, family1e4.lam)
+    mesh2 = solver_mesh(1024, BETA, family1e4.lam)
     refined = exact_disk_family(ALPHA, 1e4, mesh=mesh2)
     e1 = mode_spectrum(build_mode_operator(family1e4, 0), count=2).eigenvalues[0]
     e2 = mode_spectrum(build_mode_operator(refined, 0), count=2).eigenvalues[0]
@@ -410,7 +410,7 @@ def test_b0_validates_input(family100):
 @pytest.fixture(scope="module")
 def short_branch():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    return continue_branch(6.0, 8.0, 5, spec, MeshPolicy(n=384))
+    return continue_branch(6.0, 8.0, 5, spec, nodes=384)
 
 
 def test_scan_no_flags_on_gaussian_branch(short_branch):
@@ -428,7 +428,7 @@ def test_scan_no_flags_on_gaussian_branch(short_branch):
 
 def test_scan_reports_ell_zero_without_assertions():
     spec = WeightSpec(alpha=ALPHA)
-    branch = continue_branch(5.0, 6.0, 3, spec, MeshPolicy(n=384))
+    branch = continue_branch(5.0, 6.0, 3, spec, nodes=384)
     scan = nondegeneracy_scan(branch, k_max=2)
     assert scan.eig_min.shape == (3, 3)
     assert np.all(np.isfinite(scan.eig_min))
@@ -437,7 +437,7 @@ def test_scan_reports_ell_zero_without_assertions():
 @pytest.fixture(scope="module")
 def one_point_branch():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    return continue_branch(7.0, 7.0, 1, spec, MeshPolicy(n=384))
+    return continue_branch(7.0, 7.0, 1, spec, nodes=384)
 
 
 def test_scan_single_point_branch(one_point_branch):
@@ -588,10 +588,10 @@ def test_scan_workers_leave_through_os_exit(tmp_path):
     marker = tmp_path / "atexit"
     script = (
         "import atexit, os, sys\n"
-        "from mfelab import MeshPolicy, WeightSpec, continue_branch, nondegeneracy_scan\n"
+        "from mfelab import WeightSpec, continue_branch, nondegeneracy_scan\n"
         "os.sched_getaffinity = lambda pid: {0, 1}\n"
         f"atexit.register(lambda: open({str(marker)!r}, 'a').write('exit\\n'))\n"
-        "branch = continue_branch(7.0, 7.5, 2, WeightSpec(alpha=0.5), MeshPolicy(n=128))\n"
+        "branch = continue_branch(7.0, 7.5, 2, WeightSpec(alpha=0.5), nodes=128)\n"
         "sys.stdout.write('pending\\n')\n"
         "nondegeneracy_scan(branch, k_max=1)\n"
     )
@@ -611,7 +611,7 @@ def test_scan_workers_leave_through_os_exit(tmp_path):
 
 def test_scan_warm_start_matches_cold_spectra(monkeypatch):
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    branch = continue_branch(6.0, 8.0, 3, spec, MeshPolicy(n=384))
+    branch = continue_branch(6.0, 8.0, 3, spec, nodes=384)
     k_max = 16
     ops = []
 
@@ -643,7 +643,7 @@ def test_scan_warm_start_matches_cold_spectra(monkeypatch):
 @pytest.fixture(scope="module")
 def arnoldi_cases():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    point = newton_solve(spec, MeshPolicy(n=384).build(BETA, 8.0), lam=8.0)
+    point = newton_solve(spec, solver_mesh(384, BETA, 8.0), lam=8.0)
     return {
         "disk k=0": (build_mode_operator(point, 0), build_mode_operator(point, 1)),
         "disk k=3": (build_mode_operator(point, 3), build_mode_operator(point, 2)),

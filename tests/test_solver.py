@@ -15,7 +15,6 @@ from mfelab.meshing import RadialMesh
 from mfelab.radial_solver import (
     EIGHT_PI,
     Branch,
-    MeshPolicy,
     _brentq,
     approximate_profile,
     continue_branch,
@@ -23,6 +22,7 @@ from mfelab.radial_solver import (
     find_fold_pair,
     newton_solve,
     residual,
+    solver_mesh,
 )
 
 ALPHA = 0.5
@@ -122,7 +122,7 @@ def test_newton_cold_start_recovers_family(m):
 
 
 def test_newton_small_solution_from_zero():
-    mesh = MeshPolicy().build(BETA, 0.0)
+    mesh = solver_mesh(512, BETA, 0.0)
     pt = newton_solve(CONST, mesh, rho=1.0)
     assert pt.lam < 1.0
     assert pt.newton_iters <= 10
@@ -132,7 +132,7 @@ def test_newton_small_solution_from_zero():
 
 def test_newton_gaussian_blowup_matches_rate_law():
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    mesh = MeshPolicy().build(BETA, 8.0)
+    mesh = solver_mesh(512, BETA, 8.0)
     pt = newton_solve(spec, mesh, lam=8.0)
     ell = ell_coefficient(ALPHA, spec.hbar1((0.0, 0.0)), spec.lap_log_hstar0())
     predicted = LIMIT + ell * np.exp(-8.0 / BETA)
@@ -180,7 +180,7 @@ def test_newton_holds_one_dense_array():
     # the dense Laplacian rows behind G = lap @ u are the only n x n array
     n = 1024
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    mesh = MeshPolicy(n=n).build(BETA, 8.0)
+    mesh = solver_mesh(n, BETA, 8.0)
     tracemalloc.start()
     try:
         newton_solve(spec, mesh, lam=8.0)
@@ -222,7 +222,7 @@ def test_normalize_constant_shift_invariance():
 
 
 def test_normalize_sigma_lambda_relation():
-    mesh = MeshPolicy().build(BETA, 3.0)
+    mesh = solver_mesh(512, BETA, 3.0)
     pt = newton_solve(CONST, mesh, lam=3.0)
     assert pt.lam == pytest.approx(3.0, abs=1e-10)
     assert pt.sigma == pytest.approx(np.exp(-1.0), rel=1e-10)
@@ -292,7 +292,7 @@ def test_branch_gives_up_when_its_first_point_fails(monkeypatch):
         raise SolverError("refused")
 
     monkeypatch.setattr(radial_solver, "newton_solve", refuse)
-    br = continue_branch(6.0, 8.0, 3, CONST, MeshPolicy(n=64))
+    br = continue_branch(6.0, 8.0, 3, CONST, nodes=64)
     assert br.points == ()
     assert br.failure["lambda_target"] == 6.0
     assert br.failure["reason"] == "refused"
@@ -341,16 +341,15 @@ def test_fold_pair_shares_rho(gauss_branch):
 
 
 def test_fold_pair_on_branch_mesh_policy():
-    # a non-default policy: the pair must sit on the branch's own meshes,
-    # not on the default grading at the same node count
+    # a non-default node count: the pair must sit on the branch's own
+    # solver mesh, not on the default 512-node one
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    policy = MeshPolicy(offset=3.0)
-    branch = continue_branch(2.0, 8.0, 25, spec, policy)
+    branch = continue_branch(2.0, 8.0, 25, spec, nodes=256)
     assert branch.failure is None
-    assert branch.policy == policy
+    assert branch.nodes == 256
+    assert branch.fold_flags[0] == 11
     lam_hi = float(branch.lambdas[branch.fold_flags[0] + 1])
-    want = policy.build(BETA, lam_hi).t
-    assert not np.array_equal(want, MeshPolicy().build(BETA, lam_hi).t)
+    want = solver_mesh(256, BETA, lam_hi).t
     pa, pb = find_fold_pair(branch)
     assert np.array_equal(pa.mesh.t, want)
     assert np.array_equal(pb.mesh.t, want)
@@ -360,7 +359,7 @@ def test_fold_pair_on_branch_mesh_policy():
 def test_fold_pair_without_sign_change_is_solver_error():
     # a forced flag on a monotone branch: one bracket cannot straddle rho*
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
-    branch = continue_branch(9.0, 12.0, 7, spec, MeshPolicy(n=128))
+    branch = continue_branch(9.0, 12.0, 7, spec, nodes=128)
     assert branch.failure is None
     assert branch.fold_flags == ()
     with pytest.raises(SolverError, match="no sign change"):
@@ -428,9 +427,7 @@ def test_brentq_failures_match_scipy_evaluations():
 
 
 def test_mesh_policy_validation():
-    with pytest.raises(ParameterDomainError):
-        MeshPolicy(n=32)
-    with pytest.raises(ParameterDomainError):
-        MeshPolicy(grading="spline")
-    mesh = MeshPolicy(n=64, grading="fixed", strength=3.0).build(BETA, 10.0)
-    assert mesh.n == 64
+    # solver meshes need at least 64 nodes
+    with pytest.raises(ParameterDomainError, match="64 nodes"):
+        continue_branch(6.0, 7.0, 2, CONST, nodes=32)
+    assert solver_mesh(64, BETA, 10.0).n == 64
