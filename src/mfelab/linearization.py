@@ -32,13 +32,13 @@ eigenvector at the same point, which lies close to the wanted
 eigenvectors and saves restarts.
 
 ``nondegeneracy_scan`` shares the branch points among one process per
-usable CPU through ``workers.shared``, the package's process layer: with
-W processes, a forked worker on a CPU of its own runs the points
-i = r - 1 (mod W) for r = 1 .. W - 1 and the calling process the points
-i = W - 1 (mod W), with OpenBLAS held to one thread in all of them.  The
-helper then computes in the calling process every point left undone: a
-failing point's chain runs twice, and a dead worker's points are computed
-again rather than reported.  Each point's chain of modes stays in one
+usable CPU through ``workers.shared``, the package's process layer: each
+forked worker, on a CPU of its own, claims the lowest point no process
+has claimed and the calling process the highest, until none is left,
+with OpenBLAS held to one thread in all of them.  The helper then
+computes in the calling process every point left undone: a failing
+point's chain runs twice, and a dead worker's points are computed again
+rather than reported.  Each point's chain of modes stays in one
 process and runs the operations of a serial scan, so the spectra are the
 same bits for any W.  A profiler in the calling process sees only its own
 share of the calls.
@@ -488,9 +488,11 @@ def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:
     deterministic vector; every later mode starts from the previous mode's
     eigenvector, since neighbouring modes have nearby eigenvectors and
     Arnoldi then converges in fewer steps.  The points are shared among
-    one process per usable CPU (``workers.shared``); each point's chain of
-    modes is computed in one process as in a serial scan, so the result
-    does not depend on the number of CPUs.
+    one process per usable CPU (``workers.shared``), each claiming the next
+    free point as it finishes one, so a process that runs slower takes
+    fewer points; each point's chain of modes is computed in one process as
+    in a serial scan, so the result does not depend on the number of CPUs
+    or on who took which point.
     """
     if k_max < 0:
         raise ParameterDomainError("k_max must be non-negative")

@@ -168,6 +168,19 @@ def band_matvec(band: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", band, windows)
 
 
+def _powers(y: np.ndarray, p: int) -> np.ndarray:
+    """y**0, ..., y**(p - 1) along a new last axis.
+
+    pow(y, 0) and pow(y, 1) are exact, so those two are set directly and
+    only the higher exponents go through ``**``: the same bits in less time.
+    """
+    out = np.empty(y.shape + (p,))
+    out[..., 0] = 1.0
+    out[..., 1] = y
+    out[..., 2:] = y[..., None] ** np.arange(2, p)
+    return out
+
+
 def _interval_weights(nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Weights integrating the interpolating polynomial over [a, b].
 
@@ -178,9 +191,8 @@ def _interval_weights(nodes: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.nda
     """
     p = nodes.shape[1]
     c = 0.5 * (a + b)
-    powers = np.arange(p)
-    V = (nodes - c[:, None])[:, None, :] ** powers[:, None]
-    mom = ((b - c)[:, None] ** (powers + 1) - (a - c)[:, None] ** (powers + 1)) / (powers + 1)
+    V = _powers(nodes - c[:, None], p).swapaxes(1, 2)
+    mom = (_powers(b - c, p + 1)[:, 1:] - _powers(a - c, p + 1)[:, 1:]) / np.arange(1, p + 1)
     return np.linalg.solve(V, mom[:, :, None])[:, :, 0]
 
 
@@ -323,6 +335,43 @@ class RadialMesh:
         else:
             t = t_max * np.sinh(strength * i / n) / np.sinh(strength)
         return cls(t, beta, halfwidth)
+
+    @staticmethod
+    def row_size(n: int, halfwidth: int = 3) -> int:
+        """Length of ``to_row`` for a mesh of ``n`` nodes."""
+        return 1 + n * (3 + 2 * (4 * halfwidth + 1) + QUAD_POINTS)
+
+    def to_row(self) -> np.ndarray:
+        """The mesh as one float row: halfwidth, t, r, quad, the two bands
+        and the interval table; ``from_row`` reads it back."""
+        return np.concatenate([
+            [self.halfwidth], self.t, self.r, self.quad,
+            self.d1_band.ravel(), self.d2_band.ravel(), self._intervals.ravel(),
+        ])
+
+    @classmethod
+    def from_row(cls, row: np.ndarray, beta: float) -> "RadialMesh":
+        """The mesh ``to_row`` packed, on the same arrays bit for bit.
+
+        Nothing is recomputed: the arrays are read-only views of ``row``,
+        so a mesh one process built can be used by another through a
+        shared table.
+        """
+        halfwidth = int(row[0])
+        n = (row.size - 1) // (cls.row_size(1, halfwidth) - 1)
+        mesh = cls.__new__(cls)
+        mesh.beta = float(beta)
+        mesh.n = n
+        mesh.halfwidth = halfwidth
+        mesh.bandwidth = 2 * halfwidth
+        width = 2 * mesh.bandwidth + 1
+        parts = np.split(row[1:], np.cumsum([n, n, n, n * width, n * width]))
+        mesh.t, mesh.r, mesh.quad = parts[:3]
+        mesh.d1_band, mesh.d2_band = (part.reshape(n, width) for part in parts[3:5])
+        mesh._intervals = parts[5].reshape(n, QUAD_POINTS)
+        for arr in (mesh.t, mesh.r, mesh.d1_band, mesh.d2_band, mesh._intervals, mesh.quad):
+            arr.setflags(write=False)
+        return mesh
 
     def band_triplets(self, band: np.ndarray):
         """(rows, cols, values) of the in-range entries of a row band, row by row.

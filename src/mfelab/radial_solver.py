@@ -36,6 +36,10 @@ EIGHT_PI = 8.0 * np.pi
 #: continuation sub-step floor; below this a failing step aborts the branch
 MIN_STEP = 1e-3
 
+#: continuation targets at or above this height start Newton from
+#: ``blowup_initial_guess``, not from the previous point
+COLD_START = 4.0
+
 #: Newton iteration cap of ``newton_solve``
 NEWTON_MAX_ITER = 50
 
@@ -419,7 +423,7 @@ def blowup_initial_guess(lam: float, spec: WeightSpec, mesh: RadialMesh) -> np.n
 
 
 def _warm_guess(prev: SolutionPoint | None, lam: float, spec, mesh) -> np.ndarray:
-    if prev is None or lam >= 4.0:
+    if prev is None or lam >= COLD_START:
         return blowup_initial_guess(lam, spec, mesh)
     u = np.interp(mesh.t, prev.mesh.t, prev.u)
     u[-1] = 0.0
@@ -440,6 +444,18 @@ def continue_branch(
     ParameterDomainError.  Failing targets are bridged by bisecting
     sub-steps down to MIN_STEP; if that floor is hit, the partial branch
     is returned with failure diagnostics instead of raising.
+
+    Targets below COLD_START start Newton from the previous point, the
+    others from ``blowup_initial_guess``.  The first target and the warm
+    ones run here, as the block of one ``workers.shared`` job whose rows
+    are the remaining, cold targets: each row is one Newton solve, packed
+    as an ok flag, rho, residual, Newton count, field and
+    ``RadialMesh.to_row``, so no process rebuilds a mesh another one built.
+    The points are then taken in target order; a row whose solve failed
+    goes through ``_advance`` (the same solve again, then bisection), so
+    the branch is the serial march's bit for bit.  A failed prefix leaves
+    the block by its exception, so no row is computed; past it, every row
+    is computed before a failed cold row is met.
     """
     if steps < 1:
         raise ParameterDomainError("steps must be at least 1")
@@ -448,25 +464,46 @@ def continue_branch(
     if steps == 1 and lambda_end > lambda_start:
         raise ParameterDomainError("one step reaches lambda_start only; lambda_end needs steps >= 2")
     beta = 1.0 + spec.alpha
-    if lambda_end == lambda_start:
-        targets = np.array([lambda_start])
-    else:
-        targets = np.linspace(lambda_start, lambda_end, steps)
+    count = steps if lambda_end > lambda_start else 1
+    targets = np.linspace(lambda_start, lambda_end, count).tolist()
+    warm = max(1, sum(target < COLD_START for target in targets))
+    width = 4 + nodes + RadialMesh.row_size(nodes)
+
+    def cold(i: int) -> np.ndarray:
+        target = targets[warm + i]
+        mesh = solver_mesh(nodes, beta, target)
+        row = np.zeros(width)
+        try:
+            pt = newton_solve(spec, mesh, lam=target, initial=_warm_guess(None, target, spec, mesh))
+        except SolverError:
+            return row
+        row[:4] = 1.0, pt.rho, pt.res_norm, pt.newton_iters
+        row[4 : 4 + nodes] = pt.u
+        row[4 + nodes :] = mesh.to_row()
+        return row
 
     points: list[SolutionPoint] = []
     failure = None
     state: SolutionPoint | None = None
-    for target in targets:
-        try:
-            state = _advance(state, float(target), spec, nodes, beta)
-        except SolverError as err:
-            failure = {
-                "lambda_target": float(target),
-                "reason": str(err),
-                "trace": list(getattr(err, "trace", [])),
-            }
-            break
-        points.append(state)
+    target = targets[0]
+    try:
+        with shared(cold, len(targets) - warm, width) as table:
+            for target in targets[:warm]:
+                state = _advance(state, target, spec, nodes, beta)
+                points.append(state)
+        for target, row in zip(targets[warm:], table):
+            if row[0]:
+                mesh = RadialMesh.from_row(row[4 + nodes :], beta)
+                state = SolutionPoint(spec, mesh, row[4 : 4 + nodes], row[1], row[2], int(row[3]))
+            else:
+                state = _advance(state, target, spec, nodes, beta)
+            points.append(state)
+    except SolverError as err:
+        failure = {
+            "lambda_target": target,
+            "reason": str(err),
+            "trace": list(getattr(err, "trace", [])),
+        }
 
     rhos = np.array([p.rho for p in points])
     signs = np.sign(np.diff(rhos))
@@ -504,9 +541,11 @@ def find_fold_pair(branch: Branch, which: int = 0):
     pairwise boundary-bulk identity checks require.  The mesh is the
     solver mesh of the branch's own node count, graded for the flag's
     upper neighbour.  The two roots are found at once, through
-    ``workers.shared``: a forked worker finds the lower root while this
-    process finds the upper one, each packed into a row as rho, residual,
+    ``workers.shared``: a forked worker claims the lower root while this
+    process takes the upper one, each packed into a row as rho, residual,
     Newton count and field, and both points are rebuilt from the table.
+    Inside another job (verify's, whose block builds the report) nothing
+    forks, and this process finds both roots in turn.
     """
     if not branch.fold_flags:
         raise NotApplicableError("branch carries no fold flags")

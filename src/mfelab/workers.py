@@ -1,21 +1,27 @@
 """Forked workers that fill one shared table with the calling process.
 
 ``shared`` is the package's one process layer.  Its callers are the
-spectrum scan (a row per branch point, ``linearization.nondegeneracy_scan``),
-verify's doubled-mesh continuation (one row, ``cli.cmd_verify``) and the
-two roots of a fold pair (a row per root, ``radial_solver.find_fold_pair``).
-A caller hands it ``compute(i)``, the row of item i, and reads the whole
-table when its with-block ends.  The helper owns the rest: which process
-computes which row, a done flag per row, and the one failure rule, that
-every row no process marked done is computed again in the calling process
-in row order.  So a row that raised, a worker that died and a fork that
-failed all end as the serial loop would, exception included.
+continuation's cold-started points (a row per point,
+``radial_solver.continue_branch``), the spectrum scan (a row per branch
+point, ``linearization.nondegeneracy_scan``), verify's doubled-mesh
+continuation (one row, ``cli.cmd_verify``) and the two roots of a fold
+pair (a row per root, ``radial_solver.find_fold_pair``).  A caller hands
+it ``compute(i)``, the row of item i, and reads the whole table when its
+with-block ends.  The helper owns the rest: which process computes which
+row (each claims the next free one as it goes, so a slow process takes
+fewer rows), a done flag per row, and the one failure rule, that every
+row no process marked done is computed again in the calling process in
+row order.  So a row that raised, a worker that died and a fork that
+failed all end as the serial loop would, exception included.  Jobs nest
+one level deep: a job opened inside another job's block or rows, in the
+same process or in one of its workers, forks nothing.
 
-While workers run, every OpenBLAS the process has mapped is held to one
-thread, in the workers and the calling process alike.  A pinned worker
-whose OpenBLAS kept its default count would spin those threads on its one
-CPU, and its dense BLAS work would run slower than the serial run's.  The
-tests compare the outputs of the forked and serial paths byte for byte.
+While a job with workers runs, every OpenBLAS the process has mapped is
+held to one thread, in the workers and the calling process alike.  A
+pinned worker whose OpenBLAS kept its default count would spin those
+threads on its one CPU, and its dense BLAS work would run slower than the
+serial run's.  The tests compare the outputs of the forked and serial
+paths byte for byte.
 """
 
 from __future__ import annotations
@@ -96,6 +102,11 @@ def _openblas_threads() -> list:
     return found
 
 
+#: True while a ``shared`` job is open in this process, block and rows alike;
+#: forked workers inherit it
+_open = False
+
+
 @contextmanager
 def shared(compute, count: int, width: int):
     """Compute the rows ``compute(0)``, ..., ``compute(count - 1)`` in forked workers.
@@ -104,15 +115,22 @@ def shared(compute, count: int, width: int):
     anonymous shared mapping, whose row i is ``compute(i)`` (``width``
     floats) once the with-block ends; the block is the caller's own work,
     run here while the workers run.  The job runs on W processes, W from
-    ``_worker_cpus(count + 1)``: worker r (1 <= r < W), pinned to a CPU of
-    its own, computes the rows i = r - 1 (mod W) and leaves through
-    ``os._exit``, so it flushes no inherited buffer, runs no exit hook and
-    drops any exception.  The calling process computes the rows
-    i = W - 1 (mod W) when the block ends, and then reaps the workers.
-    W is 1, and nothing forks, where ``_worker_cpus`` finds no spare CPU or
-    the process maps no OpenBLAS whose threads can be set.  A fork that
-    fails with ``OSError`` is skipped, and so is a pinning call that fails,
-    since the CPU is only a placement hint.
+    ``_worker_cpus(count + 1)``.  Each worker, pinned to a CPU of its own,
+    claims the lowest row no process has claimed until none is left, and
+    leaves through ``os._exit``, so it flushes no inherited buffer, runs no
+    exit hook and drops any exception.  The calling process, once the block
+    ends, claims the highest unclaimed row in the same way, and then reaps
+    the workers.  A claimed flag per row sits in the mapping; two processes
+    that race for one row both compute it and write the same bytes.
+
+    W is 1, and nothing forks, where ``_worker_cpus`` finds no spare CPU,
+    the process maps no OpenBLAS whose threads can be set, or another job
+    is open: from the start of its block to its last row, in this process
+    or in the one a worker was forked from.  Then, as when every fork
+    fails, every row is computed here after the block, in row order, as a
+    plain loop would.  A fork that fails with ``OSError`` is skipped, and
+    so is a pinning call that fails, since the CPU is only a placement
+    hint.
 
     A row counts once its done flag, kept in the mapping beside the table,
     is set, which happens only after the row is whole.  Once the workers
@@ -129,49 +147,57 @@ def shared(compute, count: int, width: int):
     filter that turned it into an error would lose the child, and it is
     silenced around the fork.
     """
-    mapped = np.frombuffer(mmap.mmap(-1, 8 * max(1, count * (width + 1))))
-    done, table = mapped[:count], mapped[count : count * (width + 1)].reshape(count, width)
+    global _open
+    mapped = np.frombuffer(mmap.mmap(-1, 8 * max(1, count * (width + 2))))
+    claimed, done = mapped[:count], mapped[count : 2 * count]
+    table = mapped[2 * count : count * (width + 2)].reshape(count, width)
 
-    def run(rows):
-        for i in rows:
+    def run(end):
+        # end 0 claims the lowest unclaimed row, end -1 the highest
+        while (free := np.flatnonzero(claimed == 0.0)).size:
+            i = int(free[end])
+            claimed[i] = 1.0
             table[i] = compute(i)
             done[i] = 1.0
 
-    cpus = _worker_cpus(count + 1)
+    cpus = [] if _open else _worker_cpus(count + 1)
     blas = _openblas_threads() if cpus else []
     if not blas:
         cpus = []
     threads = [get() for get, _ in blas]
-    workers = 1 + len(cpus)
     pids = []  # the workers not yet reaped
+    outer, _open = _open, True
     try:
         for _, set_ in blas:
             set_(1)
-        for rank, cpu in enumerate(cpus, 1):
+        for cpu in cpus:
             try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
                     pid = os.fork()
             except OSError:
-                continue  # this worker's rows are computed here after the reap
+                continue  # the rows go to the other processes
             if pid == 0:
                 try:
                     try:
                         os.sched_setaffinity(0, {cpu})
                     except OSError:
                         pass
-                    run(range(rank - 1, count, workers))
+                    run(0)
                 finally:
                     os._exit(0)
             pids.append(pid)
         yield table
         try:
-            run(range(workers - 1, count, workers))
+            if pids:  # else the rows run below, in row order
+                run(-1)
         except Exception:
             pass  # computed again after the reap, where it raises
         while pids:
             os.waitpid(pids[-1], 0)
             pids.pop()
+        for i in np.flatnonzero(done == 0.0):
+            table[i] = compute(int(i))
     finally:
         # workers are left here only when the block or the caller's rows raised
         for pid in pids:
@@ -179,4 +205,4 @@ def shared(compute, count: int, width: int):
             os.waitpid(pid, 0)
         for (_, set_), n in zip(blas, threads):
             set_(n)
-    run([i for i in range(count) if not done[i]])
+        _open = outer

@@ -388,15 +388,16 @@ def _count_forks(monkeypatch):
     return forks
 
 
-@pytest.mark.parametrize("command, workers", [("verify", 2), ("pohozaev", 1), ("verify", 0)])
+@pytest.mark.parametrize("command, workers", [("verify", 1), ("pohozaev", 2), ("verify", 0)])
 def test_worker_and_serial_paths_write_the_same_bytes(command, workers, tmp_path, capsys,
                                                       monkeypatch):
-    # on 2 CPUs, verify forks its doubled-mesh continuation and the fold
-    # pair's lower root, pohozaev the lower root, and verify without
-    # diagnostics nothing (it has no mesh gate and finds no fold pair); a
-    # worker that dies before it marks its result done, and a process that
-    # cannot fork, leave the work to the parent, which must write the same
-    # bytes
+    # on 2 CPUs, pohozaev forks a worker for the continuation's cold points
+    # and one for the fold pair's lower root; verify forks its doubled-mesh
+    # continuation only, since the coarse branch and the fold pair run
+    # inside that job and jobs nest one level deep; verify without
+    # diagnostics forks nothing (its job has no row).  A worker that dies
+    # before it marks its result done, and a process that cannot fork,
+    # leave the work to the parent, which must write the same bytes
     diagnostics = ["pohozaev"] if workers else []
     cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=diagnostics,
                       window={"start": 2.0, "end": 8.0, "steps": 25})
@@ -701,9 +702,8 @@ def test_dense_operators_built_only_where_needed():
     }
 
 
-def test_graded_meshes_built_only_by_the_mesh_rules():
-    # the solver mesh has one rule, solver_mesh; the truncated mode
-    # operators build their own fixed-strength meshes
+def _scopes_naming(attr):
+    """(module, scope) of every place in the package that names ``.attr``."""
     callers = set()
 
     def visit(node, module, scope):
@@ -711,17 +711,28 @@ def test_graded_meshes_built_only_by_the_mesh_rules():
             if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Attribute) and child.attr == "graded":
+            if isinstance(child, ast.Attribute) and child.attr == attr:
                 callers.add((module, ".".join(scope)))
             visit(child, module, scope)
 
     for name, tree in _package_trees():
         visit(tree, name, ())
-    assert callers == {
+    return callers
+
+
+def test_graded_meshes_built_only_by_the_mesh_rules():
+    # the solver mesh has one rule, solver_mesh; the truncated mode
+    # operators build their own fixed-strength meshes
+    assert _scopes_naming("graded") == {
         ("radial_solver.py", "solver_mesh"),
         ("linearization.py", "entire_mode_operator"),
         ("linearization.py", "inner_mode_operator"),
     }
+
+
+def test_meshes_read_from_rows_only_by_the_continuation():
+    # the second way of making a mesh, for meshes a worker built
+    assert _scopes_naming("from_row") == {("radial_solver.py", "continue_branch")}
 
 
 def _loaded_after(probe):

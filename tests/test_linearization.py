@@ -1,4 +1,5 @@
 import dataclasses
+import mmap
 import os
 import subprocess
 import sys
@@ -494,7 +495,7 @@ def _before_each_operator(monkeypatch, hook):
 
 
 @pytest.mark.parametrize("failures, first", [
-    # 3 processes on 5 points: {0, 3} and {1, 4} forked, {2} in the parent
+    # on 3 CPUs the failing points may run in a worker, in the parent or both
     ({1: ParameterDomainError("at point 1"), 3: SpectrumError("at point 3")}, 1),
     ({0: SpectrumError("at point 0"), 2: ValueError("at point 2")}, 0),
     ({2: ValueError("at point 2"), 4: SpectrumError("at point 4")}, 2),
@@ -542,13 +543,29 @@ def test_scan_ignores_a_failed_affinity_call(short_branch, monkeypatch):
     def refuse(pid, cpus):
         raise OSError("sched_setaffinity: invalid argument")
 
-    built = []  # the operators the parent builds; a worker appends to its own copy
-    _before_each_operator(monkeypatch, built.append)
+    parent = os.getpid()
+    in_workers = np.frombuffer(mmap.mmap(-1, 8))  # operators built by workers, shared with them
+
+    def count(point):
+        if os.getpid() != parent:
+            in_workers[0] += 1
+        else:
+            # the parent waits for a worker's first operator, so that an
+            # unpinned worker that runs at all gets a point
+            deadline = time.monotonic() + 10.0
+            while not in_workers[0] and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+    _with_cpus(monkeypatch, 1)
+    serial = nondegeneracy_scan(short_branch, k_max=1)
+    _before_each_operator(monkeypatch, count)
     monkeypatch.setattr(os, "sched_setaffinity", refuse)
-    _assert_scan_is_serial(short_branch, monkeypatch, 3)
-    # serial: 5 points x 2 modes; then the parent's point {2} only, as
-    # the workers computed their own points
-    assert len(built) == 10 + 2
+    _with_cpus(monkeypatch, 3)
+    scan = nondegeneracy_scan(short_branch, k_max=1)
+    _assert_no_children()
+    assert np.array_equal(scan.eig_min, serial.eig_min)
+    assert np.array_equal(scan.eig_min_next, serial.eig_min_next)
+    assert in_workers[0] > 0
 
 
 def test_scan_interrupted_in_parent_stops_and_reaps_workers(short_branch, monkeypatch):

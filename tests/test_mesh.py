@@ -425,3 +425,44 @@ def test_mesh_holds_no_dense_operators():
     mesh = RadialMesh.graded(n, 1.5, 6.0)
     floats = sum(v.size for v in vars(mesh).values() if isinstance(v, np.ndarray))
     assert floats < 64 * n
+
+
+def _full_power_weights(nodes, a, b):
+    # every exponent through ``**``, 0 and 1 included
+    p = nodes.shape[1]
+    c = 0.5 * (a + b)
+    powers = np.arange(p)
+    V = (nodes - c[:, None])[:, None, :] ** powers[:, None]
+    mom = ((b - c)[:, None] ** (powers + 1) - (a - c)[:, None] ** (powers + 1)) / (powers + 1)
+    return np.linalg.solve(V, mom[:, :, None])[:, :, 0]
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+@pytest.mark.parametrize("beta", [1.3, 2.0, 3.4])
+@pytest.mark.parametrize("lam", [0.0, 9.0, 30.0])
+def test_interval_table_equals_the_full_power_form(n, beta, lam):
+    # exponents 0 and 1 are set directly, which pow() would give exactly
+    t = RadialMesh.graded(n, beta, max(2.0, lam / 2.0 + 2.0)).t
+    stencils = t[meshing._interval_starts(n, meshing.QUAD_POINTS)[:, None]
+                 + np.arange(meshing.QUAD_POINTS)]
+    lo = np.concatenate([[0.0], t[:-1]])
+    assert np.array_equal(meshing._interval_table(t, meshing.QUAD_POINTS),
+                          _full_power_weights(stencils, lo, t))
+
+
+@pytest.mark.parametrize("halfwidth", [2, 3])
+def test_mesh_row_round_trip(halfwidth):
+    mesh = RadialMesh.graded(200, 1.5, 6.0, halfwidth=halfwidth)
+    row = mesh.to_row()
+    assert row.size == RadialMesh.row_size(200, halfwidth)
+    back = RadialMesh.from_row(row, 1.5)
+    assert (back.n, back.beta, back.halfwidth, back.bandwidth) == (200, 1.5, halfwidth, 2 * halfwidth)
+    for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals"):
+        original, read = getattr(mesh, name), getattr(back, name)
+        assert read.shape == original.shape, name
+        assert np.array_equal(read, original), name
+        assert not read.flags.writeable, name
+    t_end = 0.5 * float(mesh.t[50] + mesh.t[51])
+    assert np.array_equal(back.quad_to(t_end), mesh.quad_to(t_end))
+    assert np.array_equal(back.point_rows(0.0, 1), mesh.point_rows(0.0, 1))
+    assert np.array_equal(back.lap_band(1.0), mesh.lap_band(1.0))

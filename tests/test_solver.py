@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -298,6 +299,114 @@ def test_branch_gives_up_when_its_first_point_fails(monkeypatch):
     assert br.failure["reason"] == "refused"
     # sub-targets bisect toward 5.0 until the gap reaches MIN_STEP
     assert min(calls) > 5.0
+
+
+def _branch_arrays(branch):
+    """Every array and scalar a branch carries, for comparison with ==."""
+    pts = branch.points
+    fields = {
+        "lambda": branch.lambdas, "rho": branch.rhos,
+        "res_norm": [p.res_norm for p in pts], "newton_iters": [p.newton_iters for p in pts],
+        "u": [p.u for p in pts], "log_mass": [p.log_mass for p in pts],
+    }
+    for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals"):
+        fields[name] = [getattr(p.mesh, name) for p in pts]
+    return fields, branch.fold_flags, branch.failure, branch.nodes
+
+
+def _same(a, b):
+    fields_a, *rest_a = a
+    fields_b, *rest_b = b
+    assert rest_a == rest_b
+    for name, values in fields_a.items():
+        assert len(values) == len(fields_b[name]), name
+        for x, y in zip(values, fields_b[name]):
+            assert np.array_equal(x, y), name
+
+
+def _refusing(monkeypatch, refuse):
+    """newton_solve that raises SolverError where refuse(lam, process's calls) holds."""
+    real, calls = radial_solver.newton_solve, []
+
+    def solve(spec, mesh, **kwargs):
+        lam = kwargs["lam"]
+        if refuse(lam, calls):
+            calls.append((lam, False))
+            raise SolverError("refused")
+        calls.append((lam, True))
+        return real(spec, mesh, **kwargs)
+
+    monkeypatch.setattr(radial_solver, "newton_solve", solve)
+    return calls
+
+
+SPLIT_WINDOW = (2.0, 8.0, 25)  # targets 2.0, 2.25, ..., 8.0; cold from 4.0 on
+REFUSED = 6.5
+
+
+def _refuse_until_bisected(lam, calls):
+    # the cold target 6.5 fails until this process solved a sub-step just
+    # below it: its row fails wherever it runs, and the continuation
+    # retries, bisects and then solves it
+    return lam == REFUSED and not any(REFUSED - 0.25 < x < REFUSED and ok for x, ok in calls)
+
+
+@pytest.mark.parametrize("case", ["crosses_cold_start", "bisects_a_cold_target", "first_point_fails"])
+def test_branch_does_not_depend_on_workers(case, monkeypatch):
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    refuse = {
+        "crosses_cold_start": lambda lam, calls: False,
+        "bisects_a_cold_target": _refuse_until_bisected,
+        "first_point_fails": lambda lam, calls: lam <= SPLIT_WINDOW[0],
+    }[case]
+    runs = []
+    for cpus in (1, 2, 3, None):
+        with monkeypatch.context() as m:
+            if cpus is None:
+                m.delattr(os, "fork")
+            else:
+                m.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            calls = _refusing(m, refuse)
+            runs.append(_branch_arrays(continue_branch(*SPLIT_WINDOW, spec, nodes=128)))
+        if case == "bisects_a_cold_target":
+            # the sub-steps run here, whichever process refused the row
+            assert [ok for x, ok in calls if x == REFUSED][-1]
+            assert any(REFUSED - 0.25 < x < REFUSED for x, _ in calls)
+    for run in runs[1:]:
+        _same(runs[0], run)
+    fields, _, failure, _ = runs[0]
+    if case == "first_point_fails":
+        assert fields["lambda"].size == 0
+        assert failure["lambda_target"] == SPLIT_WINDOW[0]
+    else:
+        assert failure is None
+        assert len(fields["lambda"]) == SPLIT_WINDOW[2]
+
+
+def test_rows_go_only_to_cold_targets(monkeypatch):
+    # the continuation's worker rows are solved from the cold guess, so
+    # the warm guess must ignore the previous point at each of them
+    counts, real = [], radial_solver.shared
+
+    def recorded(compute, count, width):
+        counts.append(count)
+        return real(compute, count, width)
+
+    monkeypatch.setattr(radial_solver, "shared", recorded)
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    branch = continue_branch(*SPLIT_WINDOW, spec, nodes=128)
+    prev = branch.points[0]
+    assert counts == [17]
+    for target in np.linspace(*SPLIT_WINDOW)[-counts[0]:]:
+        target = float(target)
+        assert target >= radial_solver.COLD_START
+        mesh = solver_mesh(128, BETA, target)
+        assert np.array_equal(radial_solver._warm_guess(prev, target, spec, mesh),
+                              radial_solver._warm_guess(None, target, spec, mesh))
+    # the first target is solved in the caller even when it is cold
+    counts.clear()
+    continue_branch(6.0, 7.0, 3, spec, nodes=128)
+    assert counts == [2]
 
 
 def test_branch_range_validation():

@@ -1,8 +1,10 @@
 """The process layer: forked workers, their shared table and the BLAS cap."""
 
+import mmap
 import os
 import time
 
+import numpy as np
 import pytest
 
 from mfelab import workers
@@ -50,10 +52,17 @@ def _in_parent(calls, compute):
     return recorded
 
 
+def _wait_for(ready, seconds=10.0):
+    deadline = time.monotonic() + seconds
+    while not ready() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 def test_openblas_held_to_one_thread_while_workers_run(two_cpus, openblas):
     with workers.shared(lambda i: [os.getpid(), *_counts(openblas)], 1, 1 + len(openblas)) as table:
         inside = _counts(openblas)
-    assert table[0, 0] != os.getpid()  # one item on 2 CPUs goes to the worker
+        _wait_for(lambda: table[0, 0])  # the worker claims the one row first
+    assert table[0, 0] != os.getpid()
     assert list(table[0, 1:]) == [1.0] * len(openblas)  # in the worker
     assert inside == [1] * len(openblas)
     assert _counts(openblas) == [2] * len(openblas)
@@ -81,18 +90,36 @@ def test_nothing_forks_without_a_spare_cpu(monkeypatch, openblas):
     assert table.tolist() == _squares(2)
 
 
+def _in_workers(count, compute):
+    """``compute`` that flags in a table shared with the workers each item a worker computes."""
+    parent = os.getpid()
+    flags = np.frombuffer(mmap.mmap(-1, 8 * count))
+
+    def recorded(i):
+        if os.getpid() != parent:
+            flags[i] = 1.0
+        return compute(i)
+
+    return recorded, flags
+
+
 @pytest.mark.parametrize("cpus", [2, 3])
 @pytest.mark.parametrize("count", [1, 2, 5])
 def test_rows_equal_a_plain_loop(monkeypatch, openblas, cpus, count):
     _with_cpus(monkeypatch, cpus)
     calls = []
-    with workers.shared(_in_parent(calls, lambda i: [i, i * i]), count, 2) as table:
-        pass
+    compute, in_workers = _in_workers(count, _in_parent(calls, lambda i: [i, i * i]))
+    with workers.shared(compute, count, 2) as table:
+        assert calls == []  # the caller's items run when the block ends
     assert table.shape == (count, 2)
     assert table.tolist() == _squares(count)
-    # W = min(count + 1, CPUs) processes; the caller's items are i = W - 1 (mod W)
-    size = min(count + 1, cpus)
-    assert calls == list(range(size - 1, count, size))
+    # the workers claim the lowest free items and the caller the highest, so
+    # the workers' items are a prefix and the caller's a descending suffix;
+    # only the item where they meet may be computed by both
+    done_by_workers = [int(i) for i in np.flatnonzero(in_workers)]
+    assert done_by_workers == list(range(len(done_by_workers)))
+    assert calls == list(range(count - 1, count - 1 - len(calls), -1))
+    assert len(done_by_workers) + len(calls) in (count, count + 1)
 
 
 def test_rows_of_a_worker_that_died_are_recomputed(monkeypatch, openblas):
@@ -101,15 +128,16 @@ def test_rows_of_a_worker_that_died_are_recomputed(monkeypatch, openblas):
 
     def compute(i):
         if os.getpid() != parent:
-            os._exit(7)  # before the worker marks any row done
+            os._exit(7)  # after the worker claimed the item, before it marks it done
         return [i, i * i]
 
     calls = []
     with workers.shared(_in_parent(calls, compute), 5, 2) as table:
         pass
     assert table.tolist() == _squares(5)
-    # the caller's item {2}, then the workers' {0, 3} and {1, 4} in item order
-    assert calls == [2, 0, 1, 3, 4]
+    # the caller claims the highest items, each dead worker had claimed the
+    # lowest free one, and those come last, in item order
+    assert any(calls == list(range(4, k - 1, -1)) + list(range(k)) for k in range(3))
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
