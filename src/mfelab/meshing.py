@@ -353,10 +353,12 @@ class RadialMesh:
     def from_row(cls, row: np.ndarray, beta: float) -> "RadialMesh":
         """The mesh ``to_row`` packed, on the same arrays bit for bit.
 
-        Nothing is recomputed: the arrays are read-only views of ``row``,
-        so a mesh one process built can be used by another through a
-        shared table.
+        Nothing is recomputed, so a mesh one process built can be used by
+        another through a shared table.  The arrays are read-only views of
+        one copy of ``row``: a mesh kept past the table does not keep the
+        whole table mapped.
         """
+        row = row.copy()
         halfwidth = int(row[0])
         n = (row.size - 1) // (cls.row_size(1, halfwidth) - 1)
         mesh = cls.__new__(cls)

@@ -40,6 +40,10 @@ MIN_STEP = 1e-3
 #: ``blowup_initial_guess``, not from the previous point
 COLD_START = 4.0
 
+#: fewest cold targets a continuation hands to ``workers.shared`` as rows;
+#: a shorter cold tail is solved in the block, since a fork costs more
+COLD_ROWS_MIN = 3
+
 #: Newton iteration cap of ``newton_solve``
 NEWTON_MAX_ITER = 50
 
@@ -448,9 +452,11 @@ def continue_branch(
     Targets below COLD_START start Newton from the previous point, the
     others from ``blowup_initial_guess``.  The first target and the warm
     ones run here, as the block of one ``workers.shared`` job whose rows
-    are the remaining, cold targets: each row is one Newton solve, packed
-    as an ok flag, rho, residual, Newton count, field and
-    ``RadialMesh.to_row``, so no process rebuilds a mesh another one built.
+    are the remaining, cold targets, when there are at least COLD_ROWS_MIN
+    of them (a shorter cold tail runs in the block too): each row is one
+    Newton solve, packed as an ok flag, rho, residual, Newton count, field
+    and ``RadialMesh.to_row``, so no process rebuilds a mesh another one
+    built.
     The points are then taken in target order; a row whose solve failed
     goes through ``_advance`` (the same solve again, then bisection), so
     the branch is the serial march's bit for bit.  A failed prefix leaves
@@ -467,6 +473,8 @@ def continue_branch(
     count = steps if lambda_end > lambda_start else 1
     targets = np.linspace(lambda_start, lambda_end, count).tolist()
     warm = max(1, sum(target < COLD_START for target in targets))
+    if len(targets) - warm < COLD_ROWS_MIN:
+        warm = len(targets)
     width = 4 + nodes + RadialMesh.row_size(nodes)
 
     def cold(i: int) -> np.ndarray:

@@ -462,6 +462,8 @@ def test_mesh_row_round_trip(halfwidth):
         assert read.shape == original.shape, name
         assert np.array_equal(read, original), name
         assert not read.flags.writeable, name
+        # a mesh kept past a shared table must not keep the table mapped
+        assert not np.shares_memory(read, row), name
     t_end = 0.5 * float(mesh.t[50] + mesh.t[51])
     assert np.array_equal(back.quad_to(t_end), mesh.quad_to(t_end))
     assert np.array_equal(back.point_rows(0.0, 1), mesh.point_rows(0.0, 1))

@@ -403,10 +403,13 @@ def test_rows_go_only_to_cold_targets(monkeypatch):
         mesh = solver_mesh(128, BETA, target)
         assert np.array_equal(radial_solver._warm_guess(prev, target, spec, mesh),
                               radial_solver._warm_guess(None, target, spec, mesh))
-    # the first target is solved in the caller even when it is cold
+    # the first target is solved in the caller even when it is cold, and
+    # a cold tail shorter than COLD_ROWS_MIN is solved there too
+    assert radial_solver.COLD_ROWS_MIN == 3
     counts.clear()
+    continue_branch(6.0, 7.5, 4, spec, nodes=128)
     continue_branch(6.0, 7.0, 3, spec, nodes=128)
-    assert counts == [2]
+    assert counts == [3, 0]
 
 
 def test_branch_range_validation():
