@@ -100,20 +100,33 @@ def cmd_pohozaev(config: RunConfig) -> int:
     return 0
 
 
-def _doubled_branch(config: RunConfig) -> np.ndarray:
-    """The continuation on twice the nodes: a failed flag, then rho at each point."""
-    fine = _run_branch(config, nodes=2 * config.mesh["nodes"])
+def _companion_nodes(nodes: int) -> int:
+    """The node count of verify's companion branch for a config of ``nodes``.
+
+    Half the nodes, whose gap to the config's branch is the larger and so
+    the stricter test of its mesh error; below 128 nodes, twice the nodes,
+    since ``solver_mesh`` refuses fewer than 64.
+    """
+    return nodes // 2 if nodes >= 128 else 2 * nodes
+
+
+def _companion_branch(config: RunConfig) -> np.ndarray:
+    """The continuation on the companion's nodes: a failed flag, then rho at each point."""
+    companion = _run_branch(config, nodes=_companion_nodes(config.mesh["nodes"]))
     row = np.zeros(1 + config.window["steps"])
-    row[0] = fine.failure is not None
-    row[1 : 1 + len(fine.points)] = fine.rhos
+    row[0] = companion.failure is not None
+    row[1 : 1 + len(companion.points)] = companion.rhos
     return row
 
 
-def _verify_failures(config: RunConfig, branch, report, doubled) -> list:
+def _verify_failures(config: RunConfig, branch, report, companion) -> list:
     """The threshold gates on top of the report, as a list of failures.
 
-    ``doubled`` is the table whose one row ``_doubled_branch`` computed;
-    it has no row when ``diagnostics`` is empty.
+    ``companion`` is the table whose one row ``_companion_branch``
+    computed; it has no row when ``diagnostics`` is empty.  The mesh gate
+    bounds rho's gap to the companion branch, which bounds the branch's
+    own mesh error from above, so a config whose companion mesh is
+    unresolved fails it.
     """
     if not config.diagnostics:
         return []
@@ -124,15 +137,17 @@ def _verify_failures(config: RunConfig, branch, report, doubled) -> list:
     failures = []
 
     # branch-level control: the continuation must be mesh-converged
-    if doubled[0, 0]:
-        failures.append({"check": "mesh-convergence", "detail": "doubled mesh did not converge"})
+    nodes = _companion_nodes(config.mesh["nodes"])
+    if companion[0, 0]:
+        failures.append({"check": "mesh-convergence",
+                         "detail": f"companion mesh ({nodes} nodes) did not converge"})
     else:
-        fine_rhos = doubled[0, 1 : 1 + len(branch.points)]
-        rel = float(np.max(np.abs(fine_rhos - branch.rhos) / np.maximum(1.0, np.abs(branch.rhos))))
+        other_rhos = companion[0, 1 : 1 + len(branch.points)]
+        rel = float(np.max(np.abs(other_rhos - branch.rhos) / np.maximum(1.0, np.abs(branch.rhos))))
         if rel > thr["mesh_rtol"]:
             failures.append({
                 "check": "mesh-convergence",
-                "detail": f"rho shifts by {rel:.3e} under mesh doubling "
+                "detail": f"rho differs by {rel:.3e} from the {nodes}-node companion "
                           f"(threshold {thr['mesh_rtol']:.1e}); refine mesh.nodes",
             })
 
@@ -174,16 +189,17 @@ class _CoarseFailure(Exception):
 
 def cmd_verify(config: RunConfig) -> int:
     h = config.config_hash()
-    # the mesh gate's doubled-mesh continuation does not depend on the
-    # coarse branch, so a worker runs it meanwhile; without diagnostics
+    # the mesh gate's companion continuation does not depend on the
+    # verified branch, so a worker runs it meanwhile; without diagnostics
     # there is no gate to run it for
     rows = 1 if config.diagnostics else 0
     try:
-        with shared(lambda _: _doubled_branch(config), rows, 1 + config.window["steps"]) as doubled:
+        with shared(lambda _: _companion_branch(config), rows,
+                    1 + config.window["steps"]) as companion:
             branch = _run_branch(config)
             if _branch_failed(branch, h):
                 # unlike a return, an exception leaves the block with the
-                # worker killed and the doubled-mesh row not computed
+                # worker killed and the companion row not computed
                 raise _CoarseFailure
             report = build_report(
                 branch, config.fit_window, config.r0, config.outer_radius, h,
@@ -191,7 +207,7 @@ def cmd_verify(config: RunConfig) -> int:
             )
     except _CoarseFailure:
         return 3
-    failures = _verify_failures(config, branch, report, doubled)
+    failures = _verify_failures(config, branch, report, companion)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}
     path = os.path.join(config.out, "report.json")
     serialize.atomic_write(path, serialize.report_json(doc))

@@ -3,7 +3,7 @@
 ``shared`` is the package's one process layer.  Its callers are the
 continuation's cold-started points (a row per point,
 ``radial_solver.continue_branch``), the spectrum scan (a row per branch
-point, ``linearization.nondegeneracy_scan``), verify's doubled-mesh
+point, ``linearization.nondegeneracy_scan``), verify's companion-mesh
 continuation (one row, ``cli.cmd_verify``) and the two roots of a fold
 pair (a row per root, ``radial_solver.find_fold_pair``).  A caller hands
 it ``compute(i)``, the row of item i, and reads the whole table when its

@@ -5,6 +5,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -328,8 +329,8 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert float(lines[2].split(",")[3]) == report["pohozaev"]["values"][0]
 
-    def test_coarse_branch_failure_reaps_the_doubled_mesh_worker(self, tmp_path, capsys,
-                                                                 monkeypatch):
+    def test_coarse_branch_failure_reaps_the_companion_mesh_worker(self, tmp_path, capsys,
+                                                                   monkeypatch):
         real = radial_solver.newton_solve
 
         def coarse_fails(spec, mesh, **kwargs):
@@ -346,21 +347,22 @@ class TestVerifyCommand:
         code, msg = run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
         assert code == 3
         assert msg["error"]["kind"] == "solver"
-        assert len(forks) == 1  # the doubled-mesh worker was running
+        assert len(forks) == 1  # the companion-mesh worker was running
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_coarse_branch_failure_skips_the_doubled_mesh_branch(self, tmp_path, capsys,
-                                                                 monkeypatch):
-        # on one CPU nothing forks, and the doubled-mesh row would be
-        # computed here once the block ends; a failed coarse branch must
-        # exit 3 without it
-        real, doubled = radial_solver.newton_solve, []
+    def test_coarse_branch_failure_skips_the_companion_branch(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # on one CPU nothing forks, and the companion row would be computed
+        # here once the block ends; a failed coarse branch must exit 3
+        # without it
+        real, companion, refuse = radial_solver.newton_solve, [], [True]
+        nodes = cli._companion_nodes(128)
 
         def coarse_fails(spec, mesh, **kwargs):
-            if mesh.n == 256:
-                doubled.append(kwargs["lam"])
-            if mesh.n == 128 and kwargs["lam"] > 6.0:
+            if mesh.n == nodes:
+                companion.append(kwargs["lam"])
+            if refuse[0] and mesh.n == 128 and kwargs["lam"] > 6.0:
                 raise SolverError("coarse mesh refused")
             return real(spec, mesh, **kwargs)
 
@@ -368,11 +370,56 @@ class TestVerifyCommand:
         monkeypatch.setattr(radial_solver, "newton_solve", coarse_fails)
         cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=["rate"],
                           window={"start": 6.0, "end": 9.0, "steps": 4})
-        code, msg = run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+        path = write_config(tmp_path, "c.json", cfg)
+        code, msg = run(["verify", "--config", path], capsys)
         assert code == 3
         assert msg["error"]["kind"] == "solver"
         assert msg["error"]["detail"]["reason"] == "coarse mesh refused"
-        assert doubled == []
+        assert companion == []
+        # the watch does see the companion's solves once the coarse branch
+        # holds (on a window long enough for the rate fit)
+        refuse[0] = False
+        cfg["window"] = {"start": 6.0, "end": 14.0, "steps": 9}
+        run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+        assert {6.0, 7.0, 8.0, 9.0} <= set(companion)
+
+    @pytest.mark.parametrize("nodes, code", [(128, 4), (256, 0)])
+    def test_mesh_gate_reads_the_half_node_companion(self, tmp_path, capsys, nodes, code):
+        # largest relative rho gap on 6..15: 6.8e-6 between 128 nodes and
+        # their 64-node companion (4.4e-8 to 256 nodes), 4.4e-8 between 256
+        # and 128 nodes
+        cfg = base_config(tmp_path / "out", mesh={"nodes": nodes}, diagnostics=["rate"])
+        got, msg = run(["verify", "--config", write_config(tmp_path, "m.json", cfg)], capsys)
+        assert got == code
+        if code:
+            [failure] = msg["error"]["failures"]
+            assert failure["check"] == "mesh-convergence"
+            match = re.fullmatch(r"rho differs by (\S+) from the 64-node companion "
+                                 r"\(threshold 1\.0e-06\); refine mesh\.nodes", failure["detail"])
+            assert match and float(match.group(1)) > 1e-6
+
+    def test_companion_failure_named(self, tmp_path, capsys, monkeypatch):
+        real = radial_solver.newton_solve
+
+        def companion_fails(spec, mesh, **kwargs):
+            if mesh.n == 64 and kwargs["lam"] > 6.0:
+                raise SolverError("companion mesh refused")
+            return real(spec, mesh, **kwargs)
+
+        monkeypatch.setattr(radial_solver, "newton_solve", companion_fails)
+        cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=["rate"],
+                          window={"start": 6.0, "end": 14.0, "steps": 9})
+        code, msg = run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
+        assert code == 4
+        assert {"check": "mesh-convergence",
+                "detail": "companion mesh (64 nodes) did not converge"} in msg["error"]["failures"]
+
+
+@pytest.mark.parametrize("nodes, companion", [(64, 128), (127, 254), (128, 64), (512, 256),
+                                              (513, 256)])
+def test_companion_node_rule(nodes, companion):
+    # half the nodes, unless that falls below solver_mesh's 64
+    assert cli._companion_nodes(nodes) == companion
 
 
 def _count_forks(monkeypatch):
@@ -392,7 +439,7 @@ def _count_forks(monkeypatch):
 def test_worker_and_serial_paths_write_the_same_bytes(command, workers, tmp_path, capsys,
                                                       monkeypatch):
     # on 2 CPUs, pohozaev forks a worker for the continuation's cold points
-    # and one for the fold pair's lower root; verify forks its doubled-mesh
+    # and one for the fold pair's lower root; verify forks its companion
     # continuation only, since the coarse branch and the fold pair run
     # inside that job and jobs nest one level deep; verify without
     # diagnostics forks nothing (its job has no row).  A worker that dies
@@ -680,7 +727,17 @@ def test_dense_operators_built_only_where_needed():
     # banded operators stay bands: a dense n x n matrix is built only for
     # Newton's residual matvec and RadialMesh.lap_rows (a timing boundary
     # of the benchmark tracer); the mode operators have no dense form
-    callers = set()
+    callers = {(module, scope) for name in ("dense", "lap_rows")
+               for module, scope, _ in _calls_named(name)}
+    assert callers == {
+        ("meshing.py", "RadialMesh.lap_rows"),
+        ("radial_solver.py", "_residual_map"),
+    }
+
+
+def _calls_named(name):
+    """(module, scope, call) for every call of a function or method ``name`` in the package."""
+    calls = []
 
     def visit(node, module, scope):
         for child in ast.iter_child_nodes(node):
@@ -690,16 +747,13 @@ def test_dense_operators_built_only_where_needed():
             if isinstance(child, ast.Call):
                 func = child.func
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if called in ("dense", "lap_rows"):
-                    callers.add((module, ".".join(scope)))
+                if called == name:
+                    calls.append((module, ".".join(scope), child))
             visit(child, module, scope)
 
-    for name, tree in _package_trees():
-        visit(tree, name, ())
-    assert callers == {
-        ("meshing.py", "RadialMesh.lap_rows"),
-        ("radial_solver.py", "_residual_map"),
-    }
+    for module, tree in _package_trees():
+        visit(tree, module, ())
+    return calls
 
 
 def _scopes_naming(attr):
@@ -733,6 +787,18 @@ def test_graded_meshes_built_only_by_the_mesh_rules():
 def test_meshes_read_from_rows_only_by_the_continuation():
     # the second way of making a mesh, for meshes a worker built
     assert _scopes_naming("from_row") == {("radial_solver.py", "continue_branch")}
+
+
+def test_second_branch_node_count_only_from_the_companion_rule():
+    # verify's mesh gate has one companion rule: only _companion_branch
+    # runs a branch on other than the config's node count
+    explicit = {(module, scope, ast.unparse(call))
+                for module, scope, call in _calls_named("_run_branch")
+                if len(call.args) > 1 or call.keywords}
+    assert explicit == {
+        ("cli.py", "_companion_branch",
+         "_run_branch(config, nodes=_companion_nodes(config.mesh['nodes']))"),
+    }
 
 
 def _loaded_after(probe):
