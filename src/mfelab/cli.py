@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import serialize
-from .diagnostics import build_report, log_linear_fit, pohozaev_rows
+from .diagnostics import build_report, check_window, log_linear_fit, pohozaev_rows
 from .errors import ConfigError, MfelabError, ParameterDomainError, WeightSpecError
 from .linearization import nondegeneracy_scan
-from .radial_solver import continue_branch
+from .radial_solver import branch_targets, continue_branch
 from .serialize import RunConfig
 from .workers import shared
 
@@ -189,6 +189,10 @@ class _CoarseFailure(Exception):
 
 def cmd_verify(config: RunConfig) -> int:
     h = config.config_hash()
+    # the lambda grid alone decides a short fit window: fail it before any solve
+    win = config.window
+    targets = branch_targets(win["start"], win["end"], win["steps"])
+    check_window(targets, config.fit_window, config.diagnostics)
     # the mesh gate's companion continuation does not depend on the
     # verified branch, so a worker runs it meanwhile; without diagnostics
     # there is no gate to run it for

@@ -47,6 +47,7 @@ __all__ = [
     "pohozaev_rows",
     "psi1_gradient_check",
     "uniqueness_probe",
+    "check_window",
     "build_report",
 ]
 
@@ -88,6 +89,12 @@ class FitResult:
         }
 
 
+def _in_window(lams, window) -> np.ndarray:
+    """Which of ``lams`` lie in the window, each edge widened by _WINDOW_SLACK."""
+    lams = np.asarray(lams, dtype=float)
+    return (lams >= float(window[0]) - _WINDOW_SLACK) & (lams <= float(window[1]) + _WINDOW_SLACK)
+
+
 def _window_points(lams, values, window):
     """(lambdas, values, lo, hi) of the nonzero samples inside the window."""
     lams = np.asarray(lams, dtype=float)
@@ -95,8 +102,7 @@ def _window_points(lams, values, window):
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ParameterDomainError(f"empty fit window [{lo}, {hi}]")
-    keep = (lams >= lo - _WINDOW_SLACK) & (lams <= hi + _WINDOW_SLACK)
-    keep &= values != 0.0
+    keep = _in_window(lams, window) & (values != 0.0)
     if int(keep.sum()) < 5:
         raise ParameterDomainError(
             f"only {int(keep.sum())} usable points in the window [{lo}, {hi}]; "
@@ -395,6 +401,30 @@ class MonotonicityVerdict:
         }
 
 
+def _table_points(lams, window) -> np.ndarray:
+    """Which of ``lams`` the uniqueness table uses: those in the window, at least 4."""
+    keep = _in_window(lams, window)
+    if int(keep.sum()) < 4:
+        lo, hi = float(window[0]), float(window[1])
+        raise ParameterDomainError(f"only {int(keep.sum())} branch points in [{lo}, {hi}]; "
+                                   "the derivative table needs at least 4")
+    return keep
+
+
+def check_window(lams, window, diagnostics) -> None:
+    """Raise, before any point at ``lams`` is solved, the error too few of
+    them in ``window`` give verify: in the rate and local_rate fits, the
+    uniqueness table, then the matching and outer decay gates."""
+    on = set(diagnostics)
+    ones = np.ones(len(lams))
+    if on & {"rate", "local_rate"}:
+        _window_points(lams, ones, window)
+    if "uniqueness" in on:
+        _table_points(lams, window)
+    if on & {"matching", "outer"}:
+        _window_points(lams, ones, window)
+
+
 def uniqueness_probe(branch: Branch, window=(8.0, 14.0)) -> MonotonicityVerdict:
     """Finite-difference drho/dlambda table and its sign verdict.
 
@@ -404,12 +434,7 @@ def uniqueness_probe(branch: Branch, window=(8.0, 14.0)) -> MonotonicityVerdict:
     lams = branch.lambdas
     rhos = branch.rhos
     lo, hi = float(window[0]), float(window[1])
-    keep = (lams >= lo - _WINDOW_SLACK) & (lams <= hi + _WINDOW_SLACK)
-    if int(keep.sum()) < 4:
-        raise ParameterDomainError(
-            f"only {int(keep.sum())} branch points in [{lo}, {hi}]; "
-            "the derivative table needs at least 4"
-        )
+    keep = _table_points(lams, window)
     lk = lams[keep]
     rk = rhos[keep]
     order = np.argsort(lk)

@@ -11,7 +11,8 @@ carry the exact rank-one Jacobian of the nonlocal term, so convergence
 stays quadratic arbitrarily close to blow up; ``RadialMesh.band_solver``
 owns the band LU and the Sherman-Morrison step of that rank-one term.  The
 continuation parameter is lambda = max of the normalized solution, which
-stays monotone through folds in rho.
+stays monotone through folds in rho; so every solve fixes lambda and
+carries rho as the extra unknown.
 """
 
 from __future__ import annotations
@@ -44,8 +45,9 @@ COLD_START = 4.0
 #: a shorter cold tail is solved in the block, since a fork costs more
 COLD_ROWS_MIN = 3
 
-#: Newton iteration cap of ``newton_solve``
+#: Newton iteration cap and residual tolerance of ``newton_solve``
 NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-11
 
 #: Brent root finder: relative tolerance and iteration cap of scipy's brentq
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
@@ -217,76 +219,50 @@ def newton_solve(
     spec: WeightSpec,
     mesh: RadialMesh,
     *,
-    rho: float | None = None,
-    lam: float | None = None,
+    lam: float,
     initial: np.ndarray | None = None,
-    tol: float = 1e-11,
 ) -> SolutionPoint:
-    """Solve the discrete problem at fixed rho, or at fixed lambda with rho
-    as the extra unknown closed by u~(0) = lambda (fold-robust mode).
+    """Solve the discrete problem at fixed lambda, from ``initial`` or else
+    ``blowup_initial_guess``, with rho as the extra unknown closed by
+    u~(0) = lambda; the solve holds through folds in rho.
 
     Residuals are measured componentwise against the row magnitude, so the
-    convergence criterion is a backward-relative one; convergence also
-    requires the final Newton update to be sqrt(tol)-small, which guards
-    the ill-conditioned fixed-rho solves near the mass asymptote.  Raw
+    convergence criterion is a backward-relative one at NEWTON_TOL.  Raw
     residual fields are available through ``residual``.
     """
-    if (rho is None) == (lam is None):
-        raise ParameterDomainError("fix exactly one of rho or lam")
-    for name, value in (("rho", rho), ("lam", lam)):
-        if value is not None and not math.isfinite(value):
-            raise ParameterDomainError(f"{name} must be finite, got {value!r}")
-    beta = 1.0 + spec.alpha
+    if not math.isfinite(lam):
+        raise ParameterDomainError(f"lam must be finite, got {lam!r}")
     bw = mesh.bandwidth
-    n = mesh.n
-
-    if rho is not None and rho == 0.0:
-        return SolutionPoint(spec, mesh, np.zeros(n), 0.0, 0.0, 0)
-
     parts = _residual_map(spec, mesh)
     lap_band = mesh.lap_band(1.0)
     on_diag = np.arange(2 * bw + 1) == bw
 
     if initial is None:
-        if lam is not None:
-            u = blowup_initial_guess(lam, spec, mesh)
-        else:
-            u = np.zeros(n)
+        u = blowup_initial_guess(lam, spec, mesh)
     else:
         u = np.array(initial, dtype=float)
-        if u.shape != (n,) or not np.all(np.isfinite(u)):
+        if u.shape != (mesh.n,) or not np.all(np.isfinite(u)):
             raise ParameterDomainError("initial guess must be finite on the mesh")
     u[-1] = 0.0
-    rho_cur = float(rho) if rho is not None else EIGHT_PI * beta
-
-    e0 = mesh.point_rows(0.0, 0)[0] if lam is not None else None
-    singular = (
-        "Jacobian is singular at fixed rho (possible fold); "
-        "use the lambda-parameterized solve instead"
-        if lam is None
-        else "singular Jacobian in lambda mode"
-    )
+    rho = EIGHT_PI * (1.0 + spec.alpha)
+    e0 = mesh.point_rows(0.0, 0)[0]
 
     def full_residual(u_, rho_):
         G, d, mw, scale, log_mass = parts(u_, rho_)
-        rn = _norm_rows(G, scale, u_[-1])
-        if lam is not None:
-            C = float(e0 @ u_) - log_mass - lam
-            rn = max(rn, abs(C) / (1.0 + abs(lam)))
-        else:
-            C = 0.0
+        C = float(e0 @ u_) - log_mass - lam
+        rn = max(_norm_rows(G, scale, u_[-1]), abs(C) / (1.0 + abs(lam)))
         return G, d, mw, rn, C
 
-    G, d, mw, rn, C = full_residual(u, rho_cur)
+    G, d, mw, rn, C = full_residual(u, rho)
     trace = [rn]
     iters = 0
-    # a small residual alone is not enough near the mass asymptote: the
-    # fixed-rho Jacobian is nearly singular along the family direction and
-    # hides O(sqrt(tol)) errors behind an O(tol) residual, so convergence
-    # also requires the last Newton update to be small
+    # the row-scaled residual can fall below NEWTON_TOL after an update
+    # above sqrt(NEWTON_TOL) (1 + max|u|), as the first one from a close
+    # ansatz often does; that update leaves an error of its size squared,
+    # so convergence also requires the last update to be small
     step_norm = np.inf
     for _ in range(NEWTON_MAX_ITER):
-        if rn <= tol and step_norm <= np.sqrt(tol) * (1.0 + np.max(np.abs(u))):
+        if rn <= NEWTON_TOL and step_norm <= np.sqrt(NEWTON_TOL) * (1.0 + np.max(np.abs(u))):
             break
         # the Jacobian is lap + diag(d) - d mw^T with a Dirichlet last row;
         # each row is scaled by the largest entry of its band part
@@ -298,46 +274,38 @@ def newton_solve(
         dcol[-1] = 0.0
         rhs = -G
         rhs[-1] = -u[-1]
-        columns = [rhs / s]
-        if lam is not None:
-            # rho is the extra unknown: its column d / rho, eliminated
-            # through the constraint u(0) - log M = lam
-            b = d / rho_cur
-            b[-1] = 0.0
-            columns.append(b / s)
+        # rho's column d / rho, eliminated through u(0) - log M = lam
+        b = d / rho
+        b[-1] = 0.0
         solve, denom, info = mesh.band_solver(A / s[:, None], (-dcol / s, mw))
         if info < 0:
             raise SolverError("Newton system is not finite", trace)
         if info > 0:
             raise SolverError(f"band LU of the Newton matrix failed (dgbtrf info {info})", trace)
         if not 1e-12 <= abs(denom) < math.inf:
-            raise SolverError(singular, trace)
-        x = solve(np.column_stack(columns)).T
-        du = x[0]
-        drho = 0.0
-        if lam is not None:
-            x2 = x[1]
-            c = e0 - mw
-            c_x2 = float(c @ x2)
-            if c_x2 == 0.0:
-                raise SolverError("degenerate lambda constraint", trace)
-            drho = (C + float(c @ du)) / c_x2
-            du = du - drho * x2
+            raise SolverError("singular Jacobian in lambda mode", trace)
+        du, x2 = solve(np.column_stack([rhs / s, b / s])).T
+        c = e0 - mw
+        c_x2 = float(c @ x2)
+        if c_x2 == 0.0:
+            raise SolverError("degenerate lambda constraint", trace)
+        drho = (C + float(c @ du)) / c_x2
+        du = du - drho * x2
         if not np.all(np.isfinite(du)):
-            raise SolverError(singular, trace)
+            raise SolverError("singular Jacobian in lambda mode", trace)
 
         step = 1.0
         accepted = False
         for _ in range(40):
             u_try = u + step * du
-            rho_try = rho_cur + step * drho
+            rho_try = rho + step * drho
             if rho_try > 0.0 and np.all(np.isfinite(u_try)):
                 try:
                     G_t, d_t, mw_t, rn_t, C_t = full_residual(u_try, rho_try)
                 except (SolverError, FloatingPointError):
                     rn_t = np.inf
-                if rn_t <= tol or rn_t <= (1.0 - 0.25 * step) * rn:
-                    u, rho_cur = u_try, rho_try
+                if rn_t <= NEWTON_TOL or rn_t <= (1.0 - 0.25 * step) * rn:
+                    u, rho = u_try, rho_try
                     G, d, mw, rn, C = G_t, d_t, mw_t, rn_t, C_t
                     step_norm = step * max(float(np.max(np.abs(du))), abs(drho))
                     accepted = True
@@ -346,15 +314,11 @@ def newton_solve(
         iters += 1
         trace.append(rn)
         if not accepted:
-            raise SolverError(
-                f"line search stalled at residual {rn:.3e}"
-                + (" (possible fold); use the lambda-parameterized solve" if lam is None else ""),
-                trace,
-            )
+            raise SolverError(f"line search stalled at residual {rn:.3e}", trace)
     else:
         raise SolverError(f"no convergence in {NEWTON_MAX_ITER} iterations", trace)
 
-    return SolutionPoint(spec, mesh, u, rho_cur, rn, iters)
+    return SolutionPoint(spec, mesh, u, rho, rn, iters)
 
 
 # closed-form family and initial data --------------------------------------
@@ -426,12 +390,25 @@ def blowup_initial_guess(lam: float, spec: WeightSpec, mesh: RadialMesh) -> np.n
 # continuation --------------------------------------------------------------
 
 
-def _warm_guess(prev: SolutionPoint | None, lam: float, spec, mesh) -> np.ndarray:
+def _warm_guess(prev: SolutionPoint | None, lam: float, mesh) -> np.ndarray | None:
+    """``prev`` on ``mesh``; None (Newton's ansatz start) without it or from COLD_START on."""
     if prev is None or lam >= COLD_START:
-        return blowup_initial_guess(lam, spec, mesh)
+        return None
     u = np.interp(mesh.t, prev.mesh.t, prev.u)
     u[-1] = 0.0
     return u
+
+
+def branch_targets(lambda_start: float, lambda_end: float, steps: int) -> list[float]:
+    """The uniform lambda grid of ``continue_branch``, endpoints included."""
+    if steps < 1:
+        raise ParameterDomainError("steps must be at least 1")
+    if lambda_end < lambda_start:
+        raise ParameterDomainError("lambda_end must not precede lambda_start")
+    if steps == 1 and lambda_end > lambda_start:
+        raise ParameterDomainError("one step reaches lambda_start only; lambda_end needs steps >= 2")
+    count = steps if lambda_end > lambda_start else 1
+    return np.linspace(lambda_start, lambda_end, count).tolist()
 
 
 def continue_branch(
@@ -463,15 +440,8 @@ def continue_branch(
     the block by its exception, so no row is computed; past it, every row
     is computed before a failed cold row is met.
     """
-    if steps < 1:
-        raise ParameterDomainError("steps must be at least 1")
-    if lambda_end < lambda_start:
-        raise ParameterDomainError("lambda_end must not precede lambda_start")
-    if steps == 1 and lambda_end > lambda_start:
-        raise ParameterDomainError("one step reaches lambda_start only; lambda_end needs steps >= 2")
     beta = 1.0 + spec.alpha
-    count = steps if lambda_end > lambda_start else 1
-    targets = np.linspace(lambda_start, lambda_end, count).tolist()
+    targets = branch_targets(lambda_start, lambda_end, steps)
     warm = max(1, sum(target < COLD_START for target in targets))
     if len(targets) - warm < COLD_ROWS_MIN:
         warm = len(targets)
@@ -482,7 +452,7 @@ def continue_branch(
         mesh = solver_mesh(nodes, beta, target)
         row = np.zeros(width)
         try:
-            pt = newton_solve(spec, mesh, lam=target, initial=_warm_guess(None, target, spec, mesh))
+            pt = newton_solve(spec, mesh, lam=target)
         except SolverError:
             return row
         row[:4] = 1.0, pt.rho, pt.res_norm, pt.newton_iters
@@ -526,9 +496,7 @@ def _advance(state, target, spec, nodes, beta) -> SolutionPoint:
         lam_next = pending[-1]
         mesh = solver_mesh(nodes, beta, lam_next)
         try:
-            pt = newton_solve(
-                spec, mesh, lam=lam_next, initial=_warm_guess(current, lam_next, spec, mesh)
-            )
+            pt = newton_solve(spec, mesh, lam=lam_next, initial=_warm_guess(current, lam_next, mesh))
         except SolverError:
             # with no previous point, bisect toward a fixed floor below the target
             base = current.lam if current is not None else target - 1.0

@@ -67,7 +67,7 @@ def decay_exponent(lams, values, window=(8.0, 14.0)):
 
 
 def test_01_exact_family_from_bubble_guess():
-    # Newton at fixed rho(m), started from the blended bubble ansatz,
+    # Newton at fixed lambda(m), started from the blended bubble ansatz,
     # lands on the closed-form disk solution.
     spec = WeightSpec(alpha=ALPHA)
     for m in (1.0, 10.0, 100.0, 1e4):
@@ -76,7 +76,7 @@ def test_01_exact_family_from_bubble_guess():
         mesh = solver_mesh(512, BETA, lam)
         exact = exact_disk_family(ALPHA, m, mesh=mesh)
         guess = blowup_initial_guess(lam, spec, mesh)
-        pt = newton_solve(spec, mesh, rho=rho, initial=guess)
+        pt = newton_solve(spec, mesh, lam=lam, initial=guess)
         assert np.max(np.abs(pt.u - exact.u)) <= 1e-6
         assert abs(pt.rho - rho) <= 1e-8 * rho
         assert abs(pt.lam - lam) <= 1e-8 * abs(lam)

@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -343,7 +344,7 @@ class TestVerifyCommand:
         forks = _count_forks(monkeypatch)
         monkeypatch.setattr(radial_solver, "newton_solve", coarse_fails)
         cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=["rate"],
-                          window={"start": 6.0, "end": 9.0, "steps": 4})
+                          window={"start": 6.0, "end": 10.0, "steps": 5}, fit_window=[6.0, 10.0])
         code, msg = run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
         assert code == 3
         assert msg["error"]["kind"] == "solver"
@@ -369,7 +370,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         monkeypatch.setattr(radial_solver, "newton_solve", coarse_fails)
         cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=["rate"],
-                          window={"start": 6.0, "end": 9.0, "steps": 4})
+                          window={"start": 6.0, "end": 10.0, "steps": 5}, fit_window=[6.0, 10.0])
         path = write_config(tmp_path, "c.json", cfg)
         code, msg = run(["verify", "--config", path], capsys)
         assert code == 3
@@ -382,6 +383,32 @@ class TestVerifyCommand:
         cfg["window"] = {"start": 6.0, "end": 14.0, "steps": 9}
         run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
         assert {6.0, 7.0, 8.0, 9.0} <= set(companion)
+
+    @pytest.mark.parametrize("diagnostics, message", [
+        (["rate"], "only 2 usable points in the window [8.0, 14.0]; a fit needs at least 5"),
+        (["uniqueness"],
+         "only 2 branch points in [8.0, 14.0]; the derivative table needs at least 4"),
+    ], ids=["fit", "uniqueness"])
+    def test_short_fit_window_fails_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                                     diagnostics, message):
+        # 4 steps on 6..9 put 2 targets in the fit window: the same exit-2
+        # record the fit or the uniqueness table would give after the
+        # solves, with no Newton solve and no companion worker
+        forks, solves = _count_forks(monkeypatch), []
+
+        def counted(*args, **kwargs):
+            solves.append(kwargs["lam"])
+            raise AssertionError("solved a point")
+
+        monkeypatch.setattr(radial_solver, "newton_solve", counted)
+        cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=diagnostics,
+                          window={"start": 6.0, "end": 9.0, "steps": 4})
+        code, msg = run(["verify", "--config", write_config(tmp_path, "w.json", cfg)], capsys)
+        assert code == 2
+        assert msg == {"error": {"code": 2, "fields": [], "kind": "ParameterDomainError",
+                                 "message": message}}
+        assert solves == [] and forks == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("nodes, code", [(128, 4), (256, 0)])
     def test_mesh_gate_reads_the_half_node_companion(self, tmp_path, capsys, nodes, code):
@@ -575,6 +602,14 @@ def test_mesh_takes_only_the_node_count(tmp_path, capsys, field, value):
     assert msg["error"]["kind"] == "ConfigError"
     assert msg["error"]["fields"] == [f"mesh.{field}"]
     assert not (tmp_path / "out").exists()
+
+
+def test_newton_takes_only_lambda_and_a_start():
+    # every solve fixes lambda, so Newton has no fixed-rho mode and no
+    # tolerance knob: NEWTON_TOL is a constant
+    params = inspect.signature(radial_solver.newton_solve).parameters.values()
+    keyword_only = [p.name for p in params if p.kind is p.KEYWORD_ONLY]
+    assert keyword_only == ["lam", "initial"]
 
 
 @pytest.mark.parametrize(

@@ -108,9 +108,19 @@ def test_exact_family_needs_constant_weight():
 
 def test_newton_accepts_exact_initial():
     pt = exact_disk_family(ALPHA, 10.0)
-    sol = newton_solve(CONST, pt.mesh, rho=pt.rho, initial=pt.u)
+    sol = newton_solve(CONST, pt.mesh, lam=pt.lam, initial=pt.u)
     assert sol.newton_iters <= 2
     assert np.max(np.abs(sol.u - pt.u)) <= 1e-9
+
+
+def test_newton_step_guard_binds_at_fixed_lambda():
+    # from the ansatz, the first update already brings the residual below
+    # NEWTON_TOL on this mesh, but it is larger than sqrt(NEWTON_TOL)
+    # (1 + max|u|), so the step guard asks for a second update
+    mesh = solver_mesh(64, BETA, 10.0)
+    pt = newton_solve(CONST, mesh, lam=10.0)
+    assert pt.res_norm <= radial_solver.NEWTON_TOL
+    assert pt.newton_iters == 2
 
 
 @pytest.mark.parametrize("m", [10.0, 1e4])
@@ -123,12 +133,17 @@ def test_newton_cold_start_recovers_family(m):
 
 
 def test_newton_small_solution_from_zero():
-    mesh = solver_mesh(512, BETA, 0.0)
-    pt = newton_solve(CONST, mesh, rho=1.0)
-    assert pt.lam < 1.0
+    # lambda = -0.7 is the family's m = 0.04, rho = 1.45: a small solution
+    # just off the trivial one, which Newton reaches from the bubble ansatz
+    lam = -0.7
+    mesh = solver_mesh(512, BETA, lam)
+    ex = exact_disk_family(ALPHA, np.pi * np.exp(lam) / BETA - 1.0, mesh=mesh)
+    pt = newton_solve(CONST, mesh, lam=lam)
     assert pt.newton_iters <= 10
     assert np.all(pt.u[:-1] > 0.0)
     assert pt.u[-1] == 0.0
+    assert np.max(np.abs(pt.u - ex.u)) <= 1e-8
+    assert abs(pt.rho - ex.rho) <= 1e-10 * ex.rho
 
 
 def test_newton_gaussian_blowup_matches_rate_law():
@@ -142,17 +157,13 @@ def test_newton_gaussian_blowup_matches_rate_law():
 
 def test_newton_parameter_validation():
     mesh = RadialMesh.graded(64, BETA, 2.0)
-    with pytest.raises(ParameterDomainError):
+    with pytest.raises(TypeError):
         newton_solve(CONST, mesh)
     with pytest.raises(ParameterDomainError):
-        newton_solve(CONST, mesh, rho=1.0, lam=1.0)
-    with pytest.raises(ParameterDomainError):
-        newton_solve(CONST, mesh, rho=1.0, initial=np.full(64, np.nan))
+        newton_solve(CONST, mesh, lam=1.0, initial=np.full(64, np.nan))
 
 
-@pytest.mark.parametrize(
-    "fixed", [{"rho": math.inf}, {"rho": math.nan}, {"lam": math.nan}, {"lam": -math.inf}]
-)
+@pytest.mark.parametrize("fixed", [{"lam": math.nan}, {"lam": -math.inf}, {"lam": math.inf}])
 def test_newton_rejects_non_finite_parameter(fixed):
     mesh = RadialMesh.graded(64, BETA, 2.0)
     with pytest.raises(ParameterDomainError, match="must be finite"):
@@ -173,7 +184,7 @@ def test_newton_bad_band_is_solver_error(monkeypatch, fill, message):
 
     monkeypatch.setattr(mesh, "diagonal_ordered", broken)
     with pytest.raises(SolverError, match=message) as err:
-        newton_solve(CONST, mesh, rho=1.0)
+        newton_solve(CONST, mesh, lam=1.0)
     assert len(err.value.trace) == 1
 
 
@@ -189,13 +200,6 @@ def test_newton_holds_one_dense_array():
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * 8 * n * n
-
-
-def test_newton_zero_rho_shortcut():
-    mesh = RadialMesh.graded(64, BETA, 2.0)
-    pt = newton_solve(CONST, mesh, rho=0.0)
-    assert np.all(pt.u == 0.0)
-    assert pt.rho == 0.0
 
 
 # mass bookkeeping -----------------------------------------------------------
@@ -235,13 +239,13 @@ def test_normalize_sigma_lambda_relation():
 
 def test_solve_error_decays_at_design_order():
     m = 1000.0
-    rho = LIMIT * m / (1.0 + m)
+    lam = float(np.log(BETA * (1.0 + m) / np.pi))
     ns = [96, 144, 216, 324]
     errs = []
     for n in ns:
         mesh = RadialMesh.graded(n, BETA, 5.0)
         exact = family_field(m, mesh.t)
-        sol = newton_solve(CONST, mesh, rho=rho, initial=exact, tol=1e-14)
+        sol = newton_solve(CONST, mesh, lam=lam, initial=exact)
         err = sol.u - exact
         errs.append(float(np.sqrt(mesh.quad @ err**2)))
     slope = -np.polyfit(np.log(ns), np.log(errs), 1)[0]
@@ -384,8 +388,8 @@ def test_branch_does_not_depend_on_workers(case, monkeypatch):
 
 
 def test_rows_go_only_to_cold_targets(monkeypatch):
-    # the continuation's worker rows are solved from the cold guess, so
-    # the warm guess must ignore the previous point at each of them
+    # the continuation's worker rows are solved from Newton's own cold
+    # start, so the warm guess must ignore the previous point at each of them
     counts, real = [], radial_solver.shared
 
     def recorded(compute, count, width):
@@ -401,8 +405,7 @@ def test_rows_go_only_to_cold_targets(monkeypatch):
         target = float(target)
         assert target >= radial_solver.COLD_START
         mesh = solver_mesh(128, BETA, target)
-        assert np.array_equal(radial_solver._warm_guess(prev, target, spec, mesh),
-                              radial_solver._warm_guess(None, target, spec, mesh))
+        assert radial_solver._warm_guess(prev, target, mesh) is None
     # the first target is solved in the caller even when it is cold, and
     # a cold tail shorter than COLD_ROWS_MIN is solved there too
     assert radial_solver.COLD_ROWS_MIN == 3
