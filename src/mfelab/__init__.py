@@ -13,44 +13,66 @@ imports it in its own body (``scipy.optimize``, ``scipy.interpolate``,
 ``scipy.special``), and the fold-pair root finder is a port of scipy's
 Brent step (``radial_solver._brentq``) rather than a call into
 ``scipy.optimize``.
+
+OpenBLAS rule: numpy's and scipy's OpenBLAS each start their threads when
+they are loaded, numpy's by ``import numpy`` and scipy's by the LAPACK
+load in ``meshing``, and each thread busy-waits for
+``OPENBLAS_THREAD_TIMEOUT`` (2**28 cycles by default, about 0.1 s) after
+its last work before it sleeps.  That spin takes a core from the command:
+a process that only imports numpy ran 0.25 s, and 0.175 s with the
+timeout at its minimum, 2**4 cycles.  So the package's own imports run
+with that minimum, unless the environment sets the timeout, and the
+environment is restored once they are done.  The timeout changes no
+result, and binds numpy only where this package imports it first.  It has
+a price: ARPACK's BLAS calls now wake a sleeping thread, which costs the
+289 spectra of ``spectrum_modes16`` about 0.02 s.
 """
 
-from .diagnostics import (
-    build_report,
-    local_rate_law_fit,
-    matching_residual,
-    outer_profile_residual,
-    pohozaev_residual,
-    pohozaev_residual_linearized,
-    psi1_gradient_check,
-    rate_law_fit,
-    two_term_fit,
-    uniqueness_probe,
-)
-from .errors import ParameterDomainError
-from .greens import WeightSpec, ell_coefficient
-from .linearization import (
-    b0_projection,
-    entire_mode_operator,
-    kernel_candidate,
-    mode_spectrum,
-    nondegeneracy_scan,
-)
-from .liouville import (
-    bubble_mass,
-    bubble_profile,
-    entire_linearized_apply,
-    kernel_Y0,
-)
-from .radial_solver import (
-    Branch,
-    SolutionPoint,
-    blowup_initial_guess,
-    continue_branch,
-    exact_disk_family,
-    find_fold_pair,
-    newton_solve,
-)
+import os as _os
+
+_unset = "OPENBLAS_THREAD_TIMEOUT" not in _os.environ
+if _unset:
+    _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+try:
+    from .diagnostics import (
+        build_report,
+        local_rate_law_fit,
+        matching_residual,
+        outer_profile_residual,
+        pohozaev_residual,
+        pohozaev_residual_linearized,
+        psi1_gradient_check,
+        rate_law_fit,
+        two_term_fit,
+        uniqueness_probe,
+    )
+    from .errors import ParameterDomainError
+    from .greens import WeightSpec, ell_coefficient
+    from .linearization import (
+        b0_projection,
+        entire_mode_operator,
+        kernel_candidate,
+        mode_spectrum,
+        nondegeneracy_scan,
+    )
+    from .liouville import (
+        bubble_mass,
+        bubble_profile,
+        entire_linearized_apply,
+        kernel_Y0,
+    )
+    from .radial_solver import (
+        Branch,
+        SolutionPoint,
+        blowup_initial_guess,
+        continue_branch,
+        exact_disk_family,
+        find_fold_pair,
+        newton_solve,
+    )
+finally:
+    if _unset:
+        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
 
 __all__ = [
     "Branch",

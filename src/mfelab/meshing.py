@@ -12,8 +12,11 @@ O(n * (2*bw + 1)), and ``RadialMesh.diagonal_ordered`` packs one into LAPACK
 ``gbtrf`` storage.  ``RadialMesh.band_solver`` owns the band LU and the
 Sherman-Morrison step for a band plus a rank-one term, the form of both
 Newton's Jacobian and the linearized mode operators, so this is the only
-module that calls LAPACK.  ``RadialMesh.dense`` builds the dense matrix of
-a band, with the same entries, for the few callers that need one.  The
+module that calls LAPACK.  ``RadialMesh.slab_matvec`` multiplies a band
+into a vector with the bits of the dense BLAS product, by one matvec per
+block of rows; Newton's residual needs those bits.  ``RadialMesh.dense``
+builds the dense matrix of a band, with the same entries; it serves only
+``RadialMesh.lap_rows`` and the tests, which compare against it.  The
 stencil weights of all rows come from one pass of Fornberg's recursion
 whose scalar operations run elementwise over the rows, so every row is
 bit-for-bit the one-row result.  The recursion is
@@ -72,38 +75,17 @@ def scipy_extension(name: str):
     return importlib.import_module(name)
 
 
-def _load_lapack():
-    """``scipy.linalg._flapack``, loaded with a short OpenBLAS thread spin.
-
-    Loading it starts scipy's own OpenBLAS, whose worker thread then
-    busy-waits for OpenBLAS's thread timeout (2**28 cycles, about 0.1 s)
-    before it sleeps.  With no ``scipy.linalg`` import after the load to
-    absorb it, that spin runs into the command and takes a core from
-    numpy's BLAS threads: ``fold_pohozaev1024`` ran 0.03 s slower.  So
-    the load sets ``OPENBLAS_THREAD_TIMEOUT`` to its minimum, 2**4
-    cycles, unless the environment sets it, and then restores the
-    environment.  The timeout changes no result, and numpy's OpenBLAS,
-    initialised when numpy was imported, keeps its own.  It has a price:
-    ARPACK's BLAS calls now wake a sleeping thread, which costs the 289
-    spectra of ``spectrum_modes16`` about 0.02 s, against 0.05 s won on
-    the fold and 0.02 s of start-up won by every command.
-    """
-    timeout = "OPENBLAS_THREAD_TIMEOUT"
-    unset = timeout not in os.environ
-    if unset:
-        os.environ[timeout] = "4"
-    try:
-        return scipy_extension("scipy.linalg._flapack")
-    finally:
-        if unset:
-            del os.environ[timeout]
-
-
-_flapack = _load_lapack()
+# loaded inside the OpenBLAS thread-timeout scope of the package ``__init__``
+_flapack = scipy_extension("scipy.linalg._flapack")
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 
 #: nodes per quadrature cell stencil (design order 6)
 QUAD_POINTS = 6
+
+#: rows per slab of ``RadialMesh.slab_matvec``, and the column multiple on
+#: which each slab's window starts and ends
+SLAB_ROWS = 64
+SLAB_ALIGN = 16
 
 
 def _fornberg(z: np.ndarray, x: np.ndarray, m: int) -> np.ndarray:
@@ -281,11 +263,11 @@ class RadialMesh:
     at most ``2 * halfwidth``.  They are stored as the row bands
     ``d1_band`` and ``d2_band`` of shape (n, 2 * bandwidth + 1), so a mesh
     holds O(n) floats; ``band_solver`` factors a band (plus a rank-one
-    term) with LAPACK's band LU, and ``dense`` builds the dense matrix of a
-    band on demand.  The bands come from Fornberg's recursion run
-    over all rows at once, which keeps every entry bit-identical to the
-    scalar recursion (a Vandermonde solve would not; see the module
-    docstring).
+    term) with LAPACK's band LU, ``slab_matvec`` multiplies one into a
+    vector, and ``dense`` builds the dense matrix of a band on demand.  The
+    bands come from Fornberg's recursion run over all rows at once, which
+    keeps every entry bit-identical to the scalar recursion (a Vandermonde
+    solve would not; see the module docstring).
 
     ``quad`` holds composite interpolatory weights over [0, t[-1]]: each
     cell between consecutive nodes integrates the degree-5 interpolant
@@ -395,6 +377,42 @@ class RadialMesh:
         out = np.zeros((m, m))
         out[rows, cols] = vals
         return out
+
+    def slab_matvec(self, band: np.ndarray):
+        """The map x -> dense(band) @ x, with the same bits, for finite x.
+
+        The rows go in slabs of SLAB_ROWS, and each slab is one BLAS matvec
+        on the window of columns its entries reach, widened to start and end
+        on multiples of SLAB_ALIGN (the last window ends at n).  OpenBLAS's
+        dgemv sums each row in lanes by column index, and the zero columns
+        a window drops add exact zeros to their lanes, so an aligned window
+        sums every row as the dense product does; unaligned windows did not
+        (measured with numpy's OpenBLAS 0.3.31).  That holds up to 2048
+        columns.  On wider rows the dense dgemv sums in blocks, and at 2049
+        its bits depend on its thread count; the slabs gave its one-thread
+        bits there.  A slab is too small for BLAS to thread, so the map's
+        bits never depend on the thread count.  The slabs live in one
+        (n, width) array, width at most SLAB_ROWS + 2 * (bandwidth +
+        SLAB_ALIGN), in place of the n x n matrix.
+        """
+        n, bw = band.shape[0], self.bandwidth
+        lo = np.arange(0, n, SLAB_ROWS)
+        hi = np.minimum(lo + SLAB_ROWS, n)
+        first = np.maximum(lo - bw, 0) // SLAB_ALIGN * SLAB_ALIGN
+        end = np.minimum(-(-(hi + bw) // SLAB_ALIGN) * SLAB_ALIGN, n)
+        rows, cols, vals = self.band_triplets(band)
+        slabs = np.zeros((n, int(np.max(end - first))))
+        slabs[rows, cols - np.repeat(first, hi - lo)[rows]] = vals
+        blocks = [(a, b, slabs[a:b, : d - c], c, d)
+                  for a, b, c, d in zip(lo.tolist(), hi.tolist(), first.tolist(), end.tolist())]
+
+        def matvec(x):
+            out = np.empty(n)
+            for a, b, slab, c, d in blocks:
+                out[a:b] = slab @ x[c:d]
+            return out
+
+        return matvec
 
     def diagonal_ordered(self, band: np.ndarray) -> np.ndarray:
         """A row band in LAPACK ``gbtrf`` storage, kl = ku = bandwidth.

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -171,32 +171,40 @@ class Branch:
 # assembly ----------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _residual_map(spec: WeightSpec, mesh: RadialMesh):
-    """The t-form equation on ``mesh`` as a map (u, rho) -> (G, d, mw, scale, log_mass).
+    """The t-form equation on ``mesh``: ``(parts, lap_band, e0)``.
 
-    G = lap u + d is the residual with d the nonlinear term, mw the
-    mass-derivative weights dM/du_j / M (they sum to 1) and scale the row
-    scales |lap| |u| + |d|.  G is a dense BLAS matvec on rows that live as
-    long as the map, because a band matvec sums in another order and the
-    fold root finding amplifies that to ~1e-9 in lambda; the row scales
-    come from a band matvec.
+    ``parts`` maps (u, rho) -> (G, d, mw, scale, log_mass): G = lap u + d
+    is the residual with d the nonlinear term, mw the mass-derivative
+    weights dM/du_j / M (they sum to 1) and scale the row scales
+    |lap| |u| + |d|.  ``lap_band`` is the Laplacian's row band and ``e0``
+    the row that evaluates u at the origin, the mesh-only parts of Newton's
+    system.  lap u is ``RadialMesh.slab_matvec``'s product, the dense BLAS
+    matvec's bits without the n x n matrix, because a band matvec sums in
+    another order and the fold root finding amplifies that to ~1e-9 in
+    lambda; the row scales come from a band matvec.  The last map is
+    cached: a fold root's Brent solves all run on one mesh and share it.
     """
     beta = 1.0 + spec.alpha
     lap_band = mesh.lap_band(1.0)
-    lap = mesh.dense(lap_band)
+    lap = mesh.slab_matvec(lap_band)
     abs_band = np.abs(lap_band)
     hstar = np.asarray(spec.hstar(mesh.r))
     log_weight = _log_weight(spec, mesh)
+    e0 = mesh.point_rows(0.0, 0)[0]
+    for arr in (lap_band, e0):
+        arr.setflags(write=False)
 
     def parts(u, rho):
         logs = log_weight + u
         log_mass = _log_mass(logs, mesh)
         d = (rho / beta**2) * hstar * np.exp(u - log_mass)
-        G = lap @ u + d
+        G = lap(u) + d
         scale = band_matvec(abs_band, np.abs(u)) + np.abs(d) + 1e-30
         return G, d, mesh.quad * np.exp(logs - log_mass), scale, log_mass
 
-    return parts
+    return parts, lap_band, e0
 
 
 def residual(u, rho, spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
@@ -207,7 +215,7 @@ def residual(u, rho, spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
     if abs(float(u[-1])) > 1e-9:
         raise ParameterDomainError("field must vanish at r = 1")
     beta = 1.0 + spec.alpha
-    G = _residual_map(spec, mesh)(u, rho)[0]
+    G = _residual_map(spec, mesh)[0](u, rho)[0]
     return (beta**2 * mesh.t ** (2.0 - 2.0 / beta)) * G
 
 
@@ -228,13 +236,14 @@ def newton_solve(
 
     Residuals are measured componentwise against the row magnitude, so the
     convergence criterion is a backward-relative one at NEWTON_TOL.  Raw
-    residual fields are available through ``residual``.
+    residual fields are available through ``residual``.  The residual map,
+    the Laplacian band and the origin row come from ``_residual_map``, so
+    solves in a row on one mesh build them once.
     """
     if not math.isfinite(lam):
         raise ParameterDomainError(f"lam must be finite, got {lam!r}")
     bw = mesh.bandwidth
-    parts = _residual_map(spec, mesh)
-    lap_band = mesh.lap_band(1.0)
+    parts, lap_band, e0 = _residual_map(spec, mesh)
     on_diag = np.arange(2 * bw + 1) == bw
 
     if initial is None:
@@ -245,7 +254,6 @@ def newton_solve(
             raise ParameterDomainError("initial guess must be finite on the mesh")
     u[-1] = 0.0
     rho = EIGHT_PI * (1.0 + spec.alpha)
-    e0 = mesh.point_rows(0.0, 0)[0]
 
     def full_residual(u_, rho_):
         G, d, mw, scale, log_mass = parts(u_, rho_)
@@ -351,7 +359,7 @@ def exact_disk_family(
         mesh = solver_mesh(512, beta, lam)
     u = 2.0 * (np.log1p(m) - np.log1p(m * mesh.t**2))
     rho = EIGHT_PI * beta * m / (1.0 + m)
-    G, _, _, scale, _ = _residual_map(spec, mesh)(u, rho)
+    G, _, _, scale, _ = _residual_map(spec, mesh)[0](u, rho)
     return SolutionPoint(spec, mesh, u, rho, _norm_rows(G, scale, u[-1]), 0)
 
 

@@ -759,15 +759,21 @@ def test_only_the_worker_helper_forks():
 
 
 def test_dense_operators_built_only_where_needed():
-    # banded operators stay bands: a dense n x n matrix is built only for
-    # Newton's residual matvec and RadialMesh.lap_rows (a timing boundary
-    # of the benchmark tracer); the mode operators have no dense form
+    # banded operators stay bands: a dense n x n matrix is built only by
+    # RadialMesh.lap_rows (a timing boundary of the benchmark tracer), which
+    # no package code calls; Newton's residual multiplies by row slabs and
+    # the mode operators have no dense form
     callers = {(module, scope) for name in ("dense", "lap_rows")
                for module, scope, _ in _calls_named(name)}
-    assert callers == {
-        ("meshing.py", "RadialMesh.lap_rows"),
-        ("radial_solver.py", "_residual_map"),
-    }
+    assert callers == {("meshing.py", "RadialMesh.lap_rows")}
+
+
+def test_openblas_timeout_named_only_by_the_package_imports():
+    # one OpenBLAS start-up scope: the package's __init__ sets the thread
+    # timeout around its own imports, which load numpy and scipy's LAPACK
+    named = {module for module, tree in _package_trees() for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and node.value == "OPENBLAS_THREAD_TIMEOUT"}
+    assert named == {"__init__.py"}
 
 
 def _calls_named(name):

@@ -1,6 +1,8 @@
 import importlib
 import importlib.machinery
+import json
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -8,7 +10,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg.lapack import dgbsv
 
-from mfelab import meshing
+from mfelab import meshing, workers
 from mfelab.errors import MfelabError
 from mfelab.meshing import RadialMesh, band_matvec, fd_weights, scipy_extension
 
@@ -232,25 +234,76 @@ def test_band_solver_reports_singular_and_non_finite_bands():
     assert solve is None and info == -5  # non-finite, never factored
 
 
+_IMPORT_PROBE = """
+import importlib.machinery, json, os, sys
+seen = []
+create = importlib.machinery.ExtensionFileLoader.create_module
+def spy(self, spec):
+    seen.append([spec.name, os.environ.get("OPENBLAS_THREAD_TIMEOUT")])
+    return create(self, spec)
+importlib.machinery.ExtensionFileLoader.create_module = spy
+imported = "numpy" in sys.modules
+import mfelab
+print(json.dumps([imported, seen, os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+"""
+
+
 @pytest.mark.parametrize("preset", [None, "7"])
-def test_lapack_load_shortens_openblas_spin_only_while_loading(monkeypatch, preset):
-    # the timeout reaches the load, a value the environment sets wins, and
-    # the environment is as it was afterwards
+def test_package_imports_shorten_openblas_spin_only_while_importing(preset):
+    # numpy's extensions (its OpenBLAS among them) and scipy's LAPACK load
+    # under the short timeout, a value the environment sets wins, and the
+    # environment is as it was once ``import mfelab`` returns
     timeout = "OPENBLAS_THREAD_TIMEOUT"
-    if preset is None:
-        monkeypatch.delenv(timeout, raising=False)
-    else:
-        monkeypatch.setenv(timeout, preset)
-    seen = []
+    env = {k: v for k, v in os.environ.items() if k != timeout}
+    if preset is not None:
+        env[timeout] = preset
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    imported, seen, after = json.loads(proc.stdout)
+    assert not imported
+    loaded = dict(seen)
+    assert "numpy._core._multiarray_umath" in loaded and "scipy.linalg._flapack" in loaded
+    blas = {name: value for name, value in loaded.items() if name.split(".")[0] in ("numpy", "scipy")}
+    assert set(blas.values()) == {preset or "4"}
+    assert after == preset
 
-    def spy(name):
-        seen.append((name, os.environ.get(timeout)))
-        return sys.modules[name]
 
-    monkeypatch.setattr(meshing, "scipy_extension", spy)
-    assert meshing._load_lapack() is meshing._flapack
-    assert seen == [("scipy.linalg._flapack", preset or "4")]
-    assert os.environ.get(timeout) == preset
+@pytest.mark.parametrize("n", [64, 65, 67, 127, 256, 512, 1024, 2048])
+def test_slab_matvec_is_the_dense_product_bit_for_bit(n):
+    # Newton's residual keeps the dense BLAS matvec's bits, which the fold
+    # root finding would amplify to ~1e-9 in lambda; the bands are Newton's
+    # Laplacian, a mode operator's and d/dt, the vectors of mixed magnitude
+    rng = np.random.default_rng(n)
+    mesh = RadialMesh.graded(n, 1.5, 6.0)
+    xs = rng.standard_normal((4, n)) * 10.0 ** rng.uniform(-8.0, 8.0, (4, n))
+    for band in (mesh.lap_band(1.0), mesh.lap_band(2.0 * 16 / 1.5 + 1.0), mesh.d1_band):
+        matvec, dense = mesh.slab_matvec(band), mesh.dense(band)
+        for x in xs:
+            assert np.array_equal(matvec(x), dense @ x)
+
+
+def test_slab_matvec_bits_do_not_depend_on_blas_threads():
+    # at 2049 columns the dense product's bits can depend on OpenBLAS's
+    # thread count; a slab is too small for BLAS to thread
+    blas = workers._openblas_threads()
+    if not blas:
+        pytest.skip("the process maps no OpenBLAS with settable threads")
+    rng = np.random.default_rng(5)
+    mesh = RadialMesh.graded(2049, 1.5, 6.0)
+    matvec = mesh.slab_matvec(mesh.lap_band(1.0))
+    xs = rng.standard_normal((20, mesh.n)) * 10.0 ** rng.uniform(-8.0, 8.0, (20, mesh.n))
+    before = [get() for get, _ in blas]
+    products = []
+    try:
+        for threads in (1, 2):
+            for _, set_ in blas:
+                set_(threads)
+            products.append(np.array([matvec(x) for x in xs]))
+    finally:
+        for (_, set_), count in zip(blas, before):
+            set_(count)
+    assert np.array_equal(products[0], products[1])
 
 
 def test_scipy_extension_falls_back_when_loading_fails(monkeypatch):

@@ -455,6 +455,28 @@ def test_fold_pair_shares_rho(gauss_branch):
         find_fold_pair(no_fold)
 
 
+def test_fold_pair_builds_its_residual_map_once(gauss_branch, monkeypatch):
+    # forced serial, both roots' Brent solves run here on the pair's one
+    # mesh and share one build of its slab operator; the pair is the one the
+    # dense n x n Laplacian's BLAS matvec gives, bit for bit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    builds = []
+    slab_matvec = RadialMesh.slab_matvec
+
+    def counted(mesh, band):
+        builds.append(mesh)
+        return slab_matvec(mesh, band)
+
+    monkeypatch.setattr(RadialMesh, "slab_matvec", counted)
+    pair = find_fold_pair(gauss_branch)
+    assert len(builds) == 1 and builds[0] is pair[0].mesh
+    monkeypatch.setattr(RadialMesh, "slab_matvec", lambda mesh, band: mesh.dense(band).__matmul__)
+    dense_pair = find_fold_pair(gauss_branch)
+    for p, q in zip(pair, dense_pair):
+        assert (p.rho, p.res_norm, p.newton_iters) == (q.rho, q.res_norm, q.newton_iters)
+        assert np.array_equal(p.u, q.u)
+
+
 def test_fold_pair_on_branch_mesh_policy():
     # a non-default node count: the pair must sit on the branch's own
     # solver mesh, not on the default 512-node one
