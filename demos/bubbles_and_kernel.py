@@ -1,49 +1,42 @@
-"""Bubble profiles, their masses, and the kernel of the entire linearization.
+"""A bubbling branch approaching its entire-plane limit.
 
-The closed-form bubble carries mass 8 pi (1+alpha) over the plane; the
-operator linearized around it annihilates Y0 = -tanh(beta log r) and keeps
-a spectral gap on every higher angular mode.
+As lambda grows, the branch's mass tends to the plane bubble's 8 pi beta
+and each mode's eigenvalue nearest 0 tends to its limit on the plane: the
+value nearest 0 of 1 - l(l+1)/2 with l = k/beta + j, j >= 0.  For mode 0
+(j = 1) that is the kernel's 0, carried by
+Y0 = (1 - |y|^(2 beta))/(1 + |y|^(2 beta)).
 """
 
 import numpy as np
 
-from mfelab import (
-    bubble_mass,
-    bubble_profile,
-    entire_linearized_apply,
-    entire_mode_operator,
-    kernel_Y0,
-    mode_spectrum,
-)
+from mfelab import WeightSpec, continue_branch, nondegeneracy_scan
 
 ALPHA = 0.5
 BETA = 1.0 + ALPHA
+K_MAX = 4
+
+
+def mode_limit(k: int) -> float:
+    """The value nearest 0 of 1 - l(l+1)/2, l = k/beta + j; it has j <= 1,
+    since the values fall with l and cross 0 at l = 1."""
+    l = k / BETA + np.arange(2)
+    values = 1.0 - l * (l + 1.0) / 2.0
+    return float(values[np.argmin(np.abs(values))])
 
 
 def main():
-    full = 8.0 * np.pi * BETA
-    print(f"bubble masses at alpha = {ALPHA} (plane mass 8 pi beta = {full:.6f})")
-    for mu in (-2.0, 0.0, 4.0):
-        over_b1 = bubble_mass(ALPHA, mu, 1.0)
-        plane = bubble_mass(ALPHA, mu, np.inf)
-        print(f"  mu = {mu:+.1f}: over B_1 {over_b1:9.6f}, over the plane {plane:.6f}")
-    print(f"  profile value at r = 1, mu = 0: {bubble_profile(ALPHA, 0.0, 1.0):.6f}")
-
-    n = 2048
-    i = np.arange(1, n + 1)
-    r = (10.0**BETA * np.sinh(6.0 * i / n) / np.sinh(6.0)) ** (1.0 / BETA)
-    out = entire_linearized_apply(ALPHA, kernel_Y0(ALPHA, r), r)
-    print(f"\nsup |L Y0| on the graded mesh: {np.max(np.abs(out.values[r >= 0.05])):.3e}")
-
-    op0 = entire_mode_operator(ALPHA, 0)
-    s0 = mode_spectrum(op0, count=8)
-    y0 = kernel_Y0(ALPHA, op0.mesh.t ** (1.0 / BETA))
-    v = s0.eigenvector_0
-    cos = abs(v @ y0) / (np.linalg.norm(v) * np.linalg.norm(y0))
-    print(f"mode 0: nearest eigenvalue {s0.smallest_magnitude:.3e}, cosine to Y0 {cos:.6f}")
-    for k in (1, 2, 4, 8):
-        sk = mode_spectrum(entire_mode_operator(ALPHA, k), count=2)
-        print(f"mode {k}: smallest eigenvalue magnitude {sk.smallest_magnitude:.4f}")
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    branch = continue_branch(10.0, 14.0, 3, spec, nodes=512)
+    scan = nondegeneracy_scan(branch, k_max=K_MAX)
+    plane = 8.0 * np.pi * BETA
+    print(f"alpha = {ALPHA}, gaussian +0.25, 512 nodes; plane mass 8 pi beta = {plane:.6f}")
+    print("mass deficit rho - 8 pi beta:")
+    for lam, rho in zip(branch.lambdas, branch.rhos):
+        print(f"  lambda = {lam:5.2f}: {rho - plane:+.6e}")
+    print("eig_min per mode, beside its limit on the plane:")
+    for k in range(K_MAX + 1):
+        values = "  ".join(f"{v:+.5f}" for v in scan.eig_min[:, k])
+        print(f"  k = {k}: {values}   limit {mode_limit(k):+.5f}")
 
 
 if __name__ == "__main__":

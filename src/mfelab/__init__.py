@@ -9,9 +9,9 @@ files: LAPACK (``scipy.linalg._flapack``, whose band LU only ``meshing``
 calls: ``RadialMesh.band_solver`` serves Newton and the mode spectra) and
 ARPACK (``scipy.sparse.linalg._eigen.arpack._arpacklib``, driven by
 ``linearization._arnoldi``).  A function that needs a scipy package
-imports it in its own body (``scipy.optimize``, ``scipy.interpolate``,
-``scipy.special``), and the fold-pair root finder is a port of scipy's
-Brent step (``radial_solver._brentq``) rather than a call into
+imports it in its own body (only ``diagnostics.two_term_fit``, which
+imports ``scipy.optimize``), and the fold-pair root finder is a port of
+scipy's Brent step (``radial_solver._brentq``) rather than a call into
 ``scipy.optimize``.
 
 OpenBLAS rule: numpy's and scipy's OpenBLAS each start their threads when
@@ -50,16 +50,9 @@ try:
     from .greens import WeightSpec, ell_coefficient
     from .linearization import (
         b0_projection,
-        entire_mode_operator,
         kernel_candidate,
         mode_spectrum,
         nondegeneracy_scan,
-    )
-    from .liouville import (
-        bubble_mass,
-        bubble_profile,
-        entire_linearized_apply,
-        kernel_Y0,
     )
     from .radial_solver import (
         Branch,
@@ -81,16 +74,11 @@ __all__ = [
     "WeightSpec",
     "b0_projection",
     "blowup_initial_guess",
-    "bubble_mass",
-    "bubble_profile",
     "build_report",
     "continue_branch",
     "ell_coefficient",
-    "entire_linearized_apply",
-    "entire_mode_operator",
     "exact_disk_family",
     "find_fold_pair",
-    "kernel_Y0",
     "kernel_candidate",
     "local_rate_law_fit",
     "matching_residual",

@@ -34,6 +34,15 @@ def _emit(obj: dict) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
+def _write(path: str, text: str) -> None:
+    """``serialize.atomic_write``; a write that fails is a config error
+    on ``out`` (exit 2), such as an ``out`` below a regular file."""
+    try:
+        serialize.atomic_write(path, text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}", ["out"]) from exc
+
+
 def _run_branch(config: RunConfig, nodes: int | None = None):
     win = config.window
     return continue_branch(
@@ -64,10 +73,10 @@ def cmd_branch(config: RunConfig) -> int:
     h = config.config_hash()
     out = config.out
     paths = [os.path.join(out, "branch.csv")]
-    serialize.atomic_write(paths[0], serialize.branch_csv(branch, config.r0, h))
+    _write(paths[0], serialize.branch_csv(branch, config.r0, h))
     for i, pt in enumerate(branch.points):
         p = os.path.join(out, f"u_{i:04d}.csv")
-        serialize.atomic_write(p, serialize.snapshot_csv(pt, h))
+        _write(p, serialize.snapshot_csv(pt, h))
         paths.append(p)
     if _branch_failed(branch, h, outputs=paths):
         return 3
@@ -82,7 +91,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         return 3
     scan = nondegeneracy_scan(branch, k_max=config.k_max)
     path = os.path.join(config.out, "spectrum.csv")
-    serialize.atomic_write(path, serialize.spectrum_csv(scan, h))
+    _write(path, serialize.spectrum_csv(scan, h))
     _emit({"status": "ok", "config_hash": h, "outputs": [path]})
     return 0
 
@@ -95,7 +104,7 @@ def cmd_pohozaev(config: RunConfig) -> int:
     kind, rows, _ = pohozaev_rows(branch, config.r0)
     rows = [(lam, kind, config.r0, res) for lam, res in rows]
     path = os.path.join(config.out, "pohozaev.csv")
-    serialize.atomic_write(path, serialize.pohozaev_csv(rows, h))
+    _write(path, serialize.pohozaev_csv(rows, h))
     _emit({"status": "ok", "config_hash": h, "outputs": [path]})
     return 0
 
@@ -214,11 +223,11 @@ def cmd_verify(config: RunConfig) -> int:
     failures = _verify_failures(config, branch, report, companion)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}
     path = os.path.join(config.out, "report.json")
-    serialize.atomic_write(path, serialize.report_json(doc))
+    _write(path, serialize.report_json(doc))
     outputs = [path]
     if doc["matching"] is not None or doc["outer"] is not None:
         fits = os.path.join(config.out, "fits.csv")
-        serialize.atomic_write(fits, serialize.fit_table_csv(branch, doc, h))
+        _write(fits, serialize.fit_table_csv(branch, doc, h))
         outputs.append(fits)
     if failures:
         _emit({"error": {"code": 4, "kind": "assertion", "failures": failures,

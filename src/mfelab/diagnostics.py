@@ -216,9 +216,7 @@ def _du_dr(point: SolutionPoint) -> np.ndarray:
     mesh = point.mesh
     beta = 1.0 + point.spec.alpha
     dudt = band_matvec(mesh.d1_band, point.u)
-    with np.errstate(divide="ignore"):
-        fac = beta * np.where(mesh.t > 0.0, mesh.t ** (1.0 - 1.0 / beta), 0.0)
-    return fac * dudt
+    return beta * mesh.t ** (1.0 - 1.0 / beta) * dudt
 
 
 def outer_profile_residual(point: SolutionPoint, r0: float, gradient: bool = False) -> float:
@@ -231,9 +229,7 @@ def outer_profile_residual(point: SolutionPoint, r0: float, gradient: bool = Fal
     """
     if not 0.0 < r0 < 1.0:
         raise ParameterDomainError(f"r0 = {r0} must lie in (0, 1)")
-    mesh = point.mesh
-    beta = 1.0 + point.spec.alpha
-    r = mesh.t ** (1.0 / beta)
+    r = point.mesh.r
     keep = r >= r0
     if not np.any(keep):
         raise ParameterDomainError(f"no mesh nodes at radius >= {r0}")
@@ -262,7 +258,7 @@ def _identity_residual(point: SolutionPoint, w, xi, f, r: float) -> float:
     rows = mesh.point_rows(tr, 1)
     lhs = -np.pi * beta**2 * tr**2 * float(rows[1] @ w) * float(rows[1] @ xi)
     bnd = 2.0 * np.pi * rho * spec.hstar(r) * tr**2 * float(rows[0] @ f)
-    rp = mesh.t ** (1.0 / beta)
+    rp = mesh.r
     fac = 2.0 + 2.0 * spec.alpha + rp * spec.dlog_hstar(rp)
     hs = spec.hstar(rp)
     bulk = -(2.0 * np.pi / beta) * float(mesh.quad_to(tr) @ (rho * hs * f * fac * mesh.t))

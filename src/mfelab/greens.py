@@ -1,5 +1,5 @@
-"""Regular part of the unit disk's Green function, singular weights, and
-rate coefficients.
+"""Regular part of the unit disk's Green function, singular weights, the
+admissible singular strengths alpha, and rate coefficients.
 
 The domain is fixed: the unit disk with the singular point at the center.
 The regular part is exact (method of images), which is what makes every
@@ -13,9 +13,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterDomainError, WeightSpecError
-from .liouville import validate_alpha
 
 TWO_PI = 2.0 * np.pi
+
+#: reject alpha this close to an integer
+ALPHA_TOL = 1e-12
+
+
+def validate_alpha(alpha: float) -> float:
+    """Return alpha as float; positive non-integer strengths only (integer
+    strengths produce non-simple blow up and are outside scope)."""
+    a = float(alpha)
+    if not np.isfinite(a) or a <= 0.0:
+        raise ParameterDomainError("alpha must be positive")
+    if abs(a - round(a)) <= ALPHA_TOL:
+        raise ParameterDomainError("alpha must be non-integer")
+    return a
 
 
 def _point(x) -> np.ndarray:

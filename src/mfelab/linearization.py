@@ -10,8 +10,8 @@ plus, for k = 0 only, the nonlocal rank-one term -V <g> where <g> is the
 V-weighted average over the disk (the angular average of the nonlocal
 coupling vanishes for k >= 1).  Reported eigenvalues are those of the
 weighted problem R_k g = eps V g, which is invariant under rescaling of t
-and therefore directly comparable between the disk, the inner blow-up
-region and the entire-space limit operator.
+and therefore directly comparable with the entire-plane limit operator,
+whose truncated form the tests hold as their reference.
 
 The local block B is kept as the interior row band of the mesh and
 factored once per spectrum by ``RadialMesh.band_solver``, which owns the
@@ -64,17 +64,12 @@ __all__ = [
     "NondegeneracyScan",
     "b0_projection",
     "build_mode_operator",
-    "entire_mode_operator",
-    "inner_mode_operator",
     "kernel_candidate",
     "mode_spectrum",
     "nondegeneracy_scan",
 ]
 
 KERNEL_FLAG_TOL = 1e-8
-
-#: sinh strength of the truncated mode operators' meshes
-MODE_MESH_STRENGTH = 10.0
 
 
 @dataclass(frozen=True)
@@ -86,12 +81,10 @@ class ModeOperator:
     row band of ``mesh``: the rows and columns of the boundary unknown are
     left out, so ``mesh.dense(band)`` is the (n - 1) x (n - 1) interior
     block.  ``rank_one`` holds an optional (u, v) pair so that the full
-    interior matrix is dense(band) + outer(u, v).  For the disk operator
-    the pair carries the k = 0 nonlocal projection; for truncated
-    far-field operators it carries the boundary-condition elimination.
-    ``weight`` is the interior sample of V for the weighted eigenproblem.
-    The operator is kept only as this band and pair; the package never
-    builds it densely.
+    interior matrix is dense(band) + outer(u, v); it carries the k = 0
+    nonlocal projection.  ``weight`` is the interior sample of V for the
+    weighted eigenproblem.  The operator is kept only as this band and
+    pair; the package never builds it densely.
     """
 
     k: int
@@ -99,7 +92,6 @@ class ModeOperator:
     band: np.ndarray
     weight: np.ndarray
     rank_one: tuple[np.ndarray, np.ndarray] | None = None
-    bc_elim: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -168,91 +160,6 @@ def build_mode_operator(point: SolutionPoint, k: int) -> ModeOperator:
         weight=V[:-1],
         rank_one=rank_one,
     )
-
-
-def _truncated_operator(
-    mesh: RadialMesh, V: np.ndarray, k: int, kappa: float
-) -> ModeOperator:
-    # far-field row: Neumann for k = 0, Robin g' + (2 kappa / S) g = 0 for
-    # k >= 1 (the decaying mode of the folded equation); eliminating the
-    # boundary unknown leaves a rank-one update on the interior block
-    S = mesh.t[-1]
-    bw = mesh.bandwidth
-    bc = np.zeros(mesh.n)
-    bc[-bw - 1 :] = mesh.d1_band[-1, : bw + 1]
-    if k >= 1:
-        bc[-1] += 2.0 * kappa / S
-    elim = -bc[:-1] / bc[-1]
-    band, coupling = _interior_block(mesh, mesh.lap_band(2.0 * kappa + 1.0), V)
-    return ModeOperator(
-        k=int(k),
-        mesh=mesh,
-        band=band,
-        weight=V[:-1],
-        rank_one=(coupling, elim),
-        bc_elim=elim,
-    )
-
-
-def entire_mode_operator(
-    alpha: float,
-    k: int,
-    radius: float = 50.0,
-    n: int = 768,
-) -> ModeOperator:
-    """Mode-k entire-space limit operator truncated to |y| <= radius.
-
-    In s = |y|^beta the potential is 8 (1 + s^2)^-2 and there is no
-    nonlocal term; the truncation uses the decay boundary condition of the
-    bounded solution at s = radius^beta.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ParameterDomainError("mode index must be a non-negative integer")
-    if radius <= 1.0:
-        raise ParameterDomainError("truncation radius must exceed 1")
-    beta = 1.0 + alpha
-    kappa = k / beta
-    mesh = RadialMesh.graded(n, beta, MODE_MESH_STRENGTH, t_max=radius**beta)
-    s = mesh.t
-    V = 8.0 / (1.0 + s * s) ** 2
-    return _truncated_operator(mesh, V, k, kappa)
-
-
-def inner_mode_operator(point: SolutionPoint, k: int, radius: float = 8.0) -> ModeOperator:
-    """Mode-k operator of the point restricted to the inner blow-up window.
-
-    The window is |y| <= radius in the inner variable y = x/s where the
-    core scale satisfies s^(2 beta) = 1/(gamma e^lambda).  The local
-    potential is carried over from the point (no nonlocal term at inner
-    order) and the far edge uses the decay condition, so the spectrum is
-    directly comparable with entire_mode_operator on the same window,
-    whose 768-node mesh it shares.
-    """
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ParameterDomainError("mode index must be a non-negative integer")
-    spec = point.spec
-    beta = 1.0 + spec.alpha
-    kappa = k / beta
-    m_eff = point.gamma * np.exp(point.lam)
-    sig_t = 1.0 / np.sqrt(m_eff)
-    S = radius**beta
-    t_cut = S * sig_t
-    if t_cut > 0.9:
-        raise ParameterDomainError(
-            f"inner window reaches t = {t_cut:.3f}; the point is not "
-            "concentrated enough for this radius"
-        )
-    zmesh = RadialMesh.graded(768, beta, MODE_MESH_STRENGTH, t_max=S)
-    t_eval = zmesh.t * sig_t
-    from scipy.interpolate import make_interp_spline
-
-    # u is even-analytic in t, so interpolate in t^2; the window sits in
-    # the well-resolved core of the source mesh
-    u_spline = make_interp_spline(point.mesh.t**2, point.u_tilde, k=5)
-    u_at = u_spline(t_eval**2)
-    hstar = np.asarray(spec.hstar(t_eval ** (1.0 / beta)), dtype=float)
-    V = point.rho * hstar * np.exp(u_at) / beta**2 / m_eff
-    return _truncated_operator(zmesh, V, k, kappa)
 
 
 def _arnoldi(apply, v0: np.ndarray, count: int, maxiter: int | None = None):
@@ -389,6 +296,9 @@ def mode_spectrum(
     zero, and defaults to the deterministic sin(1 + i).  ``maxiter`` caps
     ARPACK's restarts (default 10 n); running out of them, like any other
     ARPACK failure, raises ``SpectrumError``.
+
+    ``eigenvector_0`` is the eigenvector of the eigenvalue nearest zero,
+    scaled to peak 1, with the Dirichlet 0 of the boundary node appended.
     """
     n = op.band.shape[0]
     if not 1 <= count <= n - 2:
@@ -419,10 +329,7 @@ def mode_spectrum(
     peak = int(np.argmax(np.abs(vec)))
     if vec[peak] != 0.0:
         vec = vec / vec[peak]
-    if op.bc_elim is not None:
-        vec = np.concatenate([vec, [float(op.bc_elim @ vec)]])
-    else:
-        vec = np.concatenate([vec, [0.0]])
+    vec = np.concatenate([vec, [0.0]])
     return ModeSpectrum(
         k=op.k,
         eigenvalues=eigenvalues,
@@ -533,7 +440,6 @@ def kernel_candidate(point: SolutionPoint) -> np.ndarray:
 def b0_projection(
     xi: np.ndarray,
     point: SolutionPoint,
-    mode: int = 0,
     r0: float = 0.5,
 ) -> float:
     """Project a normalized field onto the inner kernel shape.
@@ -542,8 +448,6 @@ def b0_projection(
     xi0(z) = (1 - gbar z^(2 beta))/(1 + gbar z^(2 beta)) with
     gbar = pi hbar1(0)/beta, and the projection uses the weight
     z^(2 alpha) (1 + gbar z^(2 beta))^-2 dz over z in [0, r0/sigma].
-    Fields carrying an odd angular mode are orthogonal to the radial
-    shape across the diameter, so odd ``mode`` returns exactly zero.
     """
     xi = np.asarray(xi, dtype=float)
     spec = point.spec
@@ -562,8 +466,6 @@ def b0_projection(
             "separates inner and outer scales",
             stacklevel=2,
         )
-    if mode % 2 == 1:
-        return 0.0
     gbar = np.pi * float(spec.hbar1(np.zeros(2))) / beta
     t = mesh.t
     q = mesh.quad_to(r0**beta)

@@ -230,11 +230,12 @@ def _windows(t: np.ndarray, halfwidth: int, rows: np.ndarray):
 def derivative_bands(t: np.ndarray, halfwidth: int = 3):
     """The d/dt and d^2/dt^2 row bands of ``RadialMesh`` on the nodes ``t``.
 
-    For callers that need the derivative operators alone: the nodes are
-    checked as the mesh checks them, and no quadrature is built.  Both
-    bands come from one vectorised Fornberg pass; reflected rows hit some
-    columns twice, and ``np.add.at`` sums those duplicates in stencil
-    order, row by row.
+    The mesh builds its stencils here.  A caller that needs the derivative
+    operators alone, such as the tests' entire-plane operator, gets them
+    without the mesh's quadrature, on nodes checked as the mesh checks
+    them.  Both bands come from one vectorised Fornberg pass; reflected
+    rows hit some columns twice, and ``np.add.at`` sums those duplicates
+    in stencil order, row by row.
     """
     t = np.asarray(t, dtype=float)
     if t.ndim != 1 or t.size < 2 * halfwidth + 2:
@@ -255,7 +256,7 @@ def derivative_bands(t: np.ndarray, halfwidth: int = 3):
 
 
 class RadialMesh:
-    """Nodes, banded derivative operators and quadrature on (0, t_max].
+    """Nodes, banded derivative operators and quadrature on (0, t[-1]].
 
     The origin is not a node.  Stencils whose window would cross t = 0 are
     folded back onto the positive axis (even extension), and the last rows
@@ -301,10 +302,10 @@ class RadialMesh:
         n: int,
         beta: float,
         strength: float,
-        t_max: float = 1.0,
         halfwidth: int = 3,
     ) -> "RadialMesh":
-        """Sinh-graded mesh with ``n`` nodes, clustered toward the origin.
+        """Sinh-graded mesh with ``n`` nodes on (0, 1], clustered toward
+        the origin.
 
         ``strength`` = 0 gives the uniform mesh; larger values push nodes
         toward t = 0 roughly like exp(-strength) for the first node.
@@ -313,9 +314,9 @@ class RadialMesh:
         if strength < 0.0:
             raise MfelabError("grading strength must be nonnegative")
         if strength < 1e-12:
-            t = t_max * i / n
+            t = i / n
         else:
-            t = t_max * np.sinh(strength * i / n) / np.sinh(strength)
+            t = np.sinh(strength * i / n) / np.sinh(strength)
         return cls(t, beta, halfwidth)
 
     @staticmethod

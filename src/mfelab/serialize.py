@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .diagnostics import DIAGNOSTIC_NAMES
 from .errors import ConfigError, ParameterDomainError, WeightSpecError
-from .greens import WeightSpec
-from .liouville import validate_alpha
+from .greens import WeightSpec, validate_alpha
 
 SCHEMA = "mfelab/1"
 

@@ -19,14 +19,10 @@ from mfelab import (
     blowup_initial_guess,
     continue_branch,
     ell_coefficient,
-    entire_linearized_apply,
-    entire_mode_operator,
     exact_disk_family,
-    kernel_Y0,
     kernel_candidate,
     local_rate_law_fit,
     matching_residual,
-    mode_spectrum,
     newton_solve,
     nondegeneracy_scan,
     outer_profile_residual,
@@ -34,6 +30,13 @@ from mfelab import (
     rate_law_fit,
     two_term_fit,
     uniqueness_probe,
+)
+from limit import (
+    entire_linearized_apply,
+    entire_mode_operator,
+    kernel_Y0,
+    mode_limits,
+    mode_spectrum,
 )
 from mfelab.cli import main
 from mfelab.radial_solver import solver_mesh
@@ -193,6 +196,22 @@ def test_06_entire_kernel_and_mode_gap():
     for k in (1, 2, 5, 8):
         sk = mode_spectrum(entire_mode_operator(ALPHA, k), count=2)
         assert sk.smallest_magnitude >= 0.1
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.9, 1.5, 2.4])
+def test_06_entire_spectrum_matches_closed_form(alpha):
+    # The truncated entire-plane operator reproduces the limit eigenvalues
+    # 1 - l(l+1)/2, l = k/beta + j: for k >= 1 the two nearest 0 within
+    # 1e-6 relative (measured worst 4.1e-7, alpha = 2.4, k = 8); for k = 0
+    # the kernel's 0 within 2e-4, the truncation at |y| = 50 (measured
+    # worst 1.15e-4, alpha = 0.3), and the constants' 1 next.
+    eig = mode_spectrum(entire_mode_operator(alpha, 0), count=8).eigenvalues
+    assert (np.abs(eig) <= 2e-4).sum() == 1, eig
+    assert abs(eig[1] - 1.0) <= 1e-6, eig
+    for k in (1, 2, 3, 5, 8):
+        got = mode_spectrum(entire_mode_operator(alpha, k), count=2).eigenvalues[:2]
+        want = mode_limits(alpha, k)
+        assert np.all(np.abs(got - want) <= 1e-6 * np.abs(want)), (k, got, want)
 
 
 def test_07_nondegeneracy_scan():

@@ -91,6 +91,26 @@ class TestRunConfig:
         assert cfg.mesh == serialize.DEFAULTS["mesh"] == {"nodes": 512}
 
 
+@pytest.mark.parametrize("command", ["branch", "spectrum", "pohozaev", "verify"])
+def test_unusable_out_is_a_config_error(tmp_path, capfd, command):
+    # out below a regular file cannot be made: one exit-2 record that names
+    # out, and no traceback
+    (tmp_path / "afile").write_text("")
+    cfg = base_config(
+        tmp_path / "afile" / "sub",
+        mesh={"nodes": 64},
+        window={"start": 0.5, "end": 1.5, "steps": 3},
+        diagnostics=[],
+        k_max=1,
+    )
+    code = main([command, "--config", write_config(tmp_path, "c.json", cfg)])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert err == ""
+    (line,) = out.splitlines()
+    assert json.loads(line)["error"]["fields"] == ["out"]
+
+
 class TestSerializeHelpers:
     def test_fmt_roundtrips_doubles(self):
         import math
@@ -708,8 +728,6 @@ def test_scipy_packages_imported_only_where_needed():
         visit(tree, name, ())
     assert imports == {
         ("diagnostics.py", "two_term_fit", "scipy.optimize"),
-        ("linearization.py", "inner_mode_operator", "scipy.interpolate"),
-        ("liouville.py", "bubble_mass", "scipy.special"),
     }
 
 
@@ -816,13 +834,8 @@ def _scopes_naming(attr):
 
 
 def test_graded_meshes_built_only_by_the_mesh_rules():
-    # the solver mesh has one rule, solver_mesh; the truncated mode
-    # operators build their own fixed-strength meshes
-    assert _scopes_naming("graded") == {
-        ("radial_solver.py", "solver_mesh"),
-        ("linearization.py", "entire_mode_operator"),
-        ("linearization.py", "inner_mode_operator"),
-    }
+    # the solver mesh has one rule, solver_mesh
+    assert _scopes_naming("graded") == {("radial_solver.py", "solver_mesh")}
 
 
 def test_meshes_read_from_rows_only_by_the_continuation():

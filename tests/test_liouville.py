@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from limit import bubble_mass, bubble_profile, entire_linearized_apply, kernel_Y0
 from mfelab.errors import ParameterDomainError
-from mfelab.liouville import (
-    bubble_mass,
-    bubble_profile,
-    entire_linearized_apply,
-    kernel_Y0,
-    validate_alpha,
-)
+from mfelab.greens import validate_alpha
 
 
 def test_validate_alpha():

@@ -125,7 +125,7 @@ def test_even_reflection_near_origin():
 
 def test_entire_bubble_kernel_identity():
     # (1 - t^2)/(1 + t^2) solves g'' + g'/t + 8 g/(1+t^2)^2 = 0 exactly
-    mesh = RadialMesh.graded(256, 1.5, 6.0, t_max=10.0)
+    mesh = RadialMesh(_sinh_nodes(256, 6.0, 10.0), 1.5)
     t = mesh.t
     y0 = (1.0 - t**2) / (1.0 + t**2)
     L = mesh.lap_rows(1.0) + np.diag(8.0 / (1.0 + t**2) ** 2)
