@@ -43,6 +43,21 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output: {exc}", ["out"]) from exc
 
 
+def _check_out(out: str) -> None:
+    """Refuse an ``out`` no write could use before anything is solved (exit 2).
+
+    ``out`` must be a directory or not exist yet, and the nearest existing
+    one of it and its ancestors a directory this process may write in.
+    Nothing is created here: ``atomic_write`` makes the directories.
+    """
+    path = os.path.abspath(out)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
+        raise ConfigError(f"cannot write output to {out!r}: {path!r} is not a writable directory",
+                          ["out"])
+
+
 def _run_branch(config: RunConfig, nodes: int | None = None):
     win = config.window
     return continue_branch(
@@ -119,20 +134,17 @@ def _companion_nodes(nodes: int) -> int:
     return nodes // 2 if nodes >= 128 else 2 * nodes
 
 
-def _companion_branch(config: RunConfig) -> np.ndarray:
-    """The continuation on the companion's nodes: a failed flag, then rho at each point."""
+def _companion_branch(config: RunConfig):
+    """The continuation on the companion's nodes: whether it failed, and rho at each point."""
     companion = _run_branch(config, nodes=_companion_nodes(config.mesh["nodes"]))
-    row = np.zeros(1 + config.window["steps"])
-    row[0] = companion.failure is not None
-    row[1 : 1 + len(companion.points)] = companion.rhos
-    return row
+    return companion.failure is not None, companion.rhos
 
 
 def _verify_failures(config: RunConfig, branch, report, companion) -> list:
     """The threshold gates on top of the report, as a list of failures.
 
-    ``companion`` is the table whose one row ``_companion_branch``
-    computed; it has no row when ``diagnostics`` is empty.  The mesh gate
+    ``companion`` is the list whose one item ``_companion_branch``
+    computed; it has no item when ``diagnostics`` is empty.  The mesh gate
     bounds rho's gap to the companion branch, which bounds the branch's
     own mesh error from above, so a config whose companion mesh is
     unresolved fails it.
@@ -147,11 +159,11 @@ def _verify_failures(config: RunConfig, branch, report, companion) -> list:
 
     # branch-level control: the continuation must be mesh-converged
     nodes = _companion_nodes(config.mesh["nodes"])
-    if companion[0, 0]:
+    [(failed, other_rhos)] = companion
+    if failed:
         failures.append({"check": "mesh-convergence",
                          "detail": f"companion mesh ({nodes} nodes) did not converge"})
     else:
-        other_rhos = companion[0, 1 : 1 + len(branch.points)]
         rel = float(np.max(np.abs(other_rhos - branch.rhos) / np.maximum(1.0, np.abs(branch.rhos))))
         if rel > thr["mesh_rtol"]:
             failures.append({
@@ -205,14 +217,13 @@ def cmd_verify(config: RunConfig) -> int:
     # the mesh gate's companion continuation does not depend on the
     # verified branch, so a worker runs it meanwhile; without diagnostics
     # there is no gate to run it for
-    rows = 1 if config.diagnostics else 0
+    items = 1 if config.diagnostics else 0
     try:
-        with shared(lambda _: _companion_branch(config), rows,
-                    1 + config.window["steps"]) as companion:
+        with shared(lambda _: _companion_branch(config), items) as companion:
             branch = _run_branch(config)
             if _branch_failed(branch, h):
                 # unlike a return, an exception leaves the block with the
-                # worker killed and the companion row not computed
+                # worker killed and the companion branch not computed
                 raise _CoarseFailure
             report = build_report(
                 branch, config.fit_window, config.r0, config.outer_radius, h,
@@ -280,6 +291,7 @@ def main(argv=None) -> int:
                 a, b = _parse_window(args.window)
                 raw["window"] = dict(raw["window"], start=a, end=b)
             config = RunConfig.from_dict(raw)
+        _check_out(config.out)
         return _COMMANDS[args.command](config)
     except (ConfigError, WeightSpecError, ParameterDomainError) as exc:
         _emit({"error": {"code": 2, "kind": type(exc).__name__, "message": str(exc),

@@ -35,8 +35,9 @@ eigenvectors and saves restarts.
 usable CPU through ``workers.shared``, the package's process layer: each
 forked worker, on a CPU of its own, claims the lowest point no process
 has claimed and the calling process the highest, until none is left,
-with OpenBLAS held to one thread in all of them.  The helper then
-computes in the calling process every point left undone: a failing
+with OpenBLAS held to one thread in all of them.  Each point comes back
+as its chain's array of eig_min and eig_min_next, and the helper then
+computes in the calling process every point that did not: a failing
 point's chain runs twice, and a dead worker's points are computed again
 rather than reported.  Each point's chain of modes stays in one
 process and runs the operations of a serial scan, so the spectra are the
@@ -373,7 +374,7 @@ class NondegeneracyScan:
 
 
 def _mode_chain(point: SolutionPoint, k_max: int) -> np.ndarray:
-    """eig_min of modes 0..k_max at ``point``, then their eig_min_next.
+    """eig_min (row 0) and eig_min_next (row 1) of modes 0..k_max at ``point``.
 
     Mode 0's ARPACK run starts from the deterministic vector and every
     later mode from the previous mode's eigenvector.
@@ -384,7 +385,7 @@ def _mode_chain(point: SolutionPoint, k_max: int) -> np.ndarray:
         spec_k = mode_spectrum(build_mode_operator(point, k), count=2, start=start)
         start = spec_k.eigenvector_0[:-1]
         rows[:, k] = spec_k.eigenvalues[:2]
-    return rows.ravel()
+    return rows
 
 
 def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:
@@ -406,9 +407,9 @@ def nondegeneracy_scan(branch, k_max: int = 8) -> NondegeneracyScan:
     points = branch.points
     if not points:
         raise ParameterDomainError("branch has no points")
-    with shared(lambda i: _mode_chain(points[i], k_max), len(points), 2 * (k_max + 1)) as table:
+    with shared(lambda i: _mode_chain(points[i], k_max), len(points)) as chains:
         pass
-    eig_min, eig_next = table.reshape(len(points), 2, k_max + 1).swapaxes(0, 1)
+    eig_min, eig_next = np.array(chains).swapaxes(0, 1)
     return NondegeneracyScan(
         lambdas=np.array([pt.lam for pt in points]),
         k_max=int(k_max),

@@ -319,45 +319,6 @@ class RadialMesh:
             t = np.sinh(strength * i / n) / np.sinh(strength)
         return cls(t, beta, halfwidth)
 
-    @staticmethod
-    def row_size(n: int, halfwidth: int = 3) -> int:
-        """Length of ``to_row`` for a mesh of ``n`` nodes."""
-        return 1 + n * (3 + 2 * (4 * halfwidth + 1) + QUAD_POINTS)
-
-    def to_row(self) -> np.ndarray:
-        """The mesh as one float row: halfwidth, t, r, quad, the two bands
-        and the interval table; ``from_row`` reads it back."""
-        return np.concatenate([
-            [self.halfwidth], self.t, self.r, self.quad,
-            self.d1_band.ravel(), self.d2_band.ravel(), self._intervals.ravel(),
-        ])
-
-    @classmethod
-    def from_row(cls, row: np.ndarray, beta: float) -> "RadialMesh":
-        """The mesh ``to_row`` packed, on the same arrays bit for bit.
-
-        Nothing is recomputed, so a mesh one process built can be used by
-        another through a shared table.  The arrays are read-only views of
-        one copy of ``row``: a mesh kept past the table does not keep the
-        whole table mapped.
-        """
-        row = row.copy()
-        halfwidth = int(row[0])
-        n = (row.size - 1) // (cls.row_size(1, halfwidth) - 1)
-        mesh = cls.__new__(cls)
-        mesh.beta = float(beta)
-        mesh.n = n
-        mesh.halfwidth = halfwidth
-        mesh.bandwidth = 2 * halfwidth
-        width = 2 * mesh.bandwidth + 1
-        parts = np.split(row[1:], np.cumsum([n, n, n, n * width, n * width]))
-        mesh.t, mesh.r, mesh.quad = parts[:3]
-        mesh.d1_band, mesh.d2_band = (part.reshape(n, width) for part in parts[3:5])
-        mesh._intervals = parts[5].reshape(n, QUAD_POINTS)
-        for arr in (mesh.t, mesh.r, mesh.d1_band, mesh.d2_band, mesh._intervals, mesh.quad):
-            arr.setflags(write=False)
-        return mesh
-
     def band_triplets(self, band: np.ndarray):
         """(rows, cols, values) of the in-range entries of a row band, row by row.
 

@@ -41,7 +41,7 @@ MIN_STEP = 1e-3
 #: ``blowup_initial_guess``, not from the previous point
 COLD_START = 4.0
 
-#: fewest cold targets a continuation hands to ``workers.shared`` as rows;
+#: fewest cold targets a continuation hands to ``workers.shared`` as items;
 #: a shorter cold tail is solved in the block, since a fork costs more
 COLD_ROWS_MIN = 3
 
@@ -436,53 +436,41 @@ def continue_branch(
 
     Targets below COLD_START start Newton from the previous point, the
     others from ``blowup_initial_guess``.  The first target and the warm
-    ones run here, as the block of one ``workers.shared`` job whose rows
+    ones run here, as the block of one ``workers.shared`` job whose items
     are the remaining, cold targets, when there are at least COLD_ROWS_MIN
-    of them (a shorter cold tail runs in the block too): each row is one
-    Newton solve, packed as an ok flag, rho, residual, Newton count, field
-    and ``RadialMesh.to_row``, so no process rebuilds a mesh another one
-    built.
-    The points are then taken in target order; a row whose solve failed
+    of them (a shorter cold tail runs in the block too): each item is one
+    Newton solve's point, mesh included, so no process rebuilds a mesh
+    another one built, or None where the solve failed.
+    The points are then taken in target order; a target whose solve failed
     goes through ``_advance`` (the same solve again, then bisection), so
     the branch is the serial march's bit for bit.  A failed prefix leaves
-    the block by its exception, so no row is computed; past it, every row
-    is computed before a failed cold row is met.
+    the block by its exception, so no item is computed; past it, every
+    item is computed before a failed cold target is met.
     """
     beta = 1.0 + spec.alpha
     targets = branch_targets(lambda_start, lambda_end, steps)
     warm = max(1, sum(target < COLD_START for target in targets))
     if len(targets) - warm < COLD_ROWS_MIN:
         warm = len(targets)
-    width = 4 + nodes + RadialMesh.row_size(nodes)
 
-    def cold(i: int) -> np.ndarray:
+    def cold(i: int) -> SolutionPoint | None:
         target = targets[warm + i]
-        mesh = solver_mesh(nodes, beta, target)
-        row = np.zeros(width)
         try:
-            pt = newton_solve(spec, mesh, lam=target)
+            return newton_solve(spec, solver_mesh(nodes, beta, target), lam=target)
         except SolverError:
-            return row
-        row[:4] = 1.0, pt.rho, pt.res_norm, pt.newton_iters
-        row[4 : 4 + nodes] = pt.u
-        row[4 + nodes :] = mesh.to_row()
-        return row
+            return None
 
     points: list[SolutionPoint] = []
     failure = None
     state: SolutionPoint | None = None
     target = targets[0]
     try:
-        with shared(cold, len(targets) - warm, width) as table:
+        with shared(cold, len(targets) - warm) as solved:
             for target in targets[:warm]:
                 state = _advance(state, target, spec, nodes, beta)
                 points.append(state)
-        for target, row in zip(targets[warm:], table):
-            if row[0]:
-                mesh = RadialMesh.from_row(row[4 + nodes :], beta)
-                state = SolutionPoint(spec, mesh, row[4 : 4 + nodes], row[1], row[2], int(row[3]))
-            else:
-                state = _advance(state, target, spec, nodes, beta)
+        for target, pt in zip(targets[warm:], solved):
+            state = pt or _advance(state, target, spec, nodes, beta)
             points.append(state)
     except SolverError as err:
         failure = {
@@ -526,8 +514,8 @@ def find_fold_pair(branch: Branch, which: int = 0):
     solver mesh of the branch's own node count, graded for the flag's
     upper neighbour.  The two roots are found at once, through
     ``workers.shared``: a forked worker claims the lower root while this
-    process takes the upper one, each packed into a row as rho, residual,
-    Newton count and field, and both points are rebuilt from the table.
+    process takes the upper one, each handed back as field, rho, residual
+    and Newton count, and both points are rebuilt here on the one mesh.
     Inside another job (verify's, whose block builds the report) nothing
     forks, and this process finds both roots in turn.
     """
@@ -550,15 +538,15 @@ def find_fold_pair(branch: Branch, which: int = 0):
         cache[lam] = pt
         return pt.rho - rho_target
 
-    def root(i: int) -> np.ndarray:
+    def root(i: int):
         # root 0 below the fold flag, root 1 above it; _brentq returns an
         # abscissa it evaluated, so the root is cached
         pt = cache[_brentq(rho_at, float(lams[k - 1 + i]), float(lams[k + i]), xtol=1e-13)]
-        return np.concatenate([[pt.rho, pt.res_norm, pt.newton_iters], pt.u])
+        return pt.u, pt.rho, pt.res_norm, pt.newton_iters
 
-    with shared(root, 2, 3 + mesh.n) as table:
+    with shared(root, 2) as roots:
         pass
-    pa, pb = (SolutionPoint(spec, mesh, row[3:], row[0], row[1], int(row[2])) for row in table)
+    pa, pb = (SolutionPoint(spec, mesh, *fields) for fields in roots)
     if abs(pa.rho - pb.rho) > 1e-9 * abs(rho_target):
         raise SolverError(
             f"fold pair rho mismatch {abs(pa.rho - pb.rho):.3e}"

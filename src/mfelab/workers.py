@@ -1,20 +1,21 @@
-"""Forked workers that fill one shared table with the calling process.
+"""Forked workers that compute a job's items beside the calling process.
 
 ``shared`` is the package's one process layer.  Its callers are the
-continuation's cold-started points (a row per point,
-``radial_solver.continue_branch``), the spectrum scan (a row per branch
+continuation's cold-started points (an item per point,
+``radial_solver.continue_branch``), the spectrum scan (an item per branch
 point, ``linearization.nondegeneracy_scan``), verify's companion-mesh
-continuation (one row, ``cli.cmd_verify``) and the two roots of a fold
-pair (a row per root, ``radial_solver.find_fold_pair``).  A caller hands
-it ``compute(i)``, the row of item i, and reads the whole table when its
-with-block ends.  The helper owns the rest: which process computes which
-row (each claims the next free one as it goes, so a slow process takes
-fewer rows), a done flag per row, and the one failure rule, that every
-row no process marked done is computed again in the calling process in
-row order.  So a row that raised, a worker that died and a fork that
-failed all end as the serial loop would, exception included.  Jobs nest
-one level deep: a job opened inside another job's block or rows, in the
-same process or in one of its workers, forks nothing.
+continuation (one item, ``cli.cmd_verify``) and the two roots of a fold
+pair (an item per root, ``radial_solver.find_fold_pair``).  A caller hands
+it ``compute(i)``, which returns item i as any picklable object, and reads
+the list of items when its with-block ends.  The helper owns the rest:
+which process computes which item (each claims the next free one as it
+goes, so a slow process takes fewer items), how a worker's items come
+back (as pickle records in a file of its own), and the one failure rule,
+that every item no process brought back is computed again in the calling
+process in item order.  So an item that raised, a worker that died and a
+fork that failed all end as the serial loop would, exception included.
+Jobs nest one level deep: a job opened inside another job's block or
+items, in the same process or in one of its workers, forks nothing.
 
 While a job with workers runs, every OpenBLAS the process has mapped is
 held to one thread, in the workers and the calling process alike.  A
@@ -28,7 +29,9 @@ from __future__ import annotations
 
 import mmap
 import os
+import pickle
 import signal
+import tempfile
 import warnings
 from contextlib import contextmanager
 
@@ -102,45 +105,48 @@ def _openblas_threads() -> list:
     return found
 
 
-#: True while a ``shared`` job is open in this process, block and rows alike;
-#: forked workers inherit it
+#: True while a ``shared`` job is open in this process, block and items
+#: alike; forked workers inherit it
 _open = False
 
 
 @contextmanager
-def shared(compute, count: int, width: int):
-    """Compute the rows ``compute(0)``, ..., ``compute(count - 1)`` in forked workers.
+def shared(compute, count: int):
+    """Compute the items ``compute(0)``, ..., ``compute(count - 1)`` in forked workers.
 
-    Yields ``table``, a float64 array of shape (count, width) in one
-    anonymous shared mapping, whose row i is ``compute(i)`` (``width``
-    floats) once the with-block ends; the block is the caller's own work,
+    Yields ``items``, a list whose item i is whatever ``compute(i)``
+    returned once the with-block ends; the block is the caller's own work,
     run here while the workers run.  The job runs on W processes, W from
     ``_worker_cpus(count + 1)``.  Each worker, pinned to a CPU of its own,
-    claims the lowest row no process has claimed until none is left, and
+    claims the lowest item no process has claimed until none is left, and
     leaves through ``os._exit``, so it flushes no inherited buffer, runs no
     exit hook and drops any exception.  The calling process, once the block
-    ends, claims the highest unclaimed row in the same way, and then reaps
-    the workers.  A claimed flag per row sits in the mapping; two processes
-    that race for one row both compute it and write the same bytes.
+    ends, claims the highest unclaimed item in the same way, and then reaps
+    the workers.  A claimed flag per item sits in an anonymous shared
+    mapping; two processes that race for one item both compute it and
+    return equal values.
 
     W is 1, and nothing forks, where ``_worker_cpus`` finds no spare CPU,
     the process maps no OpenBLAS whose threads can be set, or another job
-    is open: from the start of its block to its last row, in this process
+    is open: from the start of its block to its last item, in this process
     or in the one a worker was forked from.  Then, as when every fork
-    fails, every row is computed here after the block, in row order, as a
-    plain loop would.  A fork that fails with ``OSError`` is skipped, and
-    so is a pinning call that fails, since the CPU is only a placement
-    hint.
+    fails, every item is computed here after the block, in item order, as
+    a plain loop would.  A fork that fails with ``OSError`` is skipped, and
+    so is one whose file cannot be opened, or a pinning call that fails,
+    since the CPU is only a placement hint.
 
-    A row counts once its done flag, kept in the mapping beside the table,
-    is set, which happens only after the row is whole.  Once the workers
-    are reaped, every row not marked done is computed here in row order,
-    and its exception propagates: a row that raised (the lowest one's
-    exception is the serial loop's), the rows of a worker that died and
-    those of a fork that failed all end as the serial loop would.  When the
-    block raises, or an exception other than ``Exception`` escapes the
-    caller's rows, the workers are killed and reaped and no row is
-    computed.
+    Each worker writes its items as ``pickle`` records ``(i, value)`` to an
+    unlinked temporary file, opened here before the fork; the items this
+    process computes are never pickled.  Once the workers are reaped, their
+    records are read back up to the first one that cannot be read (a
+    worker that died while writing leaves a record cut short), and every
+    item no record brought back and this process did not compute is
+    computed here in item order, its exception propagating: an item that
+    raised (the lowest one's exception is the serial loop's), the items of
+    a worker that died and those of a fork that failed all end as the
+    serial loop would.  When the block raises, or an exception other than
+    ``Exception`` escapes the caller's items, the workers are killed and
+    reaped and no item is computed.
 
     A Python >= 3.12 interpreter warns that a process with threads
     (OpenBLAS's) forks.  The warning comes after the child exists, so a
@@ -148,61 +154,84 @@ def shared(compute, count: int, width: int):
     silenced around the fork.
     """
     global _open
-    mapped = np.frombuffer(mmap.mmap(-1, 8 * max(1, count * (width + 2))))
-    claimed, done = mapped[:count], mapped[count : 2 * count]
-    table = mapped[2 * count : count * (width + 2)].reshape(count, width)
+    claimed = np.frombuffer(mmap.mmap(-1, 8 * max(1, count)))
+    items = [None] * count
+    done = set()
 
-    def run(end):
-        # end 0 claims the lowest unclaimed row, end -1 the highest
+    def run(end, out=None):
+        # end 0 claims the lowest unclaimed item, end -1 the highest; a
+        # worker writes each item to its file ``out``
         while (free := np.flatnonzero(claimed == 0.0)).size:
             i = int(free[end])
             claimed[i] = 1.0
-            table[i] = compute(i)
-            done[i] = 1.0
+            value = compute(i)
+            if out is None:
+                items[i] = value
+                done.add(i)
+            else:
+                out.write(pickle.dumps((i, value), protocol=5))
+                out.flush()
 
     cpus = [] if _open else _worker_cpus(count + 1)
     blas = _openblas_threads() if cpus else []
     if not blas:
         cpus = []
     threads = [get() for get, _ in blas]
-    pids = []  # the workers not yet reaped
+    pids, files = [], []  # the workers not yet reaped, and every worker's file
     outer, _open = _open, True
     try:
         for _, set_ in blas:
             set_(1)
         for cpu in cpus:
             try:
+                out = tempfile.TemporaryFile()
+            except OSError:
+                continue  # the items go to the other processes
+            files.append(out)
+            try:
                 with warnings.catch_warnings():
                     warnings.filterwarnings("ignore", r".*use of fork\(\)", DeprecationWarning)
                     pid = os.fork()
             except OSError:
-                continue  # the rows go to the other processes
+                continue
             if pid == 0:
                 try:
                     try:
                         os.sched_setaffinity(0, {cpu})
                     except OSError:
                         pass
-                    run(0)
+                    run(0, out)
                 finally:
                     os._exit(0)
             pids.append(pid)
-        yield table
+        yield items
         try:
-            if pids:  # else the rows run below, in row order
+            if pids:  # else the items run below, in item order
                 run(-1)
         except Exception:
             pass  # computed again after the reap, where it raises
         while pids:
             os.waitpid(pids[-1], 0)
             pids.pop()
-        for i in np.flatnonzero(done == 0.0):
-            table[i] = compute(int(i))
+        for out in files:
+            out.seek(0)
+            while True:
+                try:
+                    i, value = pickle.load(out)
+                except (EOFError, pickle.UnpicklingError):
+                    break  # the end of the file, or a record cut short
+                items[i] = value
+                done.add(i)
+        for i in range(count):
+            if i not in done:
+                items[i] = compute(i)
     finally:
-        # workers are left here only when the block or the caller's rows raised
+        # workers are left here only when the block or the caller's items raised
         for pid in pids:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        for out in files:
+            out.close()
         for (_, set_), n in zip(blas, threads):
             set_(n)
         _open = outer

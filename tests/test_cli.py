@@ -92,23 +92,37 @@ class TestRunConfig:
 
 
 @pytest.mark.parametrize("command", ["branch", "spectrum", "pohozaev", "verify"])
-def test_unusable_out_is_a_config_error(tmp_path, capfd, command):
-    # out below a regular file cannot be made: one exit-2 record that names
-    # out, and no traceback
+def test_unusable_out_is_a_config_error(tmp_path, capfd, monkeypatch, command):
+    # an out that is a regular file, or lies below one, cannot be written:
+    # one exit-2 record that names out, before anything is solved or forked,
+    # no traceback and nothing created
     (tmp_path / "afile").write_text("")
-    cfg = base_config(
-        tmp_path / "afile" / "sub",
-        mesh={"nodes": 64},
-        window={"start": 0.5, "end": 1.5, "steps": 3},
-        diagnostics=[],
-        k_max=1,
-    )
-    code = main([command, "--config", write_config(tmp_path, "c.json", cfg)])
-    out, err = capfd.readouterr()
-    assert code == 2
-    assert err == ""
-    (line,) = out.splitlines()
-    assert json.loads(line)["error"]["fields"] == ["out"]
+    forks, solves = _count_forks(monkeypatch), []
+    monkeypatch.setattr(radial_solver, "newton_solve", lambda *a, **k: solves.append(a))
+    for out in (tmp_path / "afile" / "sub", tmp_path / "afile"):
+        cfg = base_config(
+            out,
+            mesh={"nodes": 64},
+            window={"start": 0.5, "end": 1.5, "steps": 3},
+            diagnostics=["rate"],
+            k_max=1,
+        )
+        code = main([command, "--config", write_config(tmp_path, "c.json", cfg)])
+        stdout, err = capfd.readouterr()
+        assert code == 2
+        assert err == ""
+        (line,) = stdout.splitlines()
+        assert json.loads(line)["error"]["fields"] == ["out"]
+        assert solves == [] and forks == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json"]
+
+
+def test_out_that_may_be_made_passes_the_check(tmp_path):
+    # a missing out below a writable directory, and an existing directory,
+    # are usable; the check creates nothing
+    cli._check_out(str(tmp_path / "a" / "b"))
+    cli._check_out(str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
 
 
 class TestSerializeHelpers:
@@ -482,19 +496,25 @@ def _count_forks(monkeypatch):
     return forks
 
 
-@pytest.mark.parametrize("command, workers", [("verify", 1), ("pohozaev", 2), ("verify", 0)])
+@pytest.mark.parametrize("command, workers", [("verify", 1), ("pohozaev", 2), ("verify", 0),
+                                              ("spectrum", 2), ("branch", 1)])
 def test_worker_and_serial_paths_write_the_same_bytes(command, workers, tmp_path, capsys,
                                                       monkeypatch):
-    # on 2 CPUs, pohozaev forks a worker for the continuation's cold points
-    # and one for the fold pair's lower root; verify forks its companion
-    # continuation only, since the coarse branch and the fold pair run
-    # inside that job and jobs nest one level deep; verify without
-    # diagnostics forks nothing (its job has no row).  A worker that dies
-    # before it marks its result done, and a process that cannot fork,
-    # leave the work to the parent, which must write the same bytes
+    # on 2 CPUs, every command but verify forks a worker for the
+    # continuation's cold points, pohozaev one for the fold pair's lower
+    # root and spectrum one for the scan's points; branch writes each
+    # point's mesh nodes, so meshes that came back from a worker must be
+    # the serial ones bit for bit.  verify forks its companion continuation
+    # only, since the coarse branch and the fold pair run inside that job
+    # and jobs nest one level deep; verify without diagnostics forks nothing
+    # (its job has no item).  A worker that dies before it hands its result
+    # back, and a process that cannot fork, leave the work to the parent,
+    # which must write the same bytes
     diagnostics = ["pohozaev"] if workers else []
     cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=diagnostics,
                       window={"start": 2.0, "end": 8.0, "steps": 25})
+    if command == "spectrum":
+        cfg["k_max"] = 2
     path = write_config(tmp_path, "fold.json", cfg)
 
     def outputs():
@@ -506,17 +526,21 @@ def test_worker_and_serial_paths_write_the_same_bytes(command, workers, tmp_path
     forked = outputs()
     assert len(forks) == workers
 
-    parent, real = os.getpid(), radial_solver.newton_solve
+    parent = os.getpid()
 
-    def die_in_worker(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(7)
-        return real(*args, **kwargs)
+    def die_in_worker(real):
+        def solve(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(7)
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(radial_solver, "newton_solve", die_in_worker)
-    died = outputs()
+        return solve
+
+    with monkeypatch.context() as m:
+        m.setattr(radial_solver, "newton_solve", die_in_worker(radial_solver.newton_solve))
+        m.setattr(linearization, "mode_spectrum", die_in_worker(linearization.mode_spectrum))
+        died = outputs()
     assert len(forks) == 2 * workers
-    monkeypatch.setattr(radial_solver, "newton_solve", real)
     monkeypatch.delattr(os, "fork")
     serial = outputs()
     assert forked[0] in (0, 4)
@@ -733,10 +757,11 @@ def test_scipy_packages_imported_only_where_needed():
 
 def test_only_the_worker_helper_forks():
     # the package's worker processes all come from workers.shared: it alone
-    # forks, maps the shared table, pins a CPU and leaves through os._exit,
-    # and only the workers module loads ctypes and names OpenBLAS's thread
-    # setters; nothing is pickled
-    calls = {("os", "fork"), ("os", "_exit"), ("mmap", "mmap"), ("os", "sched_setaffinity")}
+    # forks, maps the claim flags, opens the workers' files, pins a CPU and
+    # leaves through os._exit, and only the workers module loads ctypes and
+    # pickle and names OpenBLAS's thread setters
+    calls = {("os", "fork"), ("os", "_exit"), ("mmap", "mmap"), ("os", "sched_setaffinity"),
+             ("tempfile", "TemporaryFile")}
     forks, pickles = set(), set()
 
     def visit(node, module, scope):
@@ -770,10 +795,11 @@ def test_only_the_worker_helper_forks():
         ("workers.py", "shared", "os._exit"),
         ("workers.py", "shared", "mmap.mmap"),
         ("workers.py", "shared", "os.sched_setaffinity"),
+        ("workers.py", "shared", "tempfile.TemporaryFile"),
         ("workers.py", "_openblas_threads", "import ctypes"),
         ("workers.py", "", "set_num_threads"),
     }
-    assert pickles == set()
+    assert pickles == {"workers.py"}
 
 
 def test_dense_operators_built_only_where_needed():
@@ -836,11 +862,6 @@ def _scopes_naming(attr):
 def test_graded_meshes_built_only_by_the_mesh_rules():
     # the solver mesh has one rule, solver_mesh
     assert _scopes_naming("graded") == {("radial_solver.py", "solver_mesh")}
-
-
-def test_meshes_read_from_rows_only_by_the_continuation():
-    # the second way of making a mesh, for meshes a worker built
-    assert _scopes_naming("from_row") == {("radial_solver.py", "continue_branch")}
 
 
 def test_second_branch_node_count_only_from_the_companion_rule():

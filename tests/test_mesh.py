@@ -1,9 +1,11 @@
 import importlib
 import importlib.machinery
 import json
+import mmap
 import os
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,7 +14,9 @@ from scipy.linalg.lapack import dgbsv
 
 from mfelab import meshing, workers
 from mfelab.errors import MfelabError
+from mfelab.greens import WeightSpec
 from mfelab.meshing import RadialMesh, band_matvec, fd_weights, scipy_extension
+from mfelab.radial_solver import newton_solve
 
 
 def test_fd_weights_exact_on_monomials():
@@ -504,20 +508,44 @@ def test_interval_table_equals_the_full_power_form(n, beta, lam):
 
 
 @pytest.mark.parametrize("halfwidth", [2, 3])
-def test_mesh_row_round_trip(halfwidth):
-    mesh = RadialMesh.graded(200, 1.5, 6.0, halfwidth=halfwidth)
-    row = mesh.to_row()
-    assert row.size == RadialMesh.row_size(200, halfwidth)
-    back = RadialMesh.from_row(row, 1.5)
-    assert (back.n, back.beta, back.halfwidth, back.bandwidth) == (200, 1.5, halfwidth, 2 * halfwidth)
-    for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals"):
-        original, read = getattr(mesh, name), getattr(back, name)
+def test_point_round_trip_through_a_worker(halfwidth, monkeypatch):
+    # a point a forked worker solved comes back with its mesh, bit for bit
+    # and read-only, as numpy's in-band unpickling of read-only arrays gives
+    if not workers._openblas_threads():
+        pytest.skip("the process maps no OpenBLAS with settable threads, so nothing forks")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    spec = WeightSpec(alpha=0.5, kind="gaussian", coef=0.25)
+    parent = os.getpid()
+    started = np.frombuffer(mmap.mmap(-1, 8))
+
+    def solve(i):
+        started[0] = 1.0
+        mesh = RadialMesh.graded(200, 1.5, 6.0, halfwidth=halfwidth)
+        return os.getpid(), newton_solve(spec, mesh, lam=7.0)
+
+    with workers.shared(solve, 1) as items:
+        deadline = time.monotonic() + 10.0
+        while not started[0] and time.monotonic() < deadline:
+            time.sleep(0.001)  # the worker claims the one item
+    [(pid, back)] = items
+    assert pid != parent
+    point = solve(0)[1]
+    mesh = point.mesh
+    assert back.spec == spec
+    assert (back.rho, back.lam, back.res_norm, back.newton_iters) == (
+        point.rho, point.lam, point.res_norm, point.newton_iters)
+    assert (back.mesh.n, back.mesh.beta, back.mesh.halfwidth, back.mesh.bandwidth) == (
+        200, 1.5, halfwidth, 2 * halfwidth)
+    arrays = [("u", back.u, point.u)] + [
+        (name, getattr(back.mesh, name), getattr(mesh, name))
+        for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals")
+    ]
+    assert sorted(vars(back.mesh)) == sorted(vars(mesh))
+    for name, read, original in arrays:
         assert read.shape == original.shape, name
         assert np.array_equal(read, original), name
         assert not read.flags.writeable, name
-        # a mesh kept past a shared table must not keep the table mapped
-        assert not np.shares_memory(read, row), name
     t_end = 0.5 * float(mesh.t[50] + mesh.t[51])
-    assert np.array_equal(back.quad_to(t_end), mesh.quad_to(t_end))
-    assert np.array_equal(back.point_rows(0.0, 1), mesh.point_rows(0.0, 1))
-    assert np.array_equal(back.lap_band(1.0), mesh.lap_band(1.0))
+    assert np.array_equal(back.mesh.quad_to(t_end), mesh.quad_to(t_end))
+    assert np.array_equal(back.mesh.point_rows(0.0, 1), mesh.point_rows(0.0, 1))
+    assert np.array_equal(back.mesh.lap_band(1.0), mesh.lap_band(1.0))

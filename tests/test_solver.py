@@ -350,7 +350,7 @@ REFUSED = 6.5
 
 def _refuse_until_bisected(lam, calls):
     # the cold target 6.5 fails until this process solved a sub-step just
-    # below it: its row fails wherever it runs, and the continuation
+    # below it: its item fails wherever it runs, and the continuation
     # retries, bisects and then solves it
     return lam == REFUSED and not any(REFUSED - 0.25 < x < REFUSED and ok for x, ok in calls)
 
@@ -373,7 +373,7 @@ def test_branch_does_not_depend_on_workers(case, monkeypatch):
             calls = _refusing(m, refuse)
             runs.append(_branch_arrays(continue_branch(*SPLIT_WINDOW, spec, nodes=128)))
         if case == "bisects_a_cold_target":
-            # the sub-steps run here, whichever process refused the row
+            # the sub-steps run here, whichever process refused the item
             assert [ok for x, ok in calls if x == REFUSED][-1]
             assert any(REFUSED - 0.25 < x < REFUSED for x, _ in calls)
     for run in runs[1:]:
@@ -388,13 +388,13 @@ def test_branch_does_not_depend_on_workers(case, monkeypatch):
 
 
 def test_rows_go_only_to_cold_targets(monkeypatch):
-    # the continuation's worker rows are solved from Newton's own cold
+    # the continuation's worker items are solved from Newton's own cold
     # start, so the warm guess must ignore the previous point at each of them
     counts, real = [], radial_solver.shared
 
-    def recorded(compute, count, width):
+    def recorded(compute, count):
         counts.append(count)
-        return real(compute, count, width)
+        return real(compute, count)
 
     monkeypatch.setattr(radial_solver, "shared", recorded)
     spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
