@@ -1,16 +1,14 @@
 """Numerical laboratory for bubbling branches of the singular mean field
 equation on the unit disk.
 
-Import rule: no scipy package is imported at module level, since every CLI
+Import rule: the package imports no scipy package, since every CLI
 process pays for its imports before it reads its config and
 ``import scipy.linalg`` alone takes about 0.3 s.  ``meshing.scipy_extension``
 loads the two compiled modules the CLI paths call straight from scipy's
 files: LAPACK (``scipy.linalg._flapack``, whose band LU only ``meshing``
 calls: ``RadialMesh.band_solver`` serves Newton and the mode spectra) and
 ARPACK (``scipy.sparse.linalg._eigen.arpack._arpacklib``, driven by
-``linearization._arnoldi``).  A function that needs a scipy package
-imports it in its own body (only ``diagnostics.two_term_fit``, which
-imports ``scipy.optimize``), and the fold-pair root finder is a port of
+``linearization._arnoldi``).  The fold-pair root finder is a port of
 scipy's Brent step (``radial_solver._brentq``) rather than a call into
 ``scipy.optimize``.
 
@@ -43,7 +41,6 @@ try:
         pohozaev_residual_linearized,
         psi1_gradient_check,
         rate_law_fit,
-        two_term_fit,
         uniqueness_probe,
     )
     from .errors import ParameterDomainError
@@ -90,7 +87,6 @@ __all__ = [
     "pohozaev_residual_linearized",
     "psi1_gradient_check",
     "rate_law_fit",
-    "two_term_fit",
     "uniqueness_probe",
 ]
 

@@ -9,7 +9,9 @@ are deterministic: files carry the config hash, floats are written with
 17 significant digits, and writes are atomic.
 
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 assertion
-failure.  Failures are reported as one JSON object on stdout.
+failure.  Failures are reported as one JSON object on stdout.  A config
+whose arrays cannot be allocated (a huge ``window.steps``, ``k_max`` or
+``mesh.nodes``) exits 3 with kind ``MemoryError``.
 """
 
 from __future__ import annotations
@@ -299,6 +301,10 @@ def main(argv=None) -> int:
         return 2
     except MfelabError as exc:
         _emit({"error": {"code": 3, "kind": type(exc).__name__, "message": str(exc)}})
+        return 3
+    except MemoryError as exc:
+        # numpy raises a private subclass; the record names the public class
+        _emit({"error": {"code": 3, "kind": "MemoryError", "message": str(exc)}})
         return 3
 
 

@@ -11,8 +11,9 @@ a two-dimensional tensor-product cross-check of the reduction.
 The one-term fits are unweighted least squares on log|value| against
 lambda, over a lambda window that defaults to [8, 14].  Inside that window
 the e^(-lambda) next-order term is still 3-22% of the leading term on the
-gaussian coef=0.25 branch and bends the one-term line; two_term_fit carries
-that term explicitly and reads the leading law off the same window.
+gaussian coef=0.25 branch and bends the one-term line; the tests' two-term
+fit carries that term explicitly and reads the leading law off the same
+window.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ __all__ = [
     "log_linear_fit",
     "rate_law_fit",
     "local_rate_law_fit",
-    "two_term_fit",
     "matching_residual",
     "outer_profile_residual",
     "pohozaev_residual",
@@ -152,50 +152,6 @@ def local_rate_law_fit(branch: Branch, r0: float, window=(8.0, 14.0)) -> FitResu
     vals = [pt.local_mass(r0) for pt in branch.points]
     beta = 1.0 + branch.spec.alpha
     return log_linear_fit(branch.lambdas, np.asarray(vals) - EIGHT_PI * beta, window)
-
-
-def two_term_fit(lams, values, correction: float, window=(8.0, 14.0)) -> FitResult:
-    """Fit values = a e^(s lambda) + b e^(-correction lambda) over the window.
-
-    correction is the known rate q of the next-order term; the leading
-    exponent s is free in (-q, 0).  For each s the coefficients (a, b)
-    solve a linear least-squares problem on residuals relative to |values|
-    (variable projection), and a bounded scalar search picks s.  Returns
-    slope = s, intercept = log|a| and r^2 of log|values| against the
-    two-term model, so the leading law reads off as in the one-term fit
-    once the named correction is taken out.
-    """
-    from scipy.optimize import minimize_scalar
-
-    q = float(correction)
-    if not q > 0.0:
-        raise ParameterDomainError(f"correction rate {q} must be positive")
-    x, v, lo, hi = _window_points(lams, values, window)
-    # centring lambda keeps both basis columns of order one
-    centre = 0.5 * (lo + hi)
-    xc = x - centre
-    scale = 1.0 / np.abs(v)
-
-    def coefficients(s):
-        basis = np.column_stack((np.exp(s * xc), np.exp(-q * xc))) * scale[:, None]
-        coef, *_ = np.linalg.lstsq(basis, v * scale, rcond=None)
-        return coef, basis @ coef - v * scale
-
-    def objective(s):
-        _, resid = coefficients(s)
-        return float(resid @ resid)
-
-    s = float(
-        minimize_scalar(
-            objective, bounds=(-q, 0.0), method="bounded", options={"xatol": 1e-12}
-        ).x
-    )
-    (a_c, b_c), _ = coefficients(s)
-    model = a_c * np.exp(s * xc) + b_c * np.exp(-q * xc)
-    with np.errstate(divide="ignore"):
-        intercept = float(np.log(abs(a_c))) - s * centre
-        r2 = _r_squared(np.log(np.abs(v)), np.log(np.abs(model)))
-    return FitResult(s, intercept, r2, (lo, hi), x.size)
 
 
 def matching_residual(point: SolutionPoint) -> float:
@@ -378,23 +334,11 @@ class MonotonicityVerdict:
     monotone: bool
     sign: int
     expected_sign: int
-    lambdas: tuple
     derivatives: tuple
-    window: tuple
 
     @property
     def ok(self) -> bool:
         return self.monotone and self.sign == self.expected_sign
-
-    def to_dict(self) -> dict:
-        return {
-            "monotone": self.monotone,
-            "sign": self.sign,
-            "expected_sign": self.expected_sign,
-            "lambdas": list(self.lambdas),
-            "derivatives": list(self.derivatives),
-            "window": list(self.window),
-        }
 
 
 def _table_points(lams, window) -> np.ndarray:
@@ -429,14 +373,12 @@ def uniqueness_probe(branch: Branch, window=(8.0, 14.0)) -> MonotonicityVerdict:
     """
     lams = branch.lambdas
     rhos = branch.rhos
-    lo, hi = float(window[0]), float(window[1])
     keep = _table_points(lams, window)
     lk = lams[keep]
     rk = rhos[keep]
     order = np.argsort(lk)
     lk, rk = lk[order], rk[order]
     der = np.diff(rk) / np.diff(lk)
-    mid = 0.5 * (lk[1:] + lk[:-1])
     signs = np.sign(der)
     monotone = bool(np.all(signs == signs[0]) and signs[0] != 0.0)
     spec = branch.spec
@@ -446,9 +388,7 @@ def uniqueness_probe(branch: Branch, window=(8.0, 14.0)) -> MonotonicityVerdict:
         monotone=monotone,
         sign=int(signs[0]) if monotone else 0,
         expected_sign=expected,
-        lambdas=tuple(float(v) for v in mid),
         derivatives=tuple(float(v) for v in der),
-        window=(lo, hi),
     )
 
 

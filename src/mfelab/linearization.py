@@ -31,18 +31,11 @@ scan over modes starts each mode's Arnoldi run from the previous mode's
 eigenvector at the same point, which lies close to the wanted
 eigenvectors and saves restarts.
 
-``nondegeneracy_scan`` shares the branch points among one process per
-usable CPU through ``workers.shared``, the package's process layer: each
-forked worker, on a CPU of its own, claims the lowest point no process
-has claimed and the calling process the highest, until none is left,
-with OpenBLAS held to one thread in all of them.  Each point comes back
-as its chain's array of eig_min and eig_min_next, and the helper then
-computes in the calling process every point that did not: a failing
-point's chain runs twice, and a dead worker's points are computed again
-rather than reported.  Each point's chain of modes stays in one
-process and runs the operations of a serial scan, so the spectra are the
-same bits for any W.  A profiler in the calling process sees only its own
-share of the calls.
+``nondegeneracy_scan`` makes each branch point's chain of modes one item
+of ``workers.shared`` (the ``workers`` module states how items are claimed
+and which ones the calling process computes again), so a chain runs in
+one process, as in a serial scan, and gives the same bits for any number
+of processes.
 """
 
 from __future__ import annotations
@@ -106,7 +99,6 @@ class ModeSpectrum:
 
     k: int
     eigenvalues: np.ndarray
-    smallest_magnitude: float
     eigenvector_0: np.ndarray
     imag_noise: float
 
@@ -163,15 +155,15 @@ def build_mode_operator(point: SolutionPoint, k: int) -> ModeOperator:
     )
 
 
-def _arnoldi(apply, v0: np.ndarray, count: int, maxiter: int | None = None):
+def _arnoldi(apply, v0: np.ndarray, count: int):
     """ARPACK's ``dnaupd``/``dneupd`` in shift-invert mode around zero.
 
     ``apply`` maps x to OP x; the ``count`` eigenvalues of OP largest in
     magnitude are turned back by ARPACK into the eigenvalues 1/mu nearest
     zero.  The calls are those ``scipy.sparse.linalg.eigs`` makes for
     ``sigma=0.0, which="LM", tol=0`` with a real ``OPinv`` and no ``M``
-    (mode 3, bmat 'I', ncv = max(2 count + 1, 20), maxiter = 10 n by
-    default), so the results are its bits without loading
+    (mode 3, bmat 'I', ncv = max(2 count + 1, 20), maxiter = 10 n), so
+    the results are its bits without loading
     ``scipy.sparse``.  Returns (eigenvalues, eigenvectors, applications of
     OP) in ARPACK's order; raises ``SpectrumError`` when ARPACK reports a
     failure, with the number of converged eigenvalues when it ran out of
@@ -182,7 +174,7 @@ def _arnoldi(apply, v0: np.ndarray, count: int, maxiter: int | None = None):
     state = {
         "tol": 0.0, "getv0_rnorm0": 0.0, "aitr_betaj": 0.0, "aitr_rnorm1": 0.0,
         "aitr_wnorm": 0.0, "aup2_rnorm": 0.0, "ido": 0, "which": 0, "bmat": 0,
-        "info": 1, "iter": 0, "maxiter": 10 * n if maxiter is None else int(maxiter),
+        "info": 1, "iter": 0, "maxiter": 10 * n,
         "mode": 3, "n": n, "nconv": 0, "ncv": ncv, "nev": count, "np": 0,
         "shift": 1, "getv0_first": 0, "getv0_iter": 0, "getv0_itry": 0,
         "getv0_orth": 0, "aitr_iter": 0, "aitr_j": 0, "aitr_orth1": 0,
@@ -272,7 +264,6 @@ def _extract(state, count, resid, v, ipntr, workd, workl):
 def mode_spectrum(
     op: ModeOperator,
     count: int = 8,
-    maxiter: int | None = None,
     start: np.ndarray | None = None,
 ) -> ModeSpectrum:
     """The count smallest-magnitude eigenvalues of the weighted problem.
@@ -294,9 +285,9 @@ def mode_spectrum(
 
     ``start`` is ARPACK's start vector, one entry per interior node (e.g.
     another mode's ``eigenvector_0[:-1]``); it must be finite and not
-    zero, and defaults to the deterministic sin(1 + i).  ``maxiter`` caps
-    ARPACK's restarts (default 10 n); running out of them, like any other
-    ARPACK failure, raises ``SpectrumError``.
+    zero, and defaults to the deterministic sin(1 + i).  Running out of
+    ARPACK's 10 n restarts, like any other ARPACK failure, raises
+    ``SpectrumError``.
 
     ``eigenvector_0`` is the eigenvector of the eigenvalue nearest zero,
     scaled to peak 1, with the Dirichlet 0 of the boundary node appended.
@@ -319,7 +310,7 @@ def mode_spectrum(
     if solve is None or not 0.0 < abs(denom) < np.inf:
         raise SpectrumError(f"mode k={op.k} operator is singular (info {info}, denom {denom!r})")
     try:
-        w, X, _ = _arnoldi(lambda x: solve(op.weight * x), v0, count, maxiter)
+        w, X, _ = _arnoldi(lambda x: solve(op.weight * x), v0, count)
     except SpectrumError as exc:
         raise SpectrumError(f"{exc} for mode k={op.k}") from None
     idx = np.argsort(np.abs(w))
@@ -334,7 +325,6 @@ def mode_spectrum(
     return ModeSpectrum(
         k=op.k,
         eigenvalues=eigenvalues,
-        smallest_magnitude=float(np.abs(eigenvalues[0])),
         eigenvector_0=vec,
         imag_noise=imag_noise,
     )

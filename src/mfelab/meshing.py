@@ -82,6 +82,10 @@ dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 #: nodes per quadrature cell stencil (design order 6)
 QUAD_POINTS = 6
 
+#: derivative stencils span 2 * HALFWIDTH + 1 nodes (design order 6), so
+#: the derivative bands have bandwidth 2 * HALFWIDTH
+HALFWIDTH = 3
+
 #: rows per slab of ``RadialMesh.slab_matvec``, and the column multiple on
 #: which each slab's window starts and ends
 SLAB_ROWS = 64
@@ -213,13 +217,13 @@ def _sum_intervals(t: np.ndarray, t_end: float, table: np.ndarray) -> np.ndarray
     return q
 
 
-def _windows(t: np.ndarray, halfwidth: int, rows: np.ndarray):
+def _windows(t: np.ndarray, rows: np.ndarray):
     """Stencil columns and (possibly reflected) node abscissae, one row each.
 
     A window that would start left of the first node reaches into t < 0;
     its virtual column -k - 1 stands for node k reflected to -t[k].
     """
-    w = halfwidth
+    w = HALFWIDTH
     start = np.minimum(rows - w, t.size - 2 * w - 1)
     virtual = start[:, None] + np.arange(2 * w + 1)
     cols = np.where(virtual < 0, -virtual - 1, virtual)
@@ -227,7 +231,7 @@ def _windows(t: np.ndarray, halfwidth: int, rows: np.ndarray):
     return cols, nodes
 
 
-def derivative_bands(t: np.ndarray, halfwidth: int = 3):
+def derivative_bands(t: np.ndarray):
     """The d/dt and d^2/dt^2 row bands of ``RadialMesh`` on the nodes ``t``.
 
     The mesh builds its stencils here.  A caller that needs the derivative
@@ -238,13 +242,13 @@ def derivative_bands(t: np.ndarray, halfwidth: int = 3):
     in stencil order, row by row.
     """
     t = np.asarray(t, dtype=float)
-    if t.ndim != 1 or t.size < 2 * halfwidth + 2:
-        raise MfelabError("mesh needs at least 2*halfwidth + 2 nodes")
+    if t.ndim != 1 or t.size < 2 * HALFWIDTH + 2:
+        raise MfelabError(f"mesh needs at least {2 * HALFWIDTH + 2} nodes")
     if t[0] <= 0.0 or np.any(np.diff(t) <= 0.0):
         raise MfelabError("nodes must be strictly increasing and positive")
-    n, bw = t.size, 2 * halfwidth
+    n, bw = t.size, 2 * HALFWIDTH
     rows = np.arange(n)
-    cols, nodes = _windows(t, halfwidth, rows)
+    cols, nodes = _windows(t, rows)
     c = _fornberg(t, nodes, 2)
     where = (np.repeat(rows, cols.shape[1]), (cols - rows[:, None] + bw).ravel())
     bands = []
@@ -261,7 +265,7 @@ class RadialMesh:
     The origin is not a node.  Stencils whose window would cross t = 0 are
     folded back onto the positive axis (even extension), and the last rows
     use left-shifted windows, so both derivative operators have bandwidth
-    at most ``2 * halfwidth``.  They are stored as the row bands
+    at most ``2 * HALFWIDTH``.  They are stored as the row bands
     ``d1_band`` and ``d2_band`` of shape (n, 2 * bandwidth + 1), so a mesh
     holds O(n) floats; ``band_solver`` factors a band (plus a rank-one
     term) with LAPACK's band LU, ``slab_matvec`` multiplies one into a
@@ -280,44 +284,33 @@ class RadialMesh:
     imposed by whoever assembles the system.
     """
 
-    def __init__(self, t: np.ndarray, beta: float, halfwidth: int = 3):
+    def __init__(self, t: np.ndarray, beta: float):
         t = np.array(t, dtype=float)
-        self.d1_band, self.d2_band = derivative_bands(t, halfwidth)
+        self.d1_band, self.d2_band = derivative_bands(t)
         if not beta > 0.0:
             raise MfelabError("beta must be positive")
         self.t = t
         self.beta = float(beta)
         self.r = t ** (1.0 / beta)
         self.n = t.size
-        self.halfwidth = int(halfwidth)
-        self.bandwidth = 2 * self.halfwidth
+        self.bandwidth = 2 * HALFWIDTH
         self._intervals = _interval_table(t, QUAD_POINTS)
         self.quad = _sum_intervals(t, float(t[-1]), self._intervals)
         for arr in (self.t, self.r, self.d1_band, self.d2_band, self._intervals, self.quad):
             arr.setflags(write=False)
 
     @classmethod
-    def graded(
-        cls,
-        n: int,
-        beta: float,
-        strength: float,
-        halfwidth: int = 3,
-    ) -> "RadialMesh":
+    def graded(cls, n: int, beta: float, strength: float) -> "RadialMesh":
         """Sinh-graded mesh with ``n`` nodes on (0, 1], clustered toward
         the origin.
 
-        ``strength`` = 0 gives the uniform mesh; larger values push nodes
-        toward t = 0 roughly like exp(-strength) for the first node.
+        ``strength`` must be positive; larger values push nodes toward
+        t = 0 roughly like exp(-strength) for the first node.
         """
+        if not strength > 0.0:
+            raise MfelabError("grading strength must be positive")
         i = np.arange(1, n + 1, dtype=float)
-        if strength < 0.0:
-            raise MfelabError("grading strength must be nonnegative")
-        if strength < 1e-12:
-            t = i / n
-        else:
-            t = np.sinh(strength * i / n) / np.sinh(strength)
-        return cls(t, beta, halfwidth)
+        return cls(np.sinh(strength * i / n) / np.sinh(strength), beta)
 
     def band_triplets(self, band: np.ndarray):
         """(rows, cols, values) of the in-range entries of a row band, row by row.
@@ -451,7 +444,7 @@ class RadialMesh:
         if not 0.0 <= t_star <= self.t[-1] * (1.0 + 1e-12):
             raise MfelabError(f"point {t_star!r} outside [0, {self.t[-1]!r}]")
         i = int(np.argmin(np.abs(self.t - t_star)))
-        cols, nodes = _windows(self.t, self.halfwidth, np.array([i]))
+        cols, nodes = _windows(self.t, np.array([i]))
         c = fd_weights(float(t_star), nodes[0], m)
         rows = np.zeros((m + 1, self.n))
         for d in range(m + 1):

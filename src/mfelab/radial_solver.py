@@ -207,18 +207,6 @@ def _residual_map(spec: WeightSpec, mesh: RadialMesh):
     return parts, lap_band, e0
 
 
-def residual(u, rho, spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
-    """Pointwise residual Delta u + rho h e^u / M in the plane variables."""
-    u = np.asarray(u, dtype=float)
-    if u.shape != mesh.t.shape:
-        raise ParameterDomainError("field and mesh sizes differ")
-    if abs(float(u[-1])) > 1e-9:
-        raise ParameterDomainError("field must vanish at r = 1")
-    beta = 1.0 + spec.alpha
-    G = _residual_map(spec, mesh)[0](u, rho)[0]
-    return (beta**2 * mesh.t ** (2.0 - 2.0 / beta)) * G
-
-
 def _norm_rows(G, scale, u_last):
     return max(float(np.max(np.abs(G[:-1]) / scale[:-1])), abs(float(u_last)))
 
@@ -235,10 +223,9 @@ def newton_solve(
     u~(0) = lambda; the solve holds through folds in rho.
 
     Residuals are measured componentwise against the row magnitude, so the
-    convergence criterion is a backward-relative one at NEWTON_TOL.  Raw
-    residual fields are available through ``residual``.  The residual map,
-    the Laplacian band and the origin row come from ``_residual_map``, so
-    solves in a row on one mesh build them once.
+    convergence criterion is a backward-relative one at NEWTON_TOL.  The
+    residual map, the Laplacian band and the origin row come from
+    ``_residual_map``, so solves in a row on one mesh build them once.
     """
     if not math.isfinite(lam):
         raise ParameterDomainError(f"lam must be finite, got {lam!r}")
@@ -332,25 +319,13 @@ def newton_solve(
 # closed-form family and initial data --------------------------------------
 
 
-def exact_disk_family(
-    alpha: float,
-    m: float,
-    mesh: RadialMesh | None = None,
-    spec: WeightSpec | None = None,
-) -> SolutionPoint:
-    """The analytic branch for constant hstar:
+def exact_disk_family(alpha: float, m: float, mesh: RadialMesh | None = None) -> SolutionPoint:
+    """The analytic branch for constant hstar = 1:
 
         u(r) = 2 log((1+m)/(1+m r^(2 beta))),
         rho(m) = 8 pi beta m/(1+m),  lambda(m) = log(beta (1+m)/pi).
-
-    Exact for any positive constant factor (it cancels in the mass ratio).
     """
-    if spec is None:
-        spec = WeightSpec(alpha=alpha)
-    if spec.kind != "constant":
-        raise NotApplicableError("the closed-form family needs constant hstar")
-    if spec.alpha != alpha:
-        raise ParameterDomainError("spec.alpha disagrees with alpha")
+    spec = WeightSpec(alpha=alpha)
     if not m > 0.0:
         raise ParameterDomainError("the family parameter m must be positive")
     beta = 1.0 + alpha

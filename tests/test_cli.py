@@ -2,6 +2,8 @@
 
 import ast
 import dataclasses
+import importlib
+import importlib.util
 import inspect
 import json
 import math
@@ -123,6 +125,46 @@ def test_out_that_may_be_made_passes_the_check(tmp_path):
     cli._check_out(str(tmp_path / "a" / "b"))
     cli._check_out(str(tmp_path))
     assert list(tmp_path.iterdir()) == []
+
+
+class _ArrayMemoryError(MemoryError):
+    """Stands for numpy's private subclass, which a failed allocation raises."""
+
+
+def _refuse_allocation(*args, **kwargs):
+    raise _ArrayMemoryError("Unable to allocate 72.8 TiB for an array with shape (10000000000000,)")
+
+
+def _assert_memory_error_record(code, capfd):
+    stdout, err = capfd.readouterr()
+    assert code == 3
+    assert err == ""
+    (line,) = stdout.splitlines()
+    assert json.loads(line) == {"error": {
+        "code": 3, "kind": "MemoryError",
+        "message": "Unable to allocate 72.8 TiB for an array with shape (10000000000000,)"}}
+
+
+@pytest.mark.parametrize("command", ["branch", "spectrum", "pohozaev", "verify"])
+def test_arrays_that_cannot_be_allocated_exit_3(tmp_path, capfd, monkeypatch, command):
+    # a huge window.steps fails where the lambda grid is allocated; the grid
+    # raises as numpy would, so nothing is allocated: one exit-3 record of
+    # kind MemoryError, no traceback
+    monkeypatch.setattr(cli, "branch_targets", _refuse_allocation)
+    monkeypatch.setattr(radial_solver, "branch_targets", _refuse_allocation)
+    cfg = base_config(tmp_path / "out", window={"start": 6.0, "end": 15.0, "steps": 19})
+    code = main([command, "--config", write_config(tmp_path, "c.json", cfg)])
+    _assert_memory_error_record(code, capfd)
+
+
+def test_a_scan_that_cannot_allocate_exits_3(tmp_path, capfd, monkeypatch):
+    # a huge k_max fails in each point's chain of modes, in the workers and
+    # again in the command's process
+    monkeypatch.setattr(linearization, "_mode_chain", _refuse_allocation)
+    cfg = base_config(tmp_path / "out", mesh={"nodes": 64},
+                      window={"start": 0.5, "end": 1.5, "steps": 3}, k_max=1)
+    code = main(["spectrum", "--config", write_config(tmp_path, "c.json", cfg)])
+    _assert_memory_error_record(code, capfd)
 
 
 class TestSerializeHelpers:
@@ -728,8 +770,8 @@ def test_only_meshing_imports_lapack():
 
 
 def test_scipy_packages_imported_only_where_needed():
-    # the three functions that need a scipy package import it in their own
-    # body; the mode spectra have one solve path and import none
+    # no package module imports a scipy package, at module level or in a
+    # function body: the CLI paths load only the two compiled modules
     imports = set()
 
     def visit(node, module, scope):
@@ -750,9 +792,7 @@ def test_scipy_packages_imported_only_where_needed():
 
     for name, tree in _package_trees():
         visit(tree, name, ())
-    assert imports == {
-        ("diagnostics.py", "two_term_fit", "scipy.optimize"),
-    }
+    assert imports == set()
 
 
 def test_only_the_worker_helper_forks():
@@ -889,9 +929,28 @@ def _loaded_after(probe):
     return json.loads(proc.stdout)
 
 
+def test_every_traced_name_resolves_in_the_package(monkeypatch):
+    # the benchmark's tracer wraps each (layer, path) of perfbench/tracer.py's
+    # TRACED; a name the package no longer defines would break every traced run
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "perfbench", "tracer.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # for its dataclasses
+    spec.loader.exec_module(tracer)
+    assert tracer.TRACED
+    for layer, name in tracer.TRACED:
+        home = importlib.import_module(f"mfelab.{layer}")
+        if "." in name:
+            cls_name, attr = name.split(".")
+            assert attr in vars(getattr(home, cls_name)), (layer, name)
+        else:
+            assert callable(getattr(home, name, None)), (layer, name)
+
+
 def test_cli_import_leaves_out_optional_scipy_modules():
     # the CLI loads scipy's compiled LAPACK and ARPACK modules and no scipy
-    # package; the rest load inside the few functions that use them
+    # package
     probe = "import json, sys, mfelab.cli; print(json.dumps(sorted(sys.modules)))"
     modules = _loaded_after(probe)
     loaded = {m for m in modules if m == "scipy" or m.startswith("scipy.")}

@@ -25,9 +25,9 @@ from mfelab import (
     pohozaev_residual_linearized,
     psi1_gradient_check,
     rate_law_fit,
-    two_term_fit,
     uniqueness_probe,
 )
+from fits import two_term_fit
 from mfelab.diagnostics import FitResult
 from mfelab.radial_solver import solver_mesh
 
@@ -422,11 +422,6 @@ class TestUniquenessProbe:
     def test_window_too_short_raises(self, branch_plus):
         with pytest.raises(ParameterDomainError, match="at least 4"):
             uniqueness_probe(branch_plus, window=(8.0, 8.6))
-
-    def test_dict_shape(self, branch_plus):
-        d = uniqueness_probe(branch_plus).to_dict()
-        assert set(d) == {"monotone", "sign", "expected_sign", "lambdas", "derivatives", "window"}
-        assert len(d["derivatives"]) == len(d["lambdas"])
 
 
 class TestReport:

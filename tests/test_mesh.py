@@ -1,6 +1,7 @@
 import importlib
 import importlib.machinery
 import json
+import math
 import mmap
 import os
 import subprocess
@@ -122,7 +123,7 @@ def test_even_reflection_near_origin():
     g = 1.0 / (1.0 + t**2)
     g1 = -2.0 * t / (1.0 + t**2) ** 2
     g2 = (6.0 * t**2 - 2.0) / (1.0 + t**2) ** 3
-    w = mesh.halfwidth
+    w = meshing.HALFWIDTH
     assert np.max(np.abs((mesh.dense(mesh.d1_band) @ g - g1)[:w])) < 1e-10
     assert np.max(np.abs((mesh.dense(mesh.d2_band) @ g - g2)[:w])) < 1e-7
 
@@ -372,12 +373,13 @@ def test_graded_mesh_shapes():
     assert mesh.r[-1] == pytest.approx(1.0)
     # r = t**(1/beta)
     assert np.allclose(mesh.r**mesh.beta, mesh.t)
-    uniform = RadialMesh.graded(16, 1.0, 0.0)
+    uniform = RadialMesh(np.arange(1, 17) / 16, 1.0)
     assert np.allclose(np.diff(uniform.t), 1.0 / 16)
     with pytest.raises(MfelabError):
         RadialMesh.graded(4, 1.5, 3.0)
-    with pytest.raises(MfelabError):
-        RadialMesh.graded(64, 1.5, -1.0)
+    for strength in (0.0, -1.0, math.nan):
+        with pytest.raises(MfelabError, match="strength"):
+            RadialMesh.graded(64, 1.5, strength)
 
 
 def _scalar_fornberg(z, x, m):
@@ -409,7 +411,7 @@ def _scalar_fornberg(z, x, m):
 def _reference_rows(mesh, i):
     # dense rows i of D1 and D2 from the scalar recursion on row i's window:
     # reflected nodes near t = 0, left-shifted windows in the tail
-    w, n, t = mesh.halfwidth, mesh.n, mesh.t
+    w, n, t = mesh.bandwidth // 2, mesh.n, mesh.t
     if i < w:
         neg = np.arange(w - i - 1, -1, -1)
         cols = np.concatenate([neg, np.arange(0, i + w + 1)])
@@ -430,8 +432,15 @@ def _reference_rows(mesh, i):
 @pytest.mark.parametrize("n", [16, 96, 1024])
 @pytest.mark.parametrize("strength", [0.0, 3.0, 9.0])
 @pytest.mark.parametrize("halfwidth", [2, 3])
-def test_derivative_rows_bit_identical_to_scalar_recursion(n, strength, halfwidth):
-    mesh = RadialMesh.graded(n, 1.5, strength, halfwidth=halfwidth)
+def test_derivative_rows_bit_identical_to_scalar_recursion(n, strength, halfwidth, monkeypatch):
+    # every mesh uses HALFWIDTH = 3; the vectorised pass holds for other
+    # widths too, and strength 0 stands for the uniform mesh
+    monkeypatch.setattr(meshing, "HALFWIDTH", halfwidth)
+    if strength:
+        mesh = RadialMesh.graded(n, 1.5, strength)
+    else:
+        mesh = RadialMesh(np.arange(1, n + 1) / n, 1.5)
+    assert mesh.bandwidth == 2 * halfwidth
     D1, D2 = mesh.dense(mesh.d1_band), mesh.dense(mesh.d2_band)
     for i in range(n):
         d1, d2 = _reference_rows(mesh, i)
@@ -514,13 +523,14 @@ def test_point_round_trip_through_a_worker(halfwidth, monkeypatch):
     if not workers._openblas_threads():
         pytest.skip("the process maps no OpenBLAS with settable threads, so nothing forks")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(meshing, "HALFWIDTH", halfwidth)
     spec = WeightSpec(alpha=0.5, kind="gaussian", coef=0.25)
     parent = os.getpid()
     started = np.frombuffer(mmap.mmap(-1, 8))
 
     def solve(i):
         started[0] = 1.0
-        mesh = RadialMesh.graded(200, 1.5, 6.0, halfwidth=halfwidth)
+        mesh = RadialMesh.graded(200, 1.5, 6.0)
         return os.getpid(), newton_solve(spec, mesh, lam=7.0)
 
     with workers.shared(solve, 1) as items:
@@ -534,8 +544,7 @@ def test_point_round_trip_through_a_worker(halfwidth, monkeypatch):
     assert back.spec == spec
     assert (back.rho, back.lam, back.res_norm, back.newton_iters) == (
         point.rho, point.lam, point.res_norm, point.newton_iters)
-    assert (back.mesh.n, back.mesh.beta, back.mesh.halfwidth, back.mesh.bandwidth) == (
-        200, 1.5, halfwidth, 2 * halfwidth)
+    assert (back.mesh.n, back.mesh.beta, back.mesh.bandwidth) == (200, 1.5, 2 * halfwidth)
     arrays = [("u", back.u, point.u)] + [
         (name, getattr(back.mesh, name), getattr(mesh, name))
         for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals")
