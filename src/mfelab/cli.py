@@ -29,7 +29,6 @@ from .errors import ConfigError, MfelabError, ParameterDomainError, WeightSpecEr
 from .linearization import nondegeneracy_scan
 from .radial_solver import branch_targets, continue_branch
 from .serialize import RunConfig
-from .workers import shared
 
 
 def _emit(obj: dict) -> None:
@@ -136,20 +135,13 @@ def _companion_nodes(nodes: int) -> int:
     return nodes // 2 if nodes >= 128 else 2 * nodes
 
 
-def _companion_branch(config: RunConfig):
-    """The continuation on the companion's nodes: whether it failed, and rho at each point."""
-    companion = _run_branch(config, nodes=_companion_nodes(config.mesh["nodes"]))
-    return companion.failure is not None, companion.rhos
-
-
 def _verify_failures(config: RunConfig, branch, report, companion) -> list:
     """The threshold gates on top of the report, as a list of failures.
 
-    ``companion`` is the list whose one item ``_companion_branch``
-    computed; it has no item when ``diagnostics`` is empty.  The mesh gate
-    bounds rho's gap to the companion branch, which bounds the branch's
-    own mesh error from above, so a config whose companion mesh is
-    unresolved fails it.
+    ``companion`` is the continuation on ``_companion_nodes`` nodes, or
+    None when ``diagnostics`` is empty.  The mesh gate bounds rho's gap to
+    the companion branch, which bounds the branch's own mesh error from
+    above, so a config whose companion mesh is unresolved fails it.
     """
     if not config.diagnostics:
         return []
@@ -161,12 +153,11 @@ def _verify_failures(config: RunConfig, branch, report, companion) -> list:
 
     # branch-level control: the continuation must be mesh-converged
     nodes = _companion_nodes(config.mesh["nodes"])
-    [(failed, other_rhos)] = companion
-    if failed:
+    if companion.failure is not None:
         failures.append({"check": "mesh-convergence",
                          "detail": f"companion mesh ({nodes} nodes) did not converge"})
     else:
-        rel = float(np.max(np.abs(other_rhos - branch.rhos) / np.maximum(1.0, np.abs(branch.rhos))))
+        rel = float(np.max(np.abs(companion.rhos - branch.rhos) / np.maximum(1.0, np.abs(branch.rhos))))
         if rel > thr["mesh_rtol"]:
             failures.append({
                 "check": "mesh-convergence",
@@ -206,33 +197,23 @@ def _verify_failures(config: RunConfig, branch, report, companion) -> list:
     return failures
 
 
-class _CoarseFailure(Exception):
-    """The verified branch stopped short; raised to leave the worker block."""
-
-
 def cmd_verify(config: RunConfig) -> int:
     h = config.config_hash()
     # the lambda grid alone decides a short fit window: fail it before any solve
     win = config.window
     targets = branch_targets(win["start"], win["end"], win["steps"])
     check_window(targets, config.fit_window, config.diagnostics)
-    # the mesh gate's companion continuation does not depend on the
-    # verified branch, so a worker runs it meanwhile; without diagnostics
-    # there is no gate to run it for
-    items = 1 if config.diagnostics else 0
-    try:
-        with shared(lambda _: _companion_branch(config), items) as companion:
-            branch = _run_branch(config)
-            if _branch_failed(branch, h):
-                # unlike a return, an exception leaves the block with the
-                # worker killed and the companion branch not computed
-                raise _CoarseFailure
-            report = build_report(
-                branch, config.fit_window, config.r0, config.outer_radius, h,
-                config.diagnostics, config.thresholds["r2_floor"],
-            )
-    except _CoarseFailure:
+    branch = _run_branch(config)
+    if _branch_failed(branch, h):
         return 3
+    # the mesh gate's companion continuation; without diagnostics there is
+    # no gate to run it for
+    companion = (_run_branch(config, nodes=_companion_nodes(config.mesh["nodes"]))
+                 if config.diagnostics else None)
+    report = build_report(
+        branch, config.fit_window, config.r0, config.outer_radius, h,
+        config.diagnostics, config.thresholds["r2_floor"],
+    )
     failures = _verify_failures(config, branch, report, companion)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}
     path = os.path.join(config.out, "report.json")

@@ -28,7 +28,7 @@ from .errors import (
     ParameterDomainError,
     SolverError,
 )
-from .greens import WeightSpec
+from .greens import ALPHA_TOL, WeightSpec
 from .meshing import RadialMesh, band_matvec
 from .workers import shared
 
@@ -69,8 +69,13 @@ def solver_mesh(nodes: int, beta: float, lam: float) -> RadialMesh:
 
 def _log_weight(spec: WeightSpec, mesh: RadialMesh) -> np.ndarray:
     """log((2 pi / beta) t hstar) at the nodes: M = int_D h e^u is the
-    quadrature of exp(_log_weight + u) over t."""
+    quadrature of exp(_log_weight + u) over t.  Every solve and point meets
+    its mesh here first, which is where a mesh for another alpha is refused."""
     beta = 1.0 + spec.alpha
+    if abs(mesh.beta - beta) > ALPHA_TOL:
+        raise ParameterDomainError(
+            f"mesh built for beta = {mesh.beta!r}, but alpha = {spec.alpha!r} needs {beta!r}"
+        )
     return np.log(2.0 * np.pi / beta * mesh.t * np.asarray(spec.hstar(mesh.r)))
 
 
@@ -124,7 +129,7 @@ class SolutionPoint:
 
     @cached_property
     def lam(self) -> float:
-        u0 = float(self.mesh.point_rows(0.0, 0)[0] @ self.u)
+        u0 = float(self.mesh.origin_row @ self.u)
         return u0 - self.log_mass
 
     @cached_property
@@ -173,28 +178,26 @@ class Branch:
 
 @lru_cache(maxsize=1)
 def _residual_map(spec: WeightSpec, mesh: RadialMesh):
-    """The t-form equation on ``mesh``: ``(parts, lap_band, e0)``.
+    """The t-form equation on ``mesh``: ``(parts, lap_band)``.
 
     ``parts`` maps (u, rho) -> (G, d, mw, scale, log_mass): G = lap u + d
     is the residual with d the nonlinear term, mw the mass-derivative
     weights dM/du_j / M (they sum to 1) and scale the row scales
-    |lap| |u| + |d|.  ``lap_band`` is the Laplacian's row band and ``e0``
-    the row that evaluates u at the origin, the mesh-only parts of Newton's
-    system.  lap u is ``RadialMesh.slab_matvec``'s product, the dense BLAS
-    matvec's bits without the n x n matrix, because a band matvec sums in
-    another order and the fold root finding amplifies that to ~1e-9 in
-    lambda; the row scales come from a band matvec.  The last map is
-    cached: a fold root's Brent solves all run on one mesh and share it.
+    |lap| |u| + |d|.  ``lap_band`` is the Laplacian's row band, the
+    mesh-only part of Newton's matrix.  lap u is ``RadialMesh.slab_matvec``'s
+    product, the dense BLAS matvec's bits without the n x n matrix, because
+    a band matvec sums in another order and the fold root finding amplifies
+    that to ~1e-9 in lambda; the row scales come from a band matvec.  The
+    last map is cached: a fold root's Brent solves all run on one mesh and
+    share it.
     """
     beta = 1.0 + spec.alpha
+    log_weight = _log_weight(spec, mesh)
     lap_band = mesh.lap_band(1.0)
     lap = mesh.slab_matvec(lap_band)
     abs_band = np.abs(lap_band)
     hstar = np.asarray(spec.hstar(mesh.r))
-    log_weight = _log_weight(spec, mesh)
-    e0 = mesh.point_rows(0.0, 0)[0]
-    for arr in (lap_band, e0):
-        arr.setflags(write=False)
+    lap_band.setflags(write=False)
 
     def parts(u, rho):
         logs = log_weight + u
@@ -204,7 +207,7 @@ def _residual_map(spec: WeightSpec, mesh: RadialMesh):
         scale = band_matvec(abs_band, np.abs(u)) + np.abs(d) + 1e-30
         return G, d, mesh.quad * np.exp(logs - log_mass), scale, log_mass
 
-    return parts, lap_band, e0
+    return parts, lap_band
 
 
 def _norm_rows(G, scale, u_last):
@@ -224,13 +227,15 @@ def newton_solve(
 
     Residuals are measured componentwise against the row magnitude, so the
     convergence criterion is a backward-relative one at NEWTON_TOL.  The
-    residual map, the Laplacian band and the origin row come from
-    ``_residual_map``, so solves in a row on one mesh build them once.
+    residual map, the Laplacian band and the origin row are cached per mesh,
+    so solves in a row on one mesh build them once.  A mesh whose ``beta``
+    is not 1 + ``spec.alpha`` is a ParameterDomainError.
     """
     if not math.isfinite(lam):
         raise ParameterDomainError(f"lam must be finite, got {lam!r}")
     bw = mesh.bandwidth
-    parts, lap_band, e0 = _residual_map(spec, mesh)
+    parts, lap_band = _residual_map(spec, mesh)
+    e0 = mesh.origin_row
     on_diag = np.arange(2 * bw + 1) == bw
 
     if initial is None:
@@ -491,8 +496,8 @@ def find_fold_pair(branch: Branch, which: int = 0):
     ``workers.shared``: a forked worker claims the lower root while this
     process takes the upper one, each handed back as field, rho, residual
     and Newton count, and both points are rebuilt here on the one mesh.
-    Inside another job (verify's, whose block builds the report) nothing
-    forks, and this process finds both roots in turn.
+    Verify's report and pohozaev's rows call it outside any job, so both
+    fork; where nothing forks, this process finds both roots in turn.
     """
     if not branch.fold_flags:
         raise NotApplicableError("branch carries no fold flags")

@@ -406,8 +406,7 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert float(lines[2].split(",")[3]) == report["pohozaev"]["values"][0]
 
-    def test_coarse_branch_failure_reaps_the_companion_mesh_worker(self, tmp_path, capsys,
-                                                                   monkeypatch):
+    def test_coarse_branch_failure_reaps_its_own_worker(self, tmp_path, capsys, monkeypatch):
         real = radial_solver.newton_solve
 
         def coarse_fails(spec, mesh, **kwargs):
@@ -424,7 +423,9 @@ class TestVerifyCommand:
         code, msg = run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
         assert code == 3
         assert msg["error"]["kind"] == "solver"
-        assert len(forks) == 1  # the companion-mesh worker was running
+        # the worker of the coarse branch's cold points; the companion
+        # branch, which would fork one more, is never started
+        assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -538,21 +539,22 @@ def _count_forks(monkeypatch):
     return forks
 
 
-@pytest.mark.parametrize("command, workers", [("verify", 1), ("pohozaev", 2), ("verify", 0),
-                                              ("spectrum", 2), ("branch", 1)])
-def test_worker_and_serial_paths_write_the_same_bytes(command, workers, tmp_path, capsys,
-                                                      monkeypatch):
-    # on 2 CPUs, every command but verify forks a worker for the
-    # continuation's cold points, pohozaev one for the fold pair's lower
-    # root and spectrum one for the scan's points; branch writes each
-    # point's mesh nodes, so meshes that came back from a worker must be
-    # the serial ones bit for bit.  verify forks its companion continuation
-    # only, since the coarse branch and the fold pair run inside that job
-    # and jobs nest one level deep; verify without diagnostics forks nothing
-    # (its job has no item).  A worker that dies before it hands its result
-    # back, and a process that cannot fork, leave the work to the parent,
-    # which must write the same bytes
-    diagnostics = ["pohozaev"] if workers else []
+@pytest.mark.parametrize("command, diagnostics, workers", [
+    ("verify", ["pohozaev"], 3), ("pohozaev", ["pohozaev"], 2), ("verify", [], 1),
+    ("spectrum", ["pohozaev"], 2), ("branch", ["pohozaev"], 1),
+], ids=["verify-3", "pohozaev-2", "verify-no-diagnostics-1", "spectrum-2", "branch-1"])
+def test_worker_and_serial_paths_write_the_same_bytes(command, diagnostics, workers, tmp_path,
+                                                      capsys, monkeypatch):
+    # on 2 CPUs, every command forks a worker for its continuation's cold
+    # points, pohozaev one for the fold pair's lower root and spectrum one
+    # for the scan's points; branch writes each point's mesh nodes, so
+    # meshes that came back from a worker must be the serial ones bit for
+    # bit.  verify forks for its branch, for its mesh gate's companion
+    # continuation and for the fold pair, each as a job of its own; without
+    # diagnostics it has no companion and no fold pair, and forks for its
+    # branch only.  A worker that dies before it hands its result back, and
+    # a process that cannot fork, leave the work to the parent, which must
+    # write the same bytes
     cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=diagnostics,
                       window={"start": 2.0, "end": 8.0, "steps": 25})
     if command == "spectrum":
@@ -842,6 +844,34 @@ def test_only_the_worker_helper_forks():
     assert pickles == {"workers.py"}
 
 
+def test_cli_opens_no_job_and_raises_nothing_of_its_own():
+    # every command runs its work as plain calls, whose solvers fork: cli.py
+    # names nothing workers.py defines, imports no workers module, and
+    # defines no exception to leave a job's block with
+    trees = dict(_package_trees())
+    body = trees["workers.py"].body
+    defined = {node.name for node in body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    defined |= {target.id for node in body if isinstance(node, ast.Assign)
+                for target in node.targets if isinstance(target, ast.Name)}
+    assert {"shared", "_open"} <= defined
+    used = set()
+    for node in ast.walk(trees["cli.py"]):
+        if isinstance(node, ast.ImportFrom):
+            used.update(f"{node.module}.{a.name}" for a in node.names
+                        if "workers" in (node.module or "") or a.name == "workers")
+        elif isinstance(node, ast.Import):
+            used.update(a.name for a in node.names if "workers" in a.name)
+        elif isinstance(node, ast.Name) and node.id in defined:
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in defined:
+            used.add(node.attr)
+        elif isinstance(node, ast.ClassDef):
+            bases = {ast.unparse(b) for b in node.bases}
+            if any(b.endswith(("Exception", "Error")) for b in bases):
+                used.add(f"class {node.name}")
+    assert used == set()
+
+
 def test_dense_operators_built_only_where_needed():
     # banded operators stay bands: a dense n x n matrix is built only by
     # RadialMesh.lap_rows (a timing boundary of the benchmark tracer), which
@@ -905,13 +935,13 @@ def test_graded_meshes_built_only_by_the_mesh_rules():
 
 
 def test_second_branch_node_count_only_from_the_companion_rule():
-    # verify's mesh gate has one companion rule: only _companion_branch
-    # runs a branch on other than the config's node count
+    # verify's mesh gate has one companion rule: only cmd_verify's companion
+    # continuation runs a branch on other than the config's node count
     explicit = {(module, scope, ast.unparse(call))
                 for module, scope, call in _calls_named("_run_branch")
                 if len(call.args) > 1 or call.keywords}
     assert explicit == {
-        ("cli.py", "_companion_branch",
+        ("cli.py", "cmd_verify",
          "_run_branch(config, nodes=_companion_nodes(config.mesh['nodes']))"),
     }
 

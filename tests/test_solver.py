@@ -16,6 +16,7 @@ from mfelab.meshing import RadialMesh
 from mfelab.radial_solver import (
     EIGHT_PI,
     Branch,
+    SolutionPoint,
     _brentq,
     approximate_profile,
     continue_branch,
@@ -165,6 +166,48 @@ def test_newton_rejects_non_finite_parameter(fixed):
     mesh = RadialMesh.graded(64, BETA, 2.0)
     with pytest.raises(ParameterDomainError, match="must be finite"):
         newton_solve(CONST, mesh, **fixed)
+
+
+def test_mesh_for_another_alpha_is_refused():
+    # a beta = 2 mesh at alpha = 0.5: Newton converged on it (residual
+    # 5.4e-14) to rho = 37.7844, against 37.7338 on the beta = 1.5 mesh
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    wrong = solver_mesh(512, 2.0, 8.0)
+    message = "mesh built for beta = 2.0, but alpha = 0.5 needs 1.5"
+    with pytest.raises(ParameterDomainError, match=message):
+        newton_solve(spec, wrong, lam=8.0)
+    pt = newton_solve(spec, solver_mesh(512, BETA, 8.0), lam=8.0)
+    assert pt.rho == pytest.approx(37.7338, abs=1e-4)
+    with pytest.raises(ParameterDomainError, match=message):
+        SolutionPoint(spec, wrong, pt.u, pt.rho, pt.res_norm, pt.newton_iters)
+    with pytest.raises(ParameterDomainError, match=message):
+        exact_disk_family(ALPHA, 10.0, mesh=wrong)
+
+
+def test_origin_row_built_once_per_mesh_and_lambda_keeps_its_bits(monkeypatch):
+    # Newton's lambda constraint and each point's lambda read the mesh's one
+    # cached origin row, which is the one-row Fornberg pass bit for bit
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    calls = []
+    point_rows = RadialMesh.point_rows
+
+    def counted(mesh, t_star, m=0):
+        calls.append((mesh, t_star, m))
+        return point_rows(mesh, t_star, m)
+
+    monkeypatch.setattr(RadialMesh, "point_rows", counted)
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    branch = continue_branch(6.0, 8.0, 3, spec, nodes=128)
+    lams = branch.lambdas
+    meshes = [p.mesh for p in branch.points]
+    assert calls == [(mesh, 0.0, 0) for mesh in meshes]
+    for p, lam in zip(branch.points, lams):
+        row = point_rows(p.mesh, 0.0, 0)[0]
+        assert p.mesh.origin_row is p.mesh.origin_row
+        assert not p.mesh.origin_row.flags.writeable
+        assert np.array_equal(p.mesh.origin_row, row)
+        assert lam == float(row @ p.u) - p.log_mass
+    assert np.max(np.abs(lams - [6.0, 7.0, 8.0])) <= 1e-10
 
 
 @pytest.mark.parametrize(
