@@ -59,10 +59,11 @@ def _check_out(out: str) -> None:
                           ["out"])
 
 
-def _run_branch(config: RunConfig, nodes: int | None = None):
+def _run_branch(config: RunConfig, companion: int | None = None):
     win = config.window
     return continue_branch(
-        win["start"], win["end"], win["steps"], config.weight_spec(), nodes or config.mesh["nodes"]
+        win["start"], win["end"], win["steps"], config.weight_spec(), config.mesh["nodes"],
+        companion,
     )
 
 
@@ -135,13 +136,14 @@ def _companion_nodes(nodes: int) -> int:
     return nodes // 2 if nodes >= 128 else 2 * nodes
 
 
-def _verify_failures(config: RunConfig, branch, report, companion) -> list:
+def _verify_failures(config: RunConfig, branch, report) -> list:
     """The threshold gates on top of the report, as a list of failures.
 
-    ``companion`` is the continuation on ``_companion_nodes`` nodes, or
-    None when ``diagnostics`` is empty.  The mesh gate bounds rho's gap to
-    the companion branch, which bounds the branch's own mesh error from
-    above, so a config whose companion mesh is unresolved fails it.
+    ``branch.companion`` is the continuation on ``_companion_nodes`` nodes,
+    which ``cmd_verify`` asks for when ``diagnostics`` is not empty.  The
+    mesh gate bounds rho's gap to the companion branch, which bounds the
+    branch's own mesh error from above, so a config whose companion mesh is
+    unresolved fails it.
     """
     if not config.diagnostics:
         return []
@@ -153,6 +155,7 @@ def _verify_failures(config: RunConfig, branch, report, companion) -> list:
 
     # branch-level control: the continuation must be mesh-converged
     nodes = _companion_nodes(config.mesh["nodes"])
+    companion = branch.companion
     if companion.failure is not None:
         failures.append({"check": "mesh-convergence",
                          "detail": f"companion mesh ({nodes} nodes) did not converge"})
@@ -203,18 +206,17 @@ def cmd_verify(config: RunConfig) -> int:
     win = config.window
     targets = branch_targets(win["start"], win["end"], win["steps"])
     check_window(targets, config.fit_window, config.diagnostics)
-    branch = _run_branch(config)
+    # the mesh gate's companion continuation comes with the branch, unless
+    # the branch stops short; without diagnostics there is no gate to run it for
+    branch = _run_branch(config, _companion_nodes(config.mesh["nodes"])
+                         if config.diagnostics else None)
     if _branch_failed(branch, h):
         return 3
-    # the mesh gate's companion continuation; without diagnostics there is
-    # no gate to run it for
-    companion = (_run_branch(config, nodes=_companion_nodes(config.mesh["nodes"]))
-                 if config.diagnostics else None)
     report = build_report(
         branch, config.fit_window, config.r0, config.outer_radius, h,
         config.diagnostics, config.thresholds["r2_floor"],
     )
-    failures = _verify_failures(config, branch, report, companion)
+    failures = _verify_failures(config, branch, report)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}
     path = os.path.join(config.out, "report.json")
     _write(path, serialize.report_json(doc))

@@ -32,7 +32,6 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-from functools import cached_property
 
 import numpy as np
 
@@ -451,13 +450,6 @@ class RadialMesh:
         for d in range(m + 1):
             np.add.at(rows[d], cols[0], c[d])
         return rows
-
-    @cached_property
-    def origin_row(self) -> np.ndarray:
-        """``point_rows(0.0, 0)[0]``, the value at t = 0: built once, write-locked."""
-        row = self.point_rows(0.0, 0)[0]
-        row.setflags(write=False)
-        return row
 
     def quad_to(self, t_end: float) -> np.ndarray:
         """Weights for the partial integral over [0, t_end]."""

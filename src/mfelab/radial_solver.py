@@ -120,17 +120,13 @@ class SolutionPoint:
         self.res_norm = float(res_norm)
         self.newton_iters = int(newton_iters)
         self.log_mass, self.mass_total = mass_integral(self.u, spec, mesh)
+        self.lam = float(_origin_row(mesh) @ self.u) - self.log_mass
 
     @cached_property
     def u_tilde(self) -> np.ndarray:
         v = self.u - self.log_mass
         v.setflags(write=False)
         return v
-
-    @cached_property
-    def lam(self) -> float:
-        u0 = float(self.mesh.origin_row @ self.u)
-        return u0 - self.log_mass
 
     @cached_property
     def gamma(self) -> float:
@@ -155,7 +151,9 @@ class Branch:
     """Ordered lambda-increasing family of solutions of one configuration.
 
     ``nodes`` is the node count of the solver meshes the points were solved
-    on; fold pairs are solved on a mesh of that count too.
+    on; fold pairs are solved on a mesh of that count too.  ``companion``
+    is the branch of the same lambda grid on another node count, where
+    ``continue_branch`` was asked for one and this branch held, else None.
     """
 
     spec: WeightSpec
@@ -163,6 +161,7 @@ class Branch:
     fold_flags: tuple[int, ...] = ()
     failure: dict | None = None
     nodes: int = 512
+    companion: Branch | None = None
 
     @property
     def lambdas(self) -> np.ndarray:
@@ -174,6 +173,15 @@ class Branch:
 
 
 # assembly ----------------------------------------------------------------
+
+
+@lru_cache(maxsize=1)
+def _origin_row(mesh: RadialMesh) -> np.ndarray:
+    """The write-locked row that evaluates u at t = 0 on ``mesh``: Newton's
+    lambda constraint and the lambda of the point it returns read it."""
+    row = mesh.point_rows(0.0, 0)[0]
+    row.setflags(write=False)
+    return row
 
 
 @lru_cache(maxsize=1)
@@ -227,15 +235,16 @@ def newton_solve(
 
     Residuals are measured componentwise against the row magnitude, so the
     convergence criterion is a backward-relative one at NEWTON_TOL.  The
-    residual map, the Laplacian band and the origin row are cached per mesh,
-    so solves in a row on one mesh build them once.  A mesh whose ``beta``
-    is not 1 + ``spec.alpha`` is a ParameterDomainError.
+    residual map, the Laplacian band and the origin row are cached for the
+    last mesh, so solves in a row on one mesh build them once, and the
+    returned point reads the same origin row.  A mesh whose ``beta`` is not
+    1 + ``spec.alpha`` is a ParameterDomainError.
     """
     if not math.isfinite(lam):
         raise ParameterDomainError(f"lam must be finite, got {lam!r}")
     bw = mesh.bandwidth
     parts, lap_band = _residual_map(spec, mesh)
-    e0 = mesh.origin_row
+    e0 = _origin_row(mesh)
     on_diag = np.arange(2 * bw + 1) == bw
 
     if initial is None:
@@ -405,6 +414,7 @@ def continue_branch(
     steps: int,
     spec: WeightSpec,
     nodes: int = 512,
+    companion: int | None = None,
 ) -> Branch:
     """March the branch over a uniform lambda grid (inclusive endpoints).
 
@@ -412,57 +422,76 @@ def continue_branch(
     mesh follows the shrinking core scale; fewer than 64 nodes is a
     ParameterDomainError.  Failing targets are bridged by bisecting
     sub-steps down to MIN_STEP; if that floor is hit, the partial branch
-    is returned with failure diagnostics instead of raising.
+    is returned with failure diagnostics instead of raising.  With
+    ``companion``, a node count, the grid is marched on it too, as the
+    result's ``companion`` branch, unless this branch stops short.
 
     Targets below COLD_START start Newton from the previous point, the
     others from ``blowup_initial_guess``.  The first target and the warm
     ones run here, as the block of one ``workers.shared`` job whose items
-    are the remaining, cold targets, when there are at least COLD_ROWS_MIN
-    of them (a shorter cold tail runs in the block too): each item is one
-    Newton solve's point, mesh included, so no process rebuilds a mesh
-    another one built, or None where the solve failed.
-    The points are then taken in target order; a target whose solve failed
-    goes through ``_advance`` (the same solve again, then bisection), so
-    the branch is the serial march's bit for bit.  A failed prefix leaves
-    the block by its exception, so no item is computed; past it, every
-    item is computed before a failed cold target is met.
+    are the other, cold targets, then the companion's cold ones, when
+    there are at least COLD_ROWS_MIN items (else every target runs here):
+    each item is one Newton solve's point, mesh included, or None where
+    the solve failed or was skipped.  The branches are then walked in
+    target order, the companion's warm targets once this branch holds; a
+    target without a point goes through ``_advance`` (the same solve
+    again, then bisection), so each branch is the serial march's bit for
+    bit.  A failed prefix leaves the block by its exception, so no item is
+    computed, and a process skips the companion's items once a cold solve
+    of this branch failed in it: on one CPU, a branch that stops short
+    solves no companion point.
     """
     beta = 1.0 + spec.alpha
     targets = branch_targets(lambda_start, lambda_end, steps)
-    warm = max(1, sum(target < COLD_START for target in targets))
-    if len(targets) - warm < COLD_ROWS_MIN:
-        warm = len(targets)
+    counts = (nodes,) if companion is None else (nodes, companion)
+    below = sum(target < COLD_START for target in targets)
+    # the leading targets each branch marches itself; the others are items
+    marched = [max(1, below), below][: len(counts)]
+    rows = [(k, target) for k, m in enumerate(marched) for target in targets[m:]]
+    if len(rows) < COLD_ROWS_MIN:
+        marched, rows = [len(targets)] * len(counts), []
+    failed = []  # the branches whose cold solve failed in this process
 
     def cold(i: int) -> SolutionPoint | None:
-        target = targets[warm + i]
+        k, target = rows[i]
+        if k and 0 in failed:
+            return None  # its walk solves it, if this branch holds
         try:
-            return newton_solve(spec, solver_mesh(nodes, beta, target), lam=target)
+            return newton_solve(spec, solver_mesh(counts[k], beta, target), lam=target)
         except SolverError:
+            failed.append(k)
             return None
 
-    points: list[SolutionPoint] = []
-    failure = None
-    state: SolutionPoint | None = None
-    target = targets[0]
+    points: list[list[SolutionPoint]] = [[] for _ in counts]
+
+    def march(k: int, found: list) -> None:
+        # branch k over its next targets, each a found point or solved by _advance
+        pts = points[k]
+        for target, pt in zip(targets[len(pts):], found):
+            pts.append(pt or _advance(pts[-1] if pts else None, target, spec, counts[k], beta))
+
+    k, failure = 0, None
     try:
-        with shared(cold, len(targets) - warm) as solved:
-            for target in targets[:warm]:
-                state = _advance(state, target, spec, nodes, beta)
-                points.append(state)
-        for target, pt in zip(targets[warm:], solved):
-            state = pt or _advance(state, target, spec, nodes, beta)
-            points.append(state)
+        with shared(cold, len(rows)) as solved:
+            march(0, [None] * marched[0])
+        for k, m in enumerate(marched):
+            march(k, [None] * (m - len(points[k])) + [pt for (j, _), pt in zip(rows, solved) if j == k])
     except SolverError as err:
+        # the failed target is the first one branch k has no point for
         failure = {
-            "lambda_target": target,
+            "lambda_target": targets[len(points[k])],
             "reason": str(err),
             "trace": list(getattr(err, "trace", [])),
         }
 
-    rhos = np.array([p.rho for p in points])
-    signs = np.sign(np.diff(rhos))
-    flips = [i for i in range(1, len(signs)) if signs[i] != 0 and signs[i - 1] != 0 and signs[i] != signs[i - 1]]
-    return Branch(spec, tuple(points), tuple(flips), failure, nodes)
+    def branch(j: int, other: Branch | None = None) -> Branch:
+        signs = np.sign(np.diff([p.rho for p in points[j]]))
+        flips = [i for i in range(1, len(signs)) if signs[i] != 0 and signs[i - 1] != 0 and signs[i] != signs[i - 1]]
+        return Branch(spec, tuple(points[j]), tuple(flips), failure if j == k else None, counts[j], other)
+
+    if companion is None or (failure is not None and k == 0):
+        return branch(0)
+    return branch(0, branch(1))
 
 
 def _advance(state, target, spec, nodes, beta) -> SolutionPoint:
@@ -496,8 +525,7 @@ def find_fold_pair(branch: Branch, which: int = 0):
     ``workers.shared``: a forked worker claims the lower root while this
     process takes the upper one, each handed back as field, rho, residual
     and Newton count, and both points are rebuilt here on the one mesh.
-    Verify's report and pohozaev's rows call it outside any job, so both
-    fork; where nothing forks, this process finds both roots in turn.
+    Where nothing forks, this process finds both roots in turn.
     """
     if not branch.fold_flags:
         raise NotApplicableError("branch carries no fold flags")

@@ -1,18 +1,18 @@
 """Forked workers that compute a job's items beside the calling process.
 
 ``shared`` is the package's one process layer.  Its callers are the
-continuation's cold-started points (an item per point,
-``radial_solver.continue_branch``), the spectrum scan (an item per branch
-point, ``linearization.nondegeneracy_scan``) and the two roots of a fold
-pair (an item per root, ``radial_solver.find_fold_pair``); no command
-opens or nests a job of its own.  A caller hands it ``compute(i)``, which
-returns item i as any picklable object, and reads the list of items when
-its with-block ends.  The helper owns the rest:
-which process computes which item (each claims the next free one as it
-goes, so a slow process takes fewer items), how a worker's items come
-back (as pickle records in a file of its own), and the one failure rule,
-that every item no process brought back is computed again in the calling
-process in item order.  So an item that raised, a worker that died and a
+continuation's cold-started points, a companion continuation's included
+(an item per point, ``radial_solver.continue_branch``), the spectrum scan
+(an item per branch point, ``linearization.nondegeneracy_scan``) and the
+two roots of a fold pair (an item per root,
+``radial_solver.find_fold_pair``); no command opens or nests a job of its
+own.  A caller hands it ``compute(i)``, which returns item i as any
+picklable object, and reads the list of items when its with-block ends.
+The helper owns the rest: which process computes which item (each claims
+the next free one as it goes, so a slow process takes fewer items), how a
+worker's items come back (as pickle records in a file of its own), and the
+one failure rule, that every item no process brought back is computed
+again in the calling process in item order.  So an item that raised, a worker that died and a
 fork that failed all end as the serial loop would, exception included.
 Jobs nest one level deep: a job opened inside another job's block or
 items, in the same process or in one of its workers, forks nothing.

@@ -406,7 +406,8 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert float(lines[2].split(",")[3]) == report["pohozaev"]["values"][0]
 
-    def test_coarse_branch_failure_reaps_its_own_worker(self, tmp_path, capsys, monkeypatch):
+    def test_coarse_branch_failure_reaps_the_companion_mesh_worker(self, tmp_path, capsys,
+                                                                   monkeypatch):
         real = radial_solver.newton_solve
 
         def coarse_fails(spec, mesh, **kwargs):
@@ -423,17 +424,16 @@ class TestVerifyCommand:
         code, msg = run(["verify", "--config", write_config(tmp_path, "c.json", cfg)], capsys)
         assert code == 3
         assert msg["error"]["kind"] == "solver"
-        # the worker of the coarse branch's cold points; the companion
-        # branch, which would fork one more, is never started
+        # the one worker of the coarse branch's and the companion's cold
+        # points, reaped when the coarse branch stops short
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_coarse_branch_failure_skips_the_companion_branch(self, tmp_path, capsys,
                                                               monkeypatch):
-        # on one CPU nothing forks, and the companion row would be computed
-        # here once the block ends; a failed coarse branch must exit 3
-        # without it
+        # on one CPU nothing forks; a failed coarse branch must exit 3
+        # before the companion continuation solves a point
         real, companion, refuse = radial_solver.newton_solve, [], [True]
         nodes = cli._companion_nodes(128)
 
@@ -540,21 +540,21 @@ def _count_forks(monkeypatch):
 
 
 @pytest.mark.parametrize("command, diagnostics, workers", [
-    ("verify", ["pohozaev"], 3), ("pohozaev", ["pohozaev"], 2), ("verify", [], 1),
+    ("verify", ["pohozaev"], 2), ("pohozaev", ["pohozaev"], 2), ("verify", [], 1),
     ("spectrum", ["pohozaev"], 2), ("branch", ["pohozaev"], 1),
-], ids=["verify-3", "pohozaev-2", "verify-no-diagnostics-1", "spectrum-2", "branch-1"])
+], ids=["verify-2", "pohozaev-2", "verify-no-diagnostics-1", "spectrum-2", "branch-1"])
 def test_worker_and_serial_paths_write_the_same_bytes(command, diagnostics, workers, tmp_path,
                                                       capsys, monkeypatch):
     # on 2 CPUs, every command forks a worker for its continuation's cold
     # points, pohozaev one for the fold pair's lower root and spectrum one
     # for the scan's points; branch writes each point's mesh nodes, so
     # meshes that came back from a worker must be the serial ones bit for
-    # bit.  verify forks for its branch, for its mesh gate's companion
-    # continuation and for the fold pair, each as a job of its own; without
-    # diagnostics it has no companion and no fold pair, and forks for its
-    # branch only.  A worker that dies before it hands its result back, and
-    # a process that cannot fork, leave the work to the parent, which must
-    # write the same bytes
+    # bit.  verify forks once for its branch's and its mesh gate's
+    # companion's cold points, which share one job, and once for the fold
+    # pair; without diagnostics it has no companion and no fold pair, and
+    # forks for its branch only.  A worker that dies before it hands its
+    # result back, and a process that cannot fork, leave the work to the
+    # parent, which must write the same bytes
     cfg = base_config(tmp_path / "out", mesh={"nodes": 128}, diagnostics=diagnostics,
                       window={"start": 2.0, "end": 8.0, "steps": 25})
     if command == "spectrum":
@@ -935,14 +935,15 @@ def test_graded_meshes_built_only_by_the_mesh_rules():
 
 
 def test_second_branch_node_count_only_from_the_companion_rule():
-    # verify's mesh gate has one companion rule: only cmd_verify's companion
-    # continuation runs a branch on other than the config's node count
+    # verify's mesh gate has one companion rule: only cmd_verify asks for a
+    # companion continuation, on other than the config's node count
     explicit = {(module, scope, ast.unparse(call))
                 for module, scope, call in _calls_named("_run_branch")
                 if len(call.args) > 1 or call.keywords}
     assert explicit == {
         ("cli.py", "cmd_verify",
-         "_run_branch(config, nodes=_companion_nodes(config.mesh['nodes']))"),
+         "_run_branch(config, _companion_nodes(config.mesh['nodes']) "
+         "if config.diagnostics else None)"),
     }
 
 

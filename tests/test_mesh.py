@@ -547,7 +547,7 @@ def test_point_round_trip_through_a_worker(halfwidth, monkeypatch):
     assert (back.mesh.n, back.mesh.beta, back.mesh.bandwidth) == (200, 1.5, 2 * halfwidth)
     arrays = [("u", back.u, point.u)] + [
         (name, getattr(back.mesh, name), getattr(mesh, name))
-        for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals", "origin_row")
+        for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals")
     ]
     assert sorted(vars(back.mesh)) == sorted(vars(mesh))
     for name, read, original in arrays:

@@ -185,8 +185,9 @@ def test_mesh_for_another_alpha_is_refused():
 
 
 def test_origin_row_built_once_per_mesh_and_lambda_keeps_its_bits(monkeypatch):
-    # Newton's lambda constraint and each point's lambda read the mesh's one
-    # cached origin row, which is the one-row Fornberg pass bit for bit
+    # Newton's lambda constraint and the lambda its point computes on
+    # construction read one cached origin row, the one-row Fornberg pass
+    # bit for bit; the cache keeps the last mesh's row only
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
     point_rows = RadialMesh.point_rows
@@ -203,10 +204,10 @@ def test_origin_row_built_once_per_mesh_and_lambda_keeps_its_bits(monkeypatch):
     assert calls == [(mesh, 0.0, 0) for mesh in meshes]
     for p, lam in zip(branch.points, lams):
         row = point_rows(p.mesh, 0.0, 0)[0]
-        assert p.mesh.origin_row is p.mesh.origin_row
-        assert not p.mesh.origin_row.flags.writeable
-        assert np.array_equal(p.mesh.origin_row, row)
         assert lam == float(row @ p.u) - p.log_mass
+    last = meshes[-1]
+    assert radial_solver._origin_row(last) is radial_solver._origin_row(last)
+    assert not radial_solver._origin_row(last).flags.writeable
     assert np.max(np.abs(lams - [6.0, 7.0, 8.0])) <= 1e-10
 
 
@@ -425,6 +426,50 @@ def test_branch_does_not_depend_on_workers(case, monkeypatch):
     else:
         assert failure is None
         assert len(fields["lambda"]) == SPLIT_WINDOW[2]
+
+
+@pytest.mark.parametrize("case", ["holds", "bisects_a_cold_target", "branch_stops_short",
+                                  "companion_stops_short"])
+def test_companion_is_the_plain_branch_on_its_node_count(case, monkeypatch):
+    # the companion marched in the branch's job is the plain continuation on
+    # its node count bit for bit, with and without workers; a branch that
+    # stops short comes back without one, and on one CPU solves none of its
+    # points
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    refuse = {
+        "holds": lambda n, lam: False,
+        "bisects_a_cold_target": lambda n, lam: n == 128 and _refuse_until_bisected(
+            lam, [(x, ok) for m, x, ok in calls if m == 128]),
+        "branch_stops_short": lambda n, lam: n == 128 and lam > 6.0,
+        "companion_stops_short": lambda n, lam: n == 64 and lam > 6.0,
+    }[case]
+    real, calls = radial_solver.newton_solve, []
+
+    def solve(spec, mesh, **kwargs):
+        ok = not refuse(mesh.n, kwargs["lam"])
+        calls.append((mesh.n, kwargs["lam"], ok))
+        if not ok:
+            raise SolverError("refused")
+        return real(spec, mesh, **kwargs)
+
+    monkeypatch.setattr(radial_solver, "newton_solve", solve)
+    plain = {n: _branch_arrays(continue_branch(*SPLIT_WINDOW, spec, nodes=n)) for n in (128, 64)}
+    for cpus in (1, 2, None):
+        calls.clear()
+        with monkeypatch.context() as m:
+            if cpus is None:
+                m.delattr(os, "fork")
+            else:
+                m.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+            branch = continue_branch(*SPLIT_WINDOW, spec, nodes=128, companion=64)
+        _same(_branch_arrays(branch), plain[128])
+        if case == "branch_stops_short":
+            assert branch.companion is None
+            if cpus == 1:
+                assert {n for n, _, _ in calls} == {128}
+        else:
+            _same(_branch_arrays(branch.companion), plain[64])
+    assert (branch.failure is None) == (case != "branch_stops_short")
 
 
 def test_rows_go_only_to_cold_targets(monkeypatch):
