@@ -12,25 +12,25 @@ ARPACK (``scipy.sparse.linalg._eigen.arpack._arpacklib``, driven by
 scipy's Brent step (``radial_solver._brentq``) rather than a call into
 ``scipy.optimize``.
 
-OpenBLAS rule: numpy's and scipy's OpenBLAS each start their threads when
-they are loaded, numpy's by ``import numpy`` and scipy's by the LAPACK
-load in ``meshing``, and each thread busy-waits for
-``OPENBLAS_THREAD_TIMEOUT`` (2**28 cycles by default, about 0.1 s) after
-its last work before it sleeps.  That spin takes a core from the command:
-a process that only imports numpy ran 0.25 s, and 0.175 s with the
-timeout at its minimum, 2**4 cycles.  So the package's own imports run
-with that minimum, unless the environment sets the timeout, and the
-environment is restored once they are done.  The timeout changes no
-result, and binds numpy only where this package imports it first.  It has
-a price: ARPACK's BLAS calls now wake a sleeping thread, which costs the
-289 spectra of ``spectrum_modes16`` about 0.02 s.
+OpenBLAS rule: numpy's and scipy's OpenBLAS each start their thread pool
+when they are loaded, numpy's by ``import numpy`` and scipy's by the
+LAPACK load in ``meshing``.  The package's own imports run with
+``OPENBLAS_NUM_THREADS=1``, unless the environment sets it, and the
+environment is restored once they are done.  So each library the package
+loads first runs on one thread: no BLAS thread is created, none spins
+after its work and none competes with a forked worker pinned to its CPU.
+The only package work big enough for OpenBLAS to thread is ARPACK's BLAS
+on the Arnoldi basis in the spectrum scan; Newton's products are 64-row
+slabs, too small to thread.  One thread changes no output byte.  A
+process that imported numpy before this package keeps numpy's thread
+count.
 """
 
 import os as _os
 
-_unset = "OPENBLAS_THREAD_TIMEOUT" not in _os.environ
+_unset = "OPENBLAS_NUM_THREADS" not in _os.environ
 if _unset:
-    _os.environ["OPENBLAS_THREAD_TIMEOUT"] = "4"
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
 try:
     from .diagnostics import (
         build_report,
@@ -62,7 +62,7 @@ try:
     )
 finally:
     if _unset:
-        del _os.environ["OPENBLAS_THREAD_TIMEOUT"]
+        del _os.environ["OPENBLAS_NUM_THREADS"]
 
 __all__ = [
     "Branch",

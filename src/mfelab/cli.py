@@ -48,11 +48,12 @@ def _check_out(out: str) -> None:
     """Refuse an ``out`` no write could use before anything is solved (exit 2).
 
     ``out`` must be a directory or not exist yet, and the nearest existing
-    one of it and its ancestors a directory this process may write in.
+    one of it and its ancestors a directory this process may write in; a
+    dangling symlink exists, since ``makedirs`` cannot create through it.
     Nothing is created here: ``atomic_write`` makes the directories.
     """
     path = os.path.abspath(out)
-    while not os.path.exists(path):
+    while not os.path.lexists(path):
         path = os.path.dirname(path)
     if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
         raise ConfigError(f"cannot write output to {out!r}: {path!r} is not a writable directory",
@@ -268,11 +269,11 @@ def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
         config = RunConfig.load(args.config)
-        if args.out or args.window:
+        if args.out is not None or args.window is not None:
             raw = config.to_dict()
-            if args.out:
+            if args.out is not None:
                 raw["out"] = args.out
-            if args.window:
+            if args.window is not None:
                 a, b = _parse_window(args.window)
                 raw["window"] = dict(raw["window"], start=a, end=b)
             config = RunConfig.from_dict(raw)

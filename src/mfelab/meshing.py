@@ -75,7 +75,7 @@ def scipy_extension(name: str):
     return importlib.import_module(name)
 
 
-# loaded inside the OpenBLAS thread-timeout scope of the package ``__init__``
+# loaded inside the one-thread OpenBLAS scope of the package ``__init__``
 _flapack = scipy_extension("scipy.linalg._flapack")
 dgbtrf, dgbtrs = _flapack.dgbtrf, _flapack.dgbtrs
 

@@ -283,13 +283,20 @@ def fmt(x) -> str:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename; readers never see partials."""
+    """Write via a sibling temp file and rename; readers never see partials.
+
+    The file gets the mode a plain ``open(path, "w")`` would give it, 0o666
+    less the umask, in place of ``mkstemp``'s owner-only 0o600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -17,16 +17,10 @@ fork that failed all end as the serial loop would, exception included.
 Jobs nest one level deep: a job opened inside another job's block or
 items, in the same process or in one of its workers, forks nothing.
 
-While a job with workers runs, every OpenBLAS the process has mapped is
-held to one thread, in the workers and the calling process alike.  The
-work this protects is ARPACK's BLAS on the Arnoldi basis in the spectrum
-scan: a pinned worker whose OpenBLAS kept its default count would spin
-those threads on its one CPU.  Newton's products are 64-row slabs, too
-small to thread.  On a 2-core VM, dropping the cap moved the medians of
-12 in-process runs of ``spectrum_modes16`` from 0.457 to 0.505 s,
-``verify_gauss512`` from 0.209 to 0.193 s and ``fold_pohozaev1024`` from
-0.325 to 0.321 s, with byte-identical outputs.  The tests compare the
-outputs of the forked and serial paths byte for byte.
+The helper sets no BLAS thread count: the package's ``__init__`` loads
+OpenBLAS at one thread, so a pinned worker has no BLAS threads to spin on
+its one CPU.  The tests compare the outputs of the forked and serial
+paths byte for byte.
 """
 
 from __future__ import annotations
@@ -40,15 +34,6 @@ import warnings
 from contextlib import contextmanager
 
 import numpy as np
-
-#: thread-count getter and setter of the OpenBLAS builds numpy and scipy
-#: ship (64-bit and 32-bit integers), then of plain OpenBLAS
-_OPENBLAS_SYMBOLS = (
-    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-    ("openblas_get_num_threads", "openblas_set_num_threads"),
-)
 
 
 def _current_cpu() -> int | None:
@@ -78,37 +63,6 @@ def _worker_cpus(processes: int) -> list:
     return others[: min(processes, len(allowed)) - 1]
 
 
-def _openblas_threads() -> list:
-    """(get, set) thread-count functions of every OpenBLAS the process has mapped.
-
-    The libraries are found by name in /proc/self/maps and their functions
-    by symbol; without the file the list is empty.  ``ctypes`` is imported
-    here, so that only a command that may fork pays for it.
-    """
-    import ctypes
-
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as fh:
-            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
-                            if "openblas" in line.lower()})
-    except OSError:
-        return []
-    found = []
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for get_name, set_name in _OPENBLAS_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                found.append((get, set_))
-                break
-    return found
-
-
 #: True while a ``shared`` job is open in this process, block and items
 #: alike; forked workers inherit it
 _open = False
@@ -130,12 +84,11 @@ def shared(compute, count: int):
     mapping; two processes that race for one item both compute it and
     return equal values.
 
-    W is 1, and nothing forks, where ``_worker_cpus`` finds no spare CPU,
-    the process maps no OpenBLAS whose threads can be set, or another job
-    is open: from the start of its block to its last item, in this process
-    or in the one a worker was forked from.  Then, as when every fork
-    fails, every item is computed here after the block, in item order, as
-    a plain loop would.  A fork that fails with ``OSError`` is skipped, and
+    W is 1, and nothing forks, where ``_worker_cpus`` finds no spare CPU or
+    another job is open: from the start of its block to its last item, in
+    this process or in the one a worker was forked from.  Then, as when
+    every fork fails, every item is computed here after the block, in item
+    order, as a plain loop would.  A fork that fails with ``OSError`` is skipped, and
     so is one whose file cannot be opened, or a pinning call that fails,
     since the CPU is only a placement hint.
 
@@ -152,10 +105,10 @@ def shared(compute, count: int):
     ``Exception`` escapes the caller's items, the workers are killed and
     reaped and no item is computed.
 
-    A Python >= 3.12 interpreter warns that a process with threads
-    (OpenBLAS's) forks.  The warning comes after the child exists, so a
-    filter that turned it into an error would lose the child, and it is
-    silenced around the fork.
+    A Python >= 3.12 interpreter warns that a process with threads (the
+    OpenBLAS pool of a numpy imported before this package, say) forks.
+    The warning comes after the child exists, so a filter that turned it
+    into an error would lose the child, and it is silenced around the fork.
     """
     global _open
     claimed = np.frombuffer(mmap.mmap(-1, 8 * max(1, count)))
@@ -177,15 +130,9 @@ def shared(compute, count: int):
                 out.flush()
 
     cpus = [] if _open else _worker_cpus(count + 1)
-    blas = _openblas_threads() if cpus else []
-    if not blas:
-        cpus = []
-    threads = [get() for get, _ in blas]
     pids, files = [], []  # the workers not yet reaped, and every worker's file
     outer, _open = _open, True
     try:
-        for _, set_ in blas:
-            set_(1)
         for cpu in cpus:
             try:
                 out = tempfile.TemporaryFile()
@@ -236,6 +183,4 @@ def shared(compute, count: int):
             os.waitpid(pid, 0)
         for out in files:
             out.close()
-        for (_, set_), n in zip(blas, threads):
-            set_(n)
         _open = outer

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -95,13 +96,15 @@ class TestRunConfig:
 
 @pytest.mark.parametrize("command", ["branch", "spectrum", "pohozaev", "verify"])
 def test_unusable_out_is_a_config_error(tmp_path, capfd, monkeypatch, command):
-    # an out that is a regular file, or lies below one, cannot be written:
-    # one exit-2 record that names out, before anything is solved or forked,
-    # no traceback and nothing created
+    # an out that is a regular file or a dangling symlink, or lies below
+    # one, cannot be written: one exit-2 record that names out, before
+    # anything is solved or forked, no traceback and nothing created
     (tmp_path / "afile").write_text("")
+    (tmp_path / "dangling").symlink_to(tmp_path / "missing")
     forks, solves = _count_forks(monkeypatch), []
     monkeypatch.setattr(radial_solver, "newton_solve", lambda *a, **k: solves.append(a))
-    for out in (tmp_path / "afile" / "sub", tmp_path / "afile"):
+    for out in (tmp_path / "afile" / "sub", tmp_path / "afile",
+                tmp_path / "dangling" / "sub", tmp_path / "dangling"):
         cfg = base_config(
             out,
             mesh={"nodes": 64},
@@ -116,7 +119,7 @@ def test_unusable_out_is_a_config_error(tmp_path, capfd, monkeypatch, command):
         (line,) = stdout.splitlines()
         assert json.loads(line)["error"]["fields"] == ["out"]
         assert solves == [] and forks == []
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json", "dangling"]
 
 
 def test_out_that_may_be_made_passes_the_check(tmp_path):
@@ -179,6 +182,18 @@ class TestSerializeHelpers:
         atomic_write(str(path), "two\n")
         assert path.read_text() == "two\n"
         assert [p for p in os.listdir(tmp_path / "a") if p.startswith(".tmp")] == []
+
+    def test_atomic_write_gives_a_plain_writes_mode(self, tmp_path):
+        # 0o666 less the umask, as open(path, "w") gives, not mkstemp's 0o600
+        for umask, mode in ((0o022, 0o644), (0o027, 0o640)):
+            path, plain = tmp_path / f"f{umask:o}.txt", tmp_path / f"plain{umask:o}.txt"
+            old = os.umask(umask)
+            try:
+                atomic_write(str(path), "x\n")
+                plain.write_text("x\n")
+            finally:
+                os.umask(old)
+            assert stat.S_IMODE(path.stat().st_mode) == stat.S_IMODE(plain.stat().st_mode) == mode
 
 
 class TestBranchCommand:
@@ -289,6 +304,18 @@ class TestBranchCommand:
         path = write_config(tmp_path, "c.json", base_config(tmp_path / "o"))
         code, msg = run(["branch", "--config", path, "--window", "6;10"], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flag, field", [("--out", "out"), ("--window", "window")])
+    def test_empty_override_flag_is_refused(self, tmp_path, capsys, flag, field):
+        # an empty flag overrides like any other: exit 2 naming its field,
+        # before anything is solved or written
+        cfg = base_config(tmp_path / "o", mesh={"nodes": 64},
+                          window={"start": 0.5, "end": 1.5, "steps": 3})
+        code, msg = run(["branch", "--config", write_config(tmp_path, "c.json", cfg), flag, ""],
+                        capsys)
+        assert code == 2
+        assert msg["error"]["fields"] == [field]
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -800,8 +827,8 @@ def test_scipy_packages_imported_only_where_needed():
 def test_only_the_worker_helper_forks():
     # the package's worker processes all come from workers.shared: it alone
     # forks, maps the claim flags, opens the workers' files, pins a CPU and
-    # leaves through os._exit, and only the workers module loads ctypes and
-    # pickle and names OpenBLAS's thread setters
+    # leaves through os._exit, and only the workers module loads pickle; no
+    # module loads ctypes or names OpenBLAS's thread setters
     calls = {("os", "fork"), ("os", "_exit"), ("mmap", "mmap"), ("os", "sched_setaffinity"),
              ("tempfile", "TemporaryFile")}
     forks, pickles = set(), set()
@@ -838,8 +865,6 @@ def test_only_the_worker_helper_forks():
         ("workers.py", "shared", "mmap.mmap"),
         ("workers.py", "shared", "os.sched_setaffinity"),
         ("workers.py", "shared", "tempfile.TemporaryFile"),
-        ("workers.py", "_openblas_threads", "import ctypes"),
-        ("workers.py", "", "set_num_threads"),
     }
     assert pickles == {"workers.py"}
 
@@ -882,12 +907,14 @@ def test_dense_operators_built_only_where_needed():
     assert callers == {("meshing.py", "RadialMesh.lap_rows")}
 
 
-def test_openblas_timeout_named_only_by_the_package_imports():
+def test_openblas_threads_named_only_by_the_package_imports():
     # one OpenBLAS start-up scope: the package's __init__ sets the thread
-    # timeout around its own imports, which load numpy and scipy's LAPACK
-    named = {module for module, tree in _package_trees() for node in ast.walk(tree)
-             if isinstance(node, ast.Constant) and node.value == "OPENBLAS_THREAD_TIMEOUT"}
-    assert named == {"__init__.py"}
+    # count around its own imports, which load numpy and scipy's LAPACK,
+    # and no module names the spin timeout
+    named = {(module, node.value) for module, tree in _package_trees()
+             for node in ast.walk(tree) if isinstance(node, ast.Constant)
+             and str(node.value).startswith("OPENBLAS_")}
+    assert named == {("__init__.py", "OPENBLAS_NUM_THREADS")}
 
 
 def _calls_named(name):

@@ -239,39 +239,56 @@ def test_band_solver_reports_singular_and_non_finite_bands():
     assert solve is None and info == -5  # non-finite, never factored
 
 
-_IMPORT_PROBE = """
-import importlib.machinery, json, os, sys
-seen = []
-create = importlib.machinery.ExtensionFileLoader.create_module
-def spy(self, spec):
-    seen.append([spec.name, os.environ.get("OPENBLAS_THREAD_TIMEOUT")])
-    return create(self, spec)
-importlib.machinery.ExtensionFileLoader.create_module = spy
+_BLAS_PROBE = """
+import ctypes, json, os, sys
 imported = "numpy" in sys.modules
-import mfelab
-print(json.dumps([imported, seen, os.environ.get("OPENBLAS_THREAD_TIMEOUT")]))
+if sys.argv[1] == "mfelab":
+    import mfelab
+else:
+    import numpy, scipy.linalg
+threads = {}
+with open("/proc/self/maps", encoding="utf-8") as fh:
+    paths = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                    if "openblas" in line.lower()})
+for path in paths:
+    lib = ctypes.CDLL(path)
+    for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                 "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        get = getattr(lib, name, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            threads[os.path.basename(path)] = get()
+            break
+print(json.dumps([imported, threads, os.environ.get("OPENBLAS_NUM_THREADS")]))
 """
 
 
-@pytest.mark.parametrize("preset", [None, "7"])
-def test_package_imports_shorten_openblas_spin_only_while_importing(preset):
-    # numpy's extensions (its OpenBLAS among them) and scipy's LAPACK load
-    # under the short timeout, a value the environment sets wins, and the
-    # environment is as it was once ``import mfelab`` returns
-    timeout = "OPENBLAS_THREAD_TIMEOUT"
-    env = {k: v for k, v in os.environ.items() if k != timeout}
+def _run_with_blas_threads(preset, *args):
+    """stdout of ``python args`` with ``OPENBLAS_NUM_THREADS`` unset or preset, on the source tree."""
+    threads = "OPENBLAS_NUM_THREADS"
+    env = {k: v for k, v in os.environ.items() if k != threads}
     if preset is not None:
-        env[timeout] = preset
+        env[threads] = preset
     env["PYTHONPATH"] = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
-    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
-    imported, seen, after = json.loads(proc.stdout)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120, check=True).stdout
+
+
+@pytest.mark.parametrize("preset", [None, "2"])
+def test_package_imports_load_openblas_at_one_thread(preset):
+    # numpy's and scipy's OpenBLAS load inside ``import mfelab`` at one
+    # thread; a count the environment sets gives them what it gives them
+    # without the package; and the environment is as it was once the
+    # import returns
+    imported, threads, after = json.loads(_run_with_blas_threads(preset, "-c", _BLAS_PROBE, "mfelab"))
     assert not imported
-    loaded = dict(seen)
-    assert "numpy._core._multiarray_umath" in loaded and "scipy.linalg._flapack" in loaded
-    blas = {name: value for name, value in loaded.items() if name.split(".")[0] in ("numpy", "scipy")}
-    assert set(blas.values()) == {preset or "4"}
+    assert threads
     assert after == preset
+    if preset is None:
+        assert set(threads.values()) == {1}
+    else:
+        _, plain, _ = json.loads(_run_with_blas_threads(preset, "-c", _BLAS_PROBE, "scipy.linalg"))
+        assert threads == plain
 
 
 @pytest.mark.parametrize("n", [64, 65, 67, 127, 256, 512, 1024, 2048])
@@ -288,26 +305,26 @@ def test_slab_matvec_is_the_dense_product_bit_for_bit(n):
             assert np.array_equal(matvec(x), dense @ x)
 
 
-def test_slab_matvec_bits_do_not_depend_on_blas_threads():
+_SLAB_PROBE = """
+import sys
+import numpy as np
+from mfelab.meshing import RadialMesh
+rng = np.random.default_rng(5)
+mesh = RadialMesh.graded(2049, 1.5, 6.0)
+matvec = mesh.slab_matvec(mesh.lap_band(1.0))
+xs = rng.standard_normal((20, mesh.n)) * 10.0 ** rng.uniform(-8.0, 8.0, (20, mesh.n))
+np.save(sys.argv[1], np.array([matvec(x) for x in xs]))
+"""
+
+
+def test_slab_matvec_bits_do_not_depend_on_blas_threads(tmp_path):
     # at 2049 columns the dense product's bits can depend on OpenBLAS's
     # thread count; a slab is too small for BLAS to thread
-    blas = workers._openblas_threads()
-    if not blas:
-        pytest.skip("the process maps no OpenBLAS with settable threads")
-    rng = np.random.default_rng(5)
-    mesh = RadialMesh.graded(2049, 1.5, 6.0)
-    matvec = mesh.slab_matvec(mesh.lap_band(1.0))
-    xs = rng.standard_normal((20, mesh.n)) * 10.0 ** rng.uniform(-8.0, 8.0, (20, mesh.n))
-    before = [get() for get, _ in blas]
     products = []
-    try:
-        for threads in (1, 2):
-            for _, set_ in blas:
-                set_(threads)
-            products.append(np.array([matvec(x) for x in xs]))
-    finally:
-        for (_, set_), count in zip(blas, before):
-            set_(count)
+    for threads in ("1", "2"):
+        path = str(tmp_path / f"products{threads}.npy")
+        _run_with_blas_threads(threads, "-c", _SLAB_PROBE, path)
+        products.append(np.load(path))
     assert np.array_equal(products[0], products[1])
 
 
@@ -520,8 +537,6 @@ def test_interval_table_equals_the_full_power_form(n, beta, lam):
 def test_point_round_trip_through_a_worker(halfwidth, monkeypatch):
     # a point a forked worker solved comes back with its mesh, bit for bit
     # and read-only, as numpy's in-band unpickling of read-only arrays gives
-    if not workers._openblas_threads():
-        pytest.skip("the process maps no OpenBLAS with settable threads, so nothing forks")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr(meshing, "HALFWIDTH", halfwidth)
     spec = WeightSpec(alpha=0.5, kind="gaussian", coef=0.25)

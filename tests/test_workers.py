@@ -1,4 +1,4 @@
-"""The process layer: forked workers, the items they hand back and the BLAS cap."""
+"""The process layer: forked workers and the items they hand back."""
 
 import mmap
 import os
@@ -14,28 +14,6 @@ from mfelab import workers
 
 def _with_cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-
-@pytest.fixture
-def two_cpus(monkeypatch):
-    _with_cpus(monkeypatch, 2)
-
-
-@pytest.fixture
-def openblas():
-    blas = workers._openblas_threads()
-    if not blas:
-        pytest.skip("the process maps no OpenBLAS with settable threads")
-    before = [get() for get, _ in blas]
-    for _, set_ in blas:
-        set_(2)  # a count a section must change and give back
-    yield blas
-    for (_, set_), count in zip(blas, before):
-        set_(count)
-
-
-def _counts(blas):
-    return [get() for get, _ in blas]
 
 
 def _squares(count):
@@ -76,34 +54,7 @@ def _wait_for(ready, seconds=10.0):
         time.sleep(0.001)
 
 
-def test_openblas_held_to_one_thread_while_workers_run(two_cpus, openblas):
-    # the items come back only when the block ends, so the worker reports
-    # its pid and thread counts through a mapping of the test's own
-    seen = np.frombuffer(mmap.mmap(-1, 8 * (1 + len(openblas))))
-
-    def compute(i):
-        seen[1:] = _counts(openblas)
-        seen[0] = os.getpid()
-        return i
-
-    with workers.shared(compute, 1) as items:
-        inside = _counts(openblas)
-        _wait_for(lambda: seen[0])  # the worker claims the one item first
-    assert items == [0]
-    assert seen[0] != os.getpid()
-    assert list(seen[1:]) == [1.0] * len(openblas)  # in the worker
-    assert inside == [1] * len(openblas)
-    assert _counts(openblas) == [2] * len(openblas)
-
-
-def test_openblas_counts_restored_when_the_block_raises(two_cpus, openblas):
-    with pytest.raises(RuntimeError, match="in the parent"):
-        with workers.shared(lambda i: None, 1):
-            raise RuntimeError("in the parent")
-    assert _counts(openblas) == [2] * len(openblas)
-
-
-def test_nothing_forks_without_a_spare_cpu(monkeypatch, openblas):
+def test_nothing_forks_without_a_spare_cpu(monkeypatch):
     _with_cpus(monkeypatch, 1)
 
     def fail(*_):
@@ -112,7 +63,6 @@ def test_nothing_forks_without_a_spare_cpu(monkeypatch, openblas):
     monkeypatch.setattr(os, "fork", fail)
     calls = []
     with workers.shared(_in_parent(calls, lambda i: (i, i * i)), 2) as items:
-        assert _counts(openblas) == [2] * len(openblas)  # no cap without workers
         assert calls == []  # the caller's items run when the block ends
     assert calls == [0, 1]
     assert items == _squares(2)
@@ -126,7 +76,7 @@ def _no_pickling(monkeypatch):
     monkeypatch.setattr(pickle, "load", fail)
 
 
-def test_serial_and_nested_jobs_pickle_nothing(monkeypatch, openblas):
+def test_serial_and_nested_jobs_pickle_nothing(monkeypatch):
     _with_cpus(monkeypatch, 1)
     _no_pickling(monkeypatch)
     with workers.shared(_item, 4) as items:
@@ -139,7 +89,7 @@ def test_serial_and_nested_jobs_pickle_nothing(monkeypatch, openblas):
     _assert_items(items, 4)
 
 
-def test_a_file_that_cannot_be_opened_is_a_failed_fork(monkeypatch, openblas):
+def test_a_file_that_cannot_be_opened_is_a_failed_fork(monkeypatch):
     _with_cpus(monkeypatch, 3)
 
     def refuse(*_, **__):
@@ -172,7 +122,7 @@ def _in_workers(count, compute):
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 @pytest.mark.parametrize("count", [1, 2, 5])
-def test_rows_equal_a_plain_loop(monkeypatch, openblas, cpus, count):
+def test_rows_equal_a_plain_loop(monkeypatch, cpus, count):
     _with_cpus(monkeypatch, cpus)
     calls = []
     compute, in_workers = _in_workers(count, _in_parent(calls, _item))
@@ -191,7 +141,7 @@ def test_rows_equal_a_plain_loop(monkeypatch, openblas, cpus, count):
     assert len(done_by_workers) + len(calls) in (count, count + 1)
 
 
-def test_rows_of_a_worker_that_died_are_recomputed(monkeypatch, openblas):
+def test_rows_of_a_worker_that_died_are_recomputed(monkeypatch):
     _with_cpus(monkeypatch, 3)
     parent = os.getpid()
 
@@ -209,7 +159,7 @@ def test_rows_of_a_worker_that_died_are_recomputed(monkeypatch, openblas):
     assert any(calls == list(range(4, k - 1, -1)) + list(range(k)) for k in range(3))
 
 
-def test_an_item_whose_record_was_cut_short_is_recomputed(monkeypatch, openblas):
+def test_an_item_whose_record_was_cut_short_is_recomputed(monkeypatch):
     _with_cpus(monkeypatch, 2)
     parent, real = os.getpid(), pickle.dumps
     cut = np.frombuffer(mmap.mmap(-1, 8))  # set once the worker cut a record
@@ -238,7 +188,7 @@ def test_an_item_whose_record_was_cut_short_is_recomputed(monkeypatch, openblas)
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_the_lowest_raising_item_raises(monkeypatch, openblas, cpus):
+def test_the_lowest_raising_item_raises(monkeypatch, cpus):
     _with_cpus(monkeypatch, cpus)
     failures = {1: ValueError("at item 1"), 3: KeyError("at item 3")}
 
@@ -252,7 +202,9 @@ def test_the_lowest_raising_item_raises(monkeypatch, openblas, cpus):
             pass
 
 
-def test_no_items_fork_nothing(two_cpus, monkeypatch):
+def test_no_items_fork_nothing(monkeypatch):
+    _with_cpus(monkeypatch, 2)
+
     def fail(*_):
         raise AssertionError("forked")
 
@@ -262,7 +214,7 @@ def test_no_items_fork_nothing(two_cpus, monkeypatch):
     assert items == []
 
 
-def test_a_raising_block_kills_the_workers_and_computes_nothing(monkeypatch, openblas):
+def test_a_raising_block_kills_the_workers_and_computes_nothing(monkeypatch):
     _with_cpus(monkeypatch, 3)
     parent = os.getpid()
 
@@ -280,4 +232,3 @@ def test_a_raising_block_kills_the_workers_and_computes_nothing(monkeypatch, ope
     assert calls == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    assert _counts(openblas) == [2] * len(openblas)
