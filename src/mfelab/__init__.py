@@ -4,13 +4,13 @@ equation on the unit disk.
 Import rule: the package imports no scipy package, since every CLI
 process pays for its imports before it reads its config and
 ``import scipy.linalg`` alone takes about 0.3 s.  ``meshing.scipy_extension``
-loads the two compiled modules the CLI paths call straight from scipy's
+loads the three compiled modules the CLI paths call straight from scipy's
 files: LAPACK (``scipy.linalg._flapack``, whose band LU only ``meshing``
-calls: ``RadialMesh.band_solver`` serves Newton and the mode spectra) and
+calls: ``RadialMesh.band_solver`` serves Newton and the mode spectra),
 ARPACK (``scipy.sparse.linalg._eigen.arpack._arpacklib``, driven by
-``linearization._arnoldi``).  The fold-pair root finder is a port of
-scipy's Brent step (``radial_solver._brentq``) rather than a call into
-``scipy.optimize``.
+``linearization._arnoldi``) and Brent's root finder
+(``scipy.optimize._zeros``, which ``radial_solver._brentq`` calls for the
+fold pairs).
 
 OpenBLAS rule: numpy's and scipy's OpenBLAS each start their thread pool
 when they are loaded, numpy's by ``import numpy`` and scipy's by the

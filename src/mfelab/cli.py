@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -44,13 +45,29 @@ def _write(path: str, text: str) -> None:
         raise ConfigError(f"cannot write output: {exc}", ["out"]) from exc
 
 
-def _check_out(out: str) -> None:
+def _snapshot(i: int) -> str:
+    """The file name of branch point i's profile snapshot."""
+    return f"u_{i:04d}.csv"
+
+
+def _out_names(command: str, config: RunConfig) -> list[str]:
+    """The names of the files ``command`` writes in ``config.out``, in
+    write order; branch then writes one ``_snapshot`` per point."""
+    if command == "verify":
+        fits = {"matching", "outer"} & set(config.diagnostics)
+        return ["report.json"] + (["fits.csv"] if fits else [])
+    return [f"{command}.csv"]
+
+
+def _check_out(out: str, names=(), snapshots: int = 0) -> None:
     """Refuse an ``out`` no write could use before anything is solved (exit 2).
 
     ``out`` must be a directory or not exist yet, and the nearest existing
     one of it and its ancestors a directory this process may write in; a
     dangling symlink exists, since ``makedirs`` cannot create through it.
-    Nothing is created here: ``atomic_write`` makes the directories.
+    Nor may a file to be written in it, one of ``names`` or of the first
+    ``snapshots`` snapshots, be a directory.  Nothing is created here:
+    ``atomic_write`` makes the directories.
     """
     path = os.path.abspath(out)
     while not os.path.lexists(path):
@@ -58,6 +75,17 @@ def _check_out(out: str) -> None:
     if not (os.path.isdir(path) and os.access(path, os.W_OK | os.X_OK)):
         raise ConfigError(f"cannot write output to {out!r}: {path!r} is not a writable directory",
                           ["out"])
+    if not (os.path.isdir(out) and os.access(out, os.R_OK)):
+        return  # out holds nothing yet, or cannot be listed: left to the writes
+    # one pass over out's entries, however many snapshots the window asks for
+    with os.scandir(out) as entries:
+        for entry in entries:
+            index = re.fullmatch(r"u_([0-9]+)\.csv", entry.name)
+            i = int(index[1]) if index else snapshots
+            written = entry.name in names or i < snapshots and _snapshot(i) == entry.name
+            if written and entry.is_dir(follow_symlinks=False):
+                raise ConfigError(f"cannot write output to {out!r}: {entry.path!r} is a directory",
+                                  ["out"])
 
 
 def _run_branch(config: RunConfig, companion: int | None = None):
@@ -90,10 +118,10 @@ def cmd_branch(config: RunConfig) -> int:
     branch = _run_branch(config)
     h = config.config_hash()
     out = config.out
-    paths = [os.path.join(out, "branch.csv")]
+    paths = [os.path.join(out, name) for name in _out_names("branch", config)]
     _write(paths[0], serialize.branch_csv(branch, config.r0, h))
     for i, pt in enumerate(branch.points):
-        p = os.path.join(out, f"u_{i:04d}.csv")
+        p = os.path.join(out, _snapshot(i))
         _write(p, serialize.snapshot_csv(pt, h))
         paths.append(p)
     if _branch_failed(branch, h, outputs=paths):
@@ -108,7 +136,7 @@ def cmd_spectrum(config: RunConfig) -> int:
     if _branch_failed(branch, h):
         return 3
     scan = nondegeneracy_scan(branch, k_max=config.k_max)
-    path = os.path.join(config.out, "spectrum.csv")
+    path = os.path.join(config.out, _out_names("spectrum", config)[0])
     _write(path, serialize.spectrum_csv(scan, h))
     _emit({"status": "ok", "config_hash": h, "outputs": [path]})
     return 0
@@ -121,7 +149,7 @@ def cmd_pohozaev(config: RunConfig) -> int:
         return 3
     kind, rows, _ = pohozaev_rows(branch, config.r0)
     rows = [(lam, kind, config.r0, res) for lam, res in rows]
-    path = os.path.join(config.out, "pohozaev.csv")
+    path = os.path.join(config.out, _out_names("pohozaev", config)[0])
     _write(path, serialize.pohozaev_csv(rows, h))
     _emit({"status": "ok", "config_hash": h, "outputs": [path]})
     return 0
@@ -219,13 +247,10 @@ def cmd_verify(config: RunConfig) -> int:
     )
     failures = _verify_failures(config, branch, report)
     doc = {"branch": _branch_meta(branch), **report.to_dict()}
-    path = os.path.join(config.out, "report.json")
-    _write(path, serialize.report_json(doc))
-    outputs = [path]
-    if doc["matching"] is not None or doc["outer"] is not None:
-        fits = os.path.join(config.out, "fits.csv")
-        _write(fits, serialize.fit_table_csv(branch, doc, h))
-        outputs.append(fits)
+    outputs = [os.path.join(config.out, name) for name in _out_names("verify", config)]
+    _write(outputs[0], serialize.report_json(doc))
+    if len(outputs) > 1:  # the matching or outer diagnostic is on
+        _write(outputs[1], serialize.fit_table_csv(branch, doc, h))
     if failures:
         _emit({"error": {"code": 4, "kind": "assertion", "failures": failures,
                          "config_hash": h, "outputs": outputs}})
@@ -277,7 +302,8 @@ def main(argv=None) -> int:
                 a, b = _parse_window(args.window)
                 raw["window"] = dict(raw["window"], start=a, end=b)
             config = RunConfig.from_dict(raw)
-        _check_out(config.out)
+        snapshots = config.window["steps"] if args.command == "branch" else 0
+        _check_out(config.out, _out_names(args.command, config), snapshots)
         return _COMMANDS[args.command](config)
     except (ConfigError, WeightSpecError, ParameterDomainError) as exc:
         _emit({"error": {"code": 2, "kind": type(exc).__name__, "message": str(exc),

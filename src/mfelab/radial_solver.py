@@ -29,8 +29,10 @@ from .errors import (
     SolverError,
 )
 from .greens import ALPHA_TOL, WeightSpec
-from .meshing import RadialMesh, band_matvec
+from .meshing import RadialMesh, band_matvec, scipy_extension
 from .workers import shared
+
+_zeros = scipy_extension("scipy.optimize._zeros")
 
 EIGHT_PI = 8.0 * np.pi
 
@@ -49,7 +51,8 @@ COLD_ROWS_MIN = 3
 NEWTON_MAX_ITER = 50
 NEWTON_TOL = 1e-11
 
-#: Brent root finder: relative tolerance and iteration cap of scipy's brentq
+#: relative tolerance and iteration cap of ``_brentq``: scipy's brentq
+#: defaults, passed to its compiled routine
 BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
 BRENT_MAXITER = 100
 
@@ -517,9 +520,10 @@ def _advance(state, target, spec, nodes, beta) -> SolutionPoint:
 def find_fold_pair(branch: Branch, which: int = 0):
     """Two solutions sharing one rho across a fold, on a common mesh.
 
-    Root-finds rho(lambda) = rho_target on both sides of the flagged fold;
-    the returned pair matches in rho to ~1e-12 relative, which is what the
-    pairwise boundary-bulk identity checks require.  The mesh is the
+    Root-finds rho(lambda) = rho_target on both sides of the flagged fold
+    with ``_brentq``, scipy's compiled Brent routine; the returned pair
+    matches in rho to ~1e-12 relative, which is what the pairwise
+    boundary-bulk identity checks require.  The mesh is the
     solver mesh of the branch's own node count, graded for the flag's
     upper neighbour.  The two roots are found at once, through
     ``workers.shared``: a forked worker claims the lower root while this
@@ -565,64 +569,27 @@ def find_fold_pair(branch: Branch, which: int = 0):
 def _brentq(f, xa: float, xb: float, xtol: float) -> float:
     """Root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
 
-    A line-for-line port of scipy's ``brentq.c`` with its defaults
-    (rtol = 4 eps, 100 iterations), so it evaluates f at the same points
-    and returns the same float.  A bracket without a sign change, a NaN
-    value or an exhausted iteration budget raises SolverError.
+    scipy's compiled ``brentq`` routine with scipy's defaults, so the root
+    is an abscissa f was evaluated at.  A NaN value (scipy's guard sits in
+    its Python wrapper, which this call skips), a bracket without a sign
+    change or an exhausted iteration budget raises SolverError.
     """
+    seen = []
 
     def value(x: float) -> float:
         fx = float(f(x))
         if math.isnan(fx):
             raise SolverError(f"root finder met NaN at x = {x!r}")
+        seen.append((x, fx))
         return fx
 
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise SolverError(
-            f"no sign change on [{xpre!r}, {xcur!r}]: f = {fpre!r}, {fcur!r}"
-        )
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:
-                    # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                # C divides to an inf or NaN here, which the test below bisects
-                stry = math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise SolverError(f"no root within {BRENT_MAXITER} Brent iterations; last x = {xcur!r}")
+    try:
+        return _zeros._brentq(value, xa, xb, xtol, BRENT_RTOL, BRENT_MAXITER, (), False, True)
+    except ValueError:
+        if len(seen) != 2:  # not the bracket check, which follows exactly two values
+            raise
+        (xa, fa), (xb, fb) = seen
+        raise SolverError(f"no sign change on [{xa!r}, {xb!r}]: f = {fa!r}, {fb!r}") from None
+    except RuntimeError:
+        last = seen[-1][0]
+        raise SolverError(f"no root within {BRENT_MAXITER} Brent iterations; last x = {last!r}") from None

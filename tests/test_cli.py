@@ -122,6 +122,57 @@ def test_unusable_out_is_a_config_error(tmp_path, capfd, monkeypatch, command):
         assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "c.json", "dangling"]
 
 
+@pytest.mark.parametrize("command, diagnostics, name", [
+    ("branch", ["rate"], "branch.csv"),
+    ("branch", ["rate"], "u_0002.csv"),
+    ("spectrum", ["rate"], "spectrum.csv"),
+    ("pohozaev", ["rate"], "pohozaev.csv"),
+    ("verify", ["rate"], "report.json"),
+    ("verify", ["matching"], "fits.csv"),
+])
+def test_output_name_taken_by_a_directory_is_a_config_error(tmp_path, capfd, monkeypatch,
+                                                             command, diagnostics, name):
+    # a file the command would write is a directory in out: one exit-2
+    # record that names out, before anything is solved or forked, and
+    # nothing created
+    (tmp_path / "out" / name).mkdir(parents=True)
+    forks, solves = _count_forks(monkeypatch), []
+    monkeypatch.setattr(radial_solver, "newton_solve", lambda *a, **k: solves.append(a))
+    cfg = base_config(
+        tmp_path / "out",
+        mesh={"nodes": 64},
+        window={"start": 0.5, "end": 1.5, "steps": 3},
+        diagnostics=diagnostics,
+        k_max=1,
+    )
+    code = main([command, "--config", write_config(tmp_path, "c.json", cfg)])
+    stdout, err = capfd.readouterr()
+    assert code == 2
+    assert err == ""
+    (line,) = stdout.splitlines()
+    record = json.loads(line)["error"]
+    assert record["fields"] == ["out"]
+    assert name in record["message"]
+    assert solves == [] and forks == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out"]
+    assert [p.name for p in (tmp_path / "out").iterdir()] == [name]
+
+
+def test_directories_no_write_needs_pass_the_check(tmp_path):
+    # directories beside the written names, a snapshot past the window's
+    # steps and a name in another format, do not stop a run
+    for name in ("u_0003.csv", "u_2.csv", "fits.csv", "sub"):
+        (tmp_path / name).mkdir()
+    cfg = RunConfig.from_dict(base_config(tmp_path, window={"start": 0.5, "end": 1.5, "steps": 3},
+                                          diagnostics=["rate"]))
+    for command in ("branch", "spectrum", "pohozaev", "verify"):
+        snapshots = 3 if command == "branch" else 0
+        cli._check_out(str(tmp_path), cli._out_names(command, cfg), snapshots)
+    # a symlink to a directory is replaced by the write, not written through
+    (tmp_path / "report.json").symlink_to(tmp_path / "sub")
+    cli._check_out(str(tmp_path), cli._out_names("verify", cfg))
+
+
 def test_out_that_may_be_made_passes_the_check(tmp_path):
     # a missing out below a writable directory, and an existing directory,
     # are usable; the check creates nothing
@@ -1007,14 +1058,15 @@ def test_every_traced_name_resolves_in_the_package(monkeypatch):
 
 
 def test_cli_import_leaves_out_optional_scipy_modules():
-    # the CLI loads scipy's compiled LAPACK and ARPACK modules and no scipy
-    # package
+    # the CLI loads scipy's compiled LAPACK, ARPACK and Brent modules and no
+    # scipy package
     probe = "import json, sys, mfelab.cli; print(json.dumps(sorted(sys.modules)))"
     modules = _loaded_after(probe)
     loaded = {m for m in modules if m == "scipy" or m.startswith("scipy.")}
     assert loaded == {
         "scipy.linalg._flapack",
         "scipy.sparse.linalg._eigen.arpack._arpacklib",
+        "scipy.optimize._zeros",
     }
     # the spectrum scan forks its workers itself: no pool machinery at start-up
     pools = [m for m in modules if m.split(".")[0] in ("multiprocessing", "concurrent")]
@@ -1024,9 +1076,12 @@ def test_cli_import_leaves_out_optional_scipy_modules():
 def test_scipy_reuses_the_compiled_modules_mfelab_loaded():
     probe = (
         "import json, mfelab, mfelab.meshing as m, mfelab.linearization as lin\n"
+        "import mfelab.radial_solver as rs\n"
         "import scipy.linalg.lapack as lapack\n"
         "from scipy.sparse.linalg._eigen.arpack import arpack\n"
+        "import scipy.optimize\n"
         "print(json.dumps([lapack.dgbtrf is m.dgbtrf, lapack.dgbtrs is m.dgbtrs,"
-        " arpack._arpacklib is lin._arpack]))"
+        " arpack._arpacklib is lin._arpack,"
+        " scipy.optimize.brentq.__globals__['_zeros'] is rs._zeros]))"
     )
-    assert _loaded_after(probe) == [True, True, True]
+    assert _loaded_after(probe) == [True, True, True, True]
