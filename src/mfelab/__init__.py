@@ -3,11 +3,14 @@ equation on the unit disk.
 
 Import rule: the package imports no scipy package, since every CLI
 process pays for its imports before it reads its config and
-``import scipy.linalg`` alone takes about 0.3 s.  ``meshing.scipy_extension``
-loads the three compiled modules the CLI paths call straight from scipy's
-files: LAPACK (``scipy.linalg._flapack``, whose band LU only ``meshing``
-calls: ``RadialMesh.band_solver`` serves Newton and the mode spectra),
-ARPACK (``scipy.sparse.linalg._eigen.arpack._arpacklib``, driven by
+``import scipy.linalg`` alone takes about 0.3 s; and no OpenSSL, since
+``hashlib`` maps libcrypto, about 3.4 MB resident, for the one config
+hash a run takes (``serialize`` hashes with CPython's own sha256).
+``meshing.scipy_extension`` loads the three compiled modules the CLI
+paths call straight from scipy's files: LAPACK (``scipy.linalg._flapack``,
+whose band LU only ``meshing`` calls: ``RadialMesh.band_solver`` serves
+Newton and the mode spectra), ARPACK
+(``scipy.sparse.linalg._eigen.arpack._arpacklib``, driven by
 ``linearization._arnoldi``) and Brent's root finder
 (``scipy.optimize._zeros``, which ``radial_solver._brentq`` calls for the
 fold pairs).

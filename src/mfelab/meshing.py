@@ -49,8 +49,12 @@ def scipy_extension(name: str):
     nothing), loaded with ``ExtensionFileLoader`` and registered in
     ``sys.modules`` under its own name.  A later ``import scipy.linalg``
     then finds that module, and its functions are the very objects scipy
-    re-exports.  Without the file, or when loading it raises ImportError,
-    the module is imported the usual way; a failed load leaves nothing in
+    re-exports.  That import does not bind the module as an attribute of
+    its parent package, so ``hasattr(scipy.linalg, "_flapack")`` reads
+    False; ``from scipy.linalg import _flapack`` and ``import_module``
+    still return it, since both fall back to ``sys.modules``.  Without
+    the file, or when loading it raises ImportError, the module is
+    imported the usual way; a failed load leaves nothing in
     ``sys.modules``.
     """
     if name in sys.modules:

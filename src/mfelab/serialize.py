@@ -5,16 +5,28 @@ every omitted field is filled from documented defaults, so the normalized
 form is canonical: its sha256 is the run's identity and is embedded in
 every file the run writes.  All writers format floats with 17 significant
 digits and replace files atomically, which makes reruns byte-identical.
+
+The sha256 comes from CPython's own module (``_sha2``, ``_sha256`` before
+Python 3.12), as ``random`` takes its sha512: ``hashlib`` maps OpenSSL's
+libcrypto, about 3.4 MB resident in every process, for one hash per run.
+``hashlib`` serves only where neither module exists; the digests agree.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 import tempfile
 from dataclasses import dataclass
+
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .diagnostics import DIAGNOSTIC_NAMES
 from .errors import ConfigError, ParameterDomainError, WeightSpecError
@@ -271,7 +283,7 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return sha256(self.canonical_json().encode("utf-8")).hexdigest()
 
     def weight_spec(self) -> WeightSpec:
         return WeightSpec(alpha=self.alpha, **self.hstar)

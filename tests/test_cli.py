@@ -2,6 +2,7 @@
 
 import ast
 import dataclasses
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -1025,10 +1026,10 @@ def test_second_branch_node_count_only_from_the_companion_rule():
     }
 
 
-def _loaded_after(probe):
+def _loaded_after(probe, *args):
     src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
     proc = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", probe, *args],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
@@ -1085,3 +1086,67 @@ def test_scipy_reuses_the_compiled_modules_mfelab_loaded():
         " scipy.optimize.brentq.__globals__['_zeros'] is rs._zeros]))"
     )
     assert _loaded_after(probe) == [True, True, True, True]
+
+
+def _hashed_configs():
+    """The seed-0 configs of the three benchmark workloads and a poly weight."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [workloads.make_config(name, 0) for name in sorted(workloads.WORKLOADS)]
+    return configs + [base_config("out", hstar={"kind": "poly", "coeffs": [1.0, -0.25, 0.1]})]
+
+
+def test_config_hash_is_hashlib_sha256_of_the_canonical_json():
+    for raw in _hashed_configs():
+        config = RunConfig.from_dict(raw)
+        expected = hashlib.sha256(config.canonical_json().encode("utf-8")).hexdigest()
+        assert config.config_hash() == expected
+
+
+def test_config_hash_falls_back_to_hashlib():
+    # without CPython's own sha256 modules the hash comes from hashlib, equal
+    probe = (
+        "import json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from mfelab.serialize import RunConfig\n"
+        "hashes = [RunConfig.from_dict(raw).config_hash() for raw in json.loads(sys.argv[1])]\n"
+        "print(json.dumps(['hashlib' in sys.modules, hashes]))"
+    )
+    configs = _hashed_configs()
+    fallback, hashes = _loaded_after(probe, json.dumps(configs))
+    assert fallback
+    assert hashes == [RunConfig.from_dict(raw).config_hash() for raw in configs]
+
+
+_OPENSSL_PROBE = """
+import contextlib, io, json, os, sys
+import mfelab.cli
+
+def openssl():
+    modules = sorted(m for m in ("hashlib", "_hashlib", "ssl") if m in sys.modules)
+    libraries = []
+    if os.path.exists("/proc/self/maps"):
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libraries = sorted({line.split(maxsplit=5)[-1].strip() for line in fh
+                                if "libcrypto" in line or "libssl" in line})
+    return [modules, libraries]
+
+seen = [openssl()]
+with contextlib.redirect_stdout(io.StringIO()):
+    code = mfelab.cli.main(["branch", "--config", sys.argv[1]])
+print(json.dumps([code, seen + [openssl()]]))
+"""
+
+
+def test_no_openssl_after_import_and_a_branch_run(tmp_path):
+    # the config hash is the package's only hash: neither the import nor a
+    # run loads hashlib, and so OpenSSL's libcrypto is never mapped
+    window = {"start": 6.0, "end": 8.0, "steps": 5}
+    path = write_config(tmp_path, "c.json",
+                        base_config(tmp_path / "out", mesh={"nodes": 128}, window=window))
+    code, seen = _loaded_after(_OPENSSL_PROBE, path)
+    assert code == 0
+    assert seen == [[[], []], [[], []]]

@@ -328,6 +328,21 @@ def test_slab_matvec_bits_do_not_depend_on_blas_threads(tmp_path):
     assert np.array_equal(products[0], products[1])
 
 
+_IMPORT_PROBE = """
+import importlib, json
+import mfelab.meshing as m, mfelab.radial_solver as rs
+from scipy.linalg import _flapack
+zeros = importlib.import_module("scipy.optimize._zeros")
+print(json.dumps([_flapack is m._flapack, zeros is rs._zeros]))
+"""
+
+
+def test_scipy_imports_return_the_modules_the_package_loaded():
+    # the parent package does not hold them as attributes, but both import
+    # forms fall back to sys.modules
+    assert json.loads(_run_with_blas_threads(None, "-c", _IMPORT_PROBE)) == [True, True]
+
+
 def test_scipy_extension_falls_back_when_loading_fails(monkeypatch):
     # an extension file that does not load leaves no half-made module behind
     # and hands over to an ordinary import

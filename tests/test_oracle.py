@@ -35,3 +35,21 @@ def test_solver_rho_matches_the_oracle(alpha, coef, lam):
     spec = WeightSpec(alpha=alpha, kind="gaussian", coef=coef)
     pt = newton_solve(spec, solver_mesh(512, 1.0 + alpha, lam), lam=lam)
     assert abs(pt.rho / rho_at(spec, lam) - 1.0) <= ORACLE_RTOL[alpha]
+
+
+#: poly weights: without an |x|^2 term (ell = 0) hstar(t^(1/beta)) is
+#: smooth enough at t = 0 that the error is round-off at every alpha; with
+#: one, the error follows the gaussian weights' ORACLE_RTOL
+POLY_RTOL = {
+    (1.0, 0.0, 0.5): dict.fromkeys(ORACLE_RTOL, 1e-11),
+    (1.0, -0.25, 0.1): ORACLE_RTOL,
+}
+
+
+@pytest.mark.parametrize("lam", [8.0, 14.0])
+@pytest.mark.parametrize("coeffs", sorted(POLY_RTOL))
+@pytest.mark.parametrize("alpha", sorted(ORACLE_RTOL))
+def test_solver_rho_matches_the_oracle_on_poly_weights(alpha, coeffs, lam):
+    spec = WeightSpec(alpha=alpha, kind="poly", coeffs=list(coeffs))
+    pt = newton_solve(spec, solver_mesh(512, 1.0 + alpha, lam), lam=lam)
+    assert abs(pt.rho / rho_at(spec, lam) - 1.0) <= POLY_RTOL[coeffs][alpha]
