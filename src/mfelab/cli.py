@@ -199,7 +199,11 @@ def _verify_failures(config: RunConfig, branch, report) -> list:
 
     fit = report.rate_fit
     if fit is not None:
-        target = -1.0 / beta
+        # the exact family, hstar constant, has rho - 8 pi beta =
+        # -8 beta^2 e^(-lambda) in closed form; every other weight keeps
+        # -1/beta, the poly weights without an r^2 term (ell = 0, such as
+        # 1 + a r^4) too, until their rate has an oracle-checked rule
+        target = -1.0 if branch.spec.hstar_constant else -1.0 / beta
         if abs(fit.slope - target) > thr["rate_slope_rtol"] * abs(target):
             failures.append({"check": "rate-slope",
                              "detail": f"slope {fit.slope:.4f} vs {target:.4f}"})

@@ -140,6 +140,16 @@ class WeightSpec:
             out = 2.0 * r * self._poly_deriv(s) / self._poly(s, unit=True)
         return out if out.ndim else float(out)
 
+    @property
+    def hstar_constant(self) -> bool:
+        """Whether hstar is one constant: the constant kind, a gaussian with
+        coef 0, or a poly with no term past the first."""
+        if self.kind == "constant":
+            return True
+        if self.kind == "gaussian":
+            return self.coef == 0.0
+        return not any(self.coeffs[1:])
+
     def lap_log_hstar0(self) -> float:
         """Laplacian of log hstar at the origin, analytic per kind."""
         if self.kind == "constant":

@@ -5,9 +5,11 @@ variable t = r**beta.  Profiles of interest are even in t, so derivative
 stencils near the origin see the even extension through t = 0 and the
 resulting matrices are valid only when applied to even profiles.
 
-Derivative operators are stored as row bands: row i of an (n, 2*bw + 1)
-band holds the entries of columns i - bw .. i + bw, where bw is the mesh
-bandwidth.  ``band_matvec`` multiplies a row band into a vector in
+Derivative operators are handed out as row bands: row i of an
+(n, 2*bw + 1) band holds the entries of columns i - bw .. i + bw, where bw
+is the mesh bandwidth.  A mesh keeps only each row's 2*HALFWIDTH + 1
+stencil slots of those bands and expands them on demand, with the same
+bits.  ``band_matvec`` multiplies a row band into a vector in
 O(n * (2*bw + 1)), and ``RadialMesh.diagonal_ordered`` packs one into LAPACK
 ``gbtrf`` storage.  ``RadialMesh.band_solver`` owns the band LU and the
 Sherman-Morrison step for a band plus a rank-one term, the form of both
@@ -269,14 +271,22 @@ class RadialMesh:
     The origin is not a node.  Stencils whose window would cross t = 0 are
     folded back onto the positive axis (even extension), and the last rows
     use left-shifted windows, so both derivative operators have bandwidth
-    at most ``2 * HALFWIDTH``.  They are stored as the row bands
-    ``d1_band`` and ``d2_band`` of shape (n, 2 * bandwidth + 1), so a mesh
-    holds O(n) floats; ``band_solver`` factors a band (plus a rank-one
-    term) with LAPACK's band LU, ``slab_matvec`` multiplies one into a
-    vector, and ``dense`` builds the dense matrix of a band on demand.  The
-    bands come from Fornberg's recursion run over all rows at once, which
-    keeps every entry bit-identical to the scalar recursion (a Vandermonde
-    solve would not; see the module docstring).
+    at most ``2 * HALFWIDTH``.  A row's stencil spans only 2 * HALFWIDTH + 1
+    of the 2 * bandwidth + 1 slots of its band row: slots HALFWIDTH ..
+    3 * HALFWIDTH, and for the last HALFWIDTH rows slots HALFWIDTH - 1, ...,
+    0 onward.  The mesh keeps those stencil rows of d/dt and d^2/dt^2 as one
+    write-locked (2, n, 2 * HALFWIDTH + 1) array, 112 bytes a node where two
+    bands took 208; with its nodes, radii and quadrature a mesh holds 184
+    bytes a node.  ``d1_band`` and ``d2_band`` expand them into read-only
+    row bands of shape (n, 2 * bandwidth + 1), and ``lap_band`` combines
+    the stencil rows before it expands; every slot off the stencil is +0.0,
+    so each band has the bits of ``derivative_bands``.  ``band_solver``
+    factors a band (plus a rank-one term) with LAPACK's band LU,
+    ``slab_matvec`` multiplies one into a vector, and ``dense`` builds the
+    dense matrix of a band on demand.  The stencils come from Fornberg's
+    recursion run over all rows at once, which keeps every entry
+    bit-identical to the scalar recursion (a Vandermonde solve would not;
+    see the module docstring).
 
     ``quad`` holds composite interpolatory weights over [0, t[-1]]: each
     cell between consecutive nodes integrates the degree-5 interpolant
@@ -290,7 +300,7 @@ class RadialMesh:
 
     def __init__(self, t: np.ndarray, beta: float):
         t = np.array(t, dtype=float)
-        self.d1_band, self.d2_band = derivative_bands(t)
+        bands = derivative_bands(t)
         if not beta > 0.0:
             raise MfelabError("beta must be positive")
         self.t = t
@@ -298,9 +308,12 @@ class RadialMesh:
         self.r = t ** (1.0 / beta)
         self.n = t.size
         self.bandwidth = 2 * HALFWIDTH
+        rows = np.arange(self.n)[:, None]
+        slots = np.minimum(HALFWIDTH, self.n - 1 - rows) + np.arange(2 * HALFWIDTH + 1)
+        self._stencils = np.stack([band[rows, slots] for band in bands])
         self._intervals = _interval_table(t, QUAD_POINTS)
         self.quad = _sum_intervals(t, float(t[-1]), self._intervals)
-        for arr in (self.t, self.r, self.d1_band, self.d2_band, self._intervals, self.quad):
+        for arr in (self.t, self.r, self._stencils, self._intervals, self.quad):
             arr.setflags(write=False)
 
     @classmethod
@@ -316,6 +329,28 @@ class RadialMesh:
         i = np.arange(1, n + 1, dtype=float)
         return cls(np.sinh(strength * i / n) / np.sinh(strength), beta)
 
+    def _expand(self, stencils: np.ndarray, write: bool = True) -> np.ndarray:
+        """The (n, 2 * bandwidth + 1) row band of (n, 2 * HALFWIDTH + 1)
+        stencil rows, +0.0 off the stencils."""
+        n, width = stencils.shape
+        w = width // 2
+        band = np.zeros((n, 2 * self.bandwidth + 1))
+        band[: n - w, w : w + width] = stencils[: n - w]
+        for i in range(n - w, n):
+            band[i, n - 1 - i : n - 1 - i + width] = stencils[i]
+        band.setflags(write=write)
+        return band
+
+    @property
+    def d1_band(self) -> np.ndarray:
+        """The read-only row band of d/dt, expanded from the stencil rows."""
+        return self._expand(self._stencils[0], write=False)
+
+    @property
+    def d2_band(self) -> np.ndarray:
+        """The read-only row band of d^2/dt^2, expanded from the stencil rows."""
+        return self._expand(self._stencils[1], write=False)
+
     def band_triplets(self, band: np.ndarray):
         """(rows, cols, values) of the in-range entries of a row band, row by row.
 
@@ -330,7 +365,13 @@ class RadialMesh:
         return rows[inside], cols[inside], band.ravel()[inside]
 
     def dense(self, band: np.ndarray) -> np.ndarray:
-        """Dense m x m matrix of an (m, 2 * bandwidth + 1) row band."""
+        """Dense m x m matrix of an (m, 2 * bandwidth + 1) row band.
+
+        Above 2048 columns the bits of its BLAS product ``dense(band) @ x``
+        depend on OpenBLAS's thread count (seen between 1 and 2 threads with
+        numpy's OpenBLAS 0.3.31); ``slab_matvec`` gives the one-thread bits
+        at any count.
+        """
         rows, cols, vals = self.band_triplets(band)
         m = band.shape[0]
         out = np.zeros((m, m))
@@ -460,9 +501,15 @@ class RadialMesh:
         return _sum_intervals(self.t, _check_end(self.t, t_end), self._intervals)
 
     def lap_band(self, coef: np.ndarray | float) -> np.ndarray:
-        """Row band of g -> g'' + (coef / t) g' on the even extension."""
+        """Row band of g -> g'' + (coef / t) g' on the even extension.
+
+        Combined on the stencil rows and expanded once; for finite coef
+        every slot off the stencils is +0.0, as d2 + (coef / t) d1 gives on
+        the full bands.
+        """
         c = np.broadcast_to(np.asarray(coef, dtype=float), (self.n,))
-        return self.d2_band + (c / self.t)[:, None] * self.d1_band
+        d1, d2 = self._stencils
+        return self._expand(d2 + (c / self.t)[:, None] * d1)
 
     def lap_rows(self, coef: np.ndarray | float) -> np.ndarray:
         """Dense rows of g -> g'' + (coef / t) g' on the even extension."""

@@ -432,6 +432,23 @@ class TestVerifyCommand:
         assert code == 4
         assert [f["check"] for f in msg["error"]["failures"]] == ["rate-fit-quality"]
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.5, 2.4])
+    def test_exact_family_passes_every_gate(self, alpha, tmp_path, capsys):
+        # hstar constant: rho - 8 pi beta = -8 beta^2 e^(-lambda), so the
+        # rate slope is gated on -1, not on -1/beta; the other fields are
+        # the benchmark's verify config
+        cfg = base_config(
+            tmp_path / "out",
+            alpha=alpha,
+            hstar={"kind": "constant"},
+            window={"start": 6.0, "end": 15.0, "steps": 19},
+            mesh={"nodes": 512},
+            fit_window=[8.0, 14.0],
+            diagnostics=list(diagnostics.DIAGNOSTIC_NAMES),
+        )
+        code, msg = run(["verify", "--config", write_config(tmp_path, "exact.json", cfg)], capsys)
+        assert (code, msg.get("status")) == (0, "ok"), msg
+
     def test_empty_toggles_metadata_only(self, tmp_path, capsys):
         cfg = base_config(tmp_path / "out", diagnostics=[])
         path = write_config(tmp_path, "meta.json", cfg)

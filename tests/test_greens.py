@@ -74,3 +74,18 @@ def test_gaussian_log_weight_analytics():
     f = lambda s: np.log(poly.hstar(s))
     lap_num = 4.0 * (f(h) - f(0.0)) / h**2
     assert lap_num == pytest.approx(poly.lap_log_hstar0(), rel=1e-3)
+
+
+@pytest.mark.parametrize("hstar, constant", [
+    ({"kind": "constant", "coef": 2.0}, True),
+    ({"kind": "gaussian", "coef": 0.0}, True),
+    ({"kind": "poly", "coeffs": (3.0,)}, True),
+    ({"kind": "poly", "coeffs": (1.0, 0.0, 0.0)}, True),
+    ({"kind": "gaussian", "coef": -0.25}, False),
+    ({"kind": "poly", "coeffs": (1.0, 0.0, 0.5)}, False),
+])
+def test_hstar_constant_names_one_weight_by_its_values(hstar, constant):
+    spec = WeightSpec(alpha=0.5, **hstar)
+    assert spec.hstar_constant is constant
+    r = np.linspace(0.0, 1.0, 11)
+    assert bool(np.all(spec.hstar(r) == spec.hstar(0.0))) is constant

@@ -19,6 +19,8 @@ from mfelab.greens import WeightSpec
 from mfelab.meshing import RadialMesh, band_matvec, fd_weights, scipy_extension
 from mfelab.radial_solver import newton_solve
 
+from meshes import mesh_arrays
+
 
 def test_fd_weights_exact_on_monomials():
     rng = np.random.default_rng(0)
@@ -519,10 +521,34 @@ def test_quad_to_bit_identical_to_cell_loop():
 
 
 def test_mesh_holds_no_dense_operators():
+    # nodes, radii and quadrature weights take 9 floats a node, and the two
+    # derivative operators' 7-slot stencil rows 14 more: 184 bytes
     n = 1024
     mesh = RadialMesh.graded(n, 1.5, 6.0)
-    floats = sum(v.size for v in vars(mesh).values() if isinstance(v, np.ndarray))
-    assert floats < 64 * n
+    arrays = [v for v in vars(mesh).values() if isinstance(v, np.ndarray)]
+    assert sum(v.size for v in arrays) < 64 * n
+    assert sum(v.nbytes for v in arrays) <= 184 * n
+
+
+def _same_bits(a, b):
+    return (a.shape == b.shape and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+@pytest.mark.parametrize("n", [8, 9, 16, 96, 1024])
+@pytest.mark.parametrize("halfwidth", [2, 3])
+def test_stencil_rows_expand_to_the_derivative_bands(n, halfwidth, monkeypatch):
+    # a mesh keeps only the stencil slots of its bands; what it hands out
+    # is derivative_bands' output, sign bits of the zero slots included
+    monkeypatch.setattr(meshing, "HALFWIDTH", halfwidth)
+    mesh = RadialMesh.graded(n, 1.5, 6.0)
+    d1, d2 = meshing.derivative_bands(mesh.t)
+    assert _same_bits(mesh.d1_band, d1)
+    assert _same_bits(mesh.d2_band, d2)
+    assert not mesh.d1_band.flags.writeable and not mesh.d2_band.flags.writeable
+    for coef in (1.0, 2.0 * 16 / 1.5 + 1.0, np.linspace(-3.0, 5.0, n)):
+        want = d2 + (np.broadcast_to(coef, (n,)) / mesh.t)[:, None] * d1
+        assert _same_bits(mesh.lap_band(coef), want)
 
 
 def _full_power_weights(nodes, a, b):
@@ -575,16 +601,15 @@ def test_point_round_trip_through_a_worker(halfwidth, monkeypatch):
     assert (back.rho, back.lam, back.res_norm, back.newton_iters) == (
         point.rho, point.lam, point.res_norm, point.newton_iters)
     assert (back.mesh.n, back.mesh.beta, back.mesh.bandwidth) == (200, 1.5, 2 * halfwidth)
-    arrays = [("u", back.u, point.u)] + [
-        (name, getattr(back.mesh, name), getattr(mesh, name))
-        for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals")
-    ]
     assert sorted(vars(back.mesh)) == sorted(vars(mesh))
-    for name, read, original in arrays:
+    read_arrays, arrays = mesh_arrays(back.mesh), mesh_arrays(mesh)
+    assert read_arrays.keys() == arrays.keys()
+    for name, read, original in [("u", back.u, point.u)] + [
+            (name, read_arrays[name], arrays[name]) for name in arrays]:
         assert read.shape == original.shape, name
         assert np.array_equal(read, original), name
-        assert not read.flags.writeable, name
+        # lap_band hands out a fresh band for its caller to use
+        assert read.flags.writeable == (name == "lap_band"), name
     t_end = 0.5 * float(mesh.t[50] + mesh.t[51])
     assert np.array_equal(back.mesh.quad_to(t_end), mesh.quad_to(t_end))
     assert np.array_equal(back.mesh.point_rows(0.0, 1), mesh.point_rows(0.0, 1))
-    assert np.array_equal(back.mesh.lap_band(1.0), mesh.lap_band(1.0))

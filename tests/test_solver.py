@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,6 +26,8 @@ from mfelab.radial_solver import (
     newton_solve,
     solver_mesh,
 )
+
+from meshes import mesh_arrays
 
 ALPHA = 0.5
 BETA = 1.5
@@ -354,8 +357,9 @@ def _branch_arrays(branch):
         "res_norm": [p.res_norm for p in pts], "newton_iters": [p.newton_iters for p in pts],
         "u": [p.u for p in pts], "log_mass": [p.log_mass for p in pts],
     }
-    for name in ("t", "r", "quad", "d1_band", "d2_band", "_intervals"):
-        fields[name] = [getattr(p.mesh, name) for p in pts]
+    for p in pts:
+        for name, array in mesh_arrays(p.mesh).items():
+            fields.setdefault(name, []).append(array)
     return fields, branch.fold_flags, branch.failure, branch.nodes
 
 
@@ -363,6 +367,7 @@ def _same(a, b):
     fields_a, *rest_a = a
     fields_b, *rest_b = b
     assert rest_a == rest_b
+    assert fields_a.keys() == fields_b.keys()
     for name, values in fields_a.items():
         assert len(values) == len(fields_b[name]), name
         for x, y in zip(values, fields_b[name]):
@@ -560,6 +565,25 @@ def test_fold_pair_builds_its_residual_map_once(gauss_branch, monkeypatch):
     for p, q in zip(pair, dense_pair):
         assert (p.rho, p.res_norm, p.newton_iters) == (q.rho, q.res_norm, q.newton_iters)
         assert np.array_equal(p.u, q.u)
+
+
+def test_residual_map_drops_the_last_map_before_building_the_next_slabs(monkeypatch):
+    # the one cached map is released before the next mesh's slabs are
+    # built, so the two maps' slabs never coexist
+    spec = WeightSpec(alpha=ALPHA, kind="gaussian", coef=0.25)
+    mesh_a, mesh_b = RadialMesh.graded(128, BETA, 3.0), RadialMesh.graded(128, BETA, 4.0)
+    lap_band_a = weakref.ref(radial_solver._residual_map(spec, mesh_a)[1])
+    assert radial_solver._residual_map(spec, mesh_a)[1] is lap_band_a()
+    alive = []
+    slab_matvec = RadialMesh.slab_matvec
+
+    def probe(mesh, band):
+        alive.append(lap_band_a() is not None)
+        return slab_matvec(mesh, band)
+
+    monkeypatch.setattr(RadialMesh, "slab_matvec", probe)
+    radial_solver._residual_map(spec, mesh_b)
+    assert alive == [False]
 
 
 def test_fold_pair_on_branch_mesh_policy():
